@@ -81,6 +81,7 @@ from .simulate import (
     girsanov_martingale_check,
     increment_bound_study,
     pathwise_comparison,
+    simulate_lanes,
     simulate_to_exit,
 )
 

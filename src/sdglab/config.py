@@ -153,14 +153,16 @@ def _solve_config(parser) -> SolveConfig:
     if "solve" not in parser:
         return SolveConfig()
     sec = parser["solve"]
+    for key in sec:
+        if key not in ("max_policy_iters", "residual_tol"):
+            raise ConfigError(
+                f"unknown key {key!r} in [solve]; accepted keys are max_policy_iters and residual_tol"
+            )
     base = SolveConfig()
     try:
         return SolveConfig(
             max_policy_iters=sec.getint("max_policy_iters", fallback=base.max_policy_iters),
-            inner_tol=sec.getfloat("inner_tol", fallback=base.inner_tol),
             residual_tol=sec.getfloat("residual_tol", fallback=base.residual_tol),
-            relaxation=sec.getfloat("relaxation", fallback=base.relaxation),
-            max_inner_sweeps=sec.getint("max_inner_sweeps", fallback=base.max_inner_sweeps),
         )
     except ValueError as exc:
         raise ConfigError(f"bad [solve] section: {exc}") from exc

@@ -17,15 +17,7 @@ import numpy as np
 
 from .grids import DomainGrid, ValueField
 from .model import GameProblem, validate_problem
-from .pde import (
-    IsaacsSolver,
-    PucciParams,
-    RateReport,
-    SolveConfig,
-    convergence_study,
-    extend_problem,
-    solve_penalized,
-)
+from .pde import IsaacsSolver, PucciParams, RateReport, SolveConfig, _penalty_sweep
 from .policies import (
     CandidateControlSet,
     ConstantPolicy,
@@ -34,7 +26,7 @@ from .policies import (
     build_alpha_selector,
     build_beta_selector,
 )
-from .simulate import VARIANTS, ControlAdaptedSpec, SimConfig, simulate_to_exit
+from .simulate import VARIANTS, ControlAdaptedSpec, SimConfig, simulate_lanes
 
 __all__ = [
     "ValueEstimate",
@@ -136,28 +128,39 @@ def estimate_value(
     All candidates reuse the same seed, so the Gaussian stream is common
     across them and the maximization is a low-variance paired comparison.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    best = None
-    means = {}
-    for policy, name in zip(candidates.policies, candidates.names()):
-        batch = simulate_to_exit(problem, spec, x0, policy, beta_policy, cfg)
-        pay = batch.payoff
-        mean = float(pay.mean())
-        means[name] = mean
-        if best is None or mean > best[0]:
-            se = float(pay.std(ddof=1) / math.sqrt(len(pay)))
-            best = (mean, se, batch.censored_fraction, name)
-    return ValueEstimate(
-        x0=tuple(float(v) for v in x0),
-        estimate=best[0],
-        se=best[1],
-        n_paths=cfg.n_paths,
-        censored_fraction=best[2],
-        variant=spec.variant,
-        candidate_size=len(candidates),
-        best_candidate=best[3],
-        candidate_means=means,
-    )
+    return _estimate_values(problem, [(spec, x0)], beta_policy, candidates, cfg)[0]
+
+
+def _estimate_values(problem, jobs, beta_policy, candidates, cfg) -> list[ValueEstimate]:
+    """``estimate_value`` for each (spec, x0) job, with every candidate lane of
+    every job simulated in one ensemble."""
+    named = list(zip(candidates.policies, candidates.names()))
+    lanes = [(spec, x0, policy) for spec, x0 in jobs for policy, _ in named]
+    batches = iter(simulate_lanes(problem, lanes, beta_policy, cfg))
+    out = []
+    for spec, x0 in jobs:
+        best = None
+        means = {}
+        for _, name in named:
+            batch = next(batches)
+            pay = batch.payoff
+            mean = float(pay.mean())
+            means[name] = mean
+            if best is None or mean > best[0]:
+                se = float(pay.std(ddof=1) / math.sqrt(len(pay)))
+                best = (mean, se, batch.censored_fraction, name)
+        out.append(ValueEstimate(
+            x0=tuple(float(v) for v in np.atleast_1d(np.asarray(x0, dtype=float))),
+            estimate=best[0],
+            se=best[1],
+            n_paths=cfg.n_paths,
+            censored_fraction=best[2],
+            variant=spec.variant,
+            candidate_size=len(candidates),
+            best_candidate=best[3],
+            candidate_means=means,
+        ))
+    return out
 
 
 @dataclass(frozen=True)
@@ -270,15 +273,12 @@ def _default_candidates(problem: GameProblem, alpha_selector) -> CandidateContro
     return CandidateControlSet(policies)
 
 
-def _solve_and_policies(config: ExperimentConfig, problem: GameProblem):
-    solver = IsaacsSolver(h=config.h, cfg=config.solve)
-    solver.fit(problem)
+def _feedback_players(config: ExperimentConfig, problem: GameProblem, value: ValueField):
+    """Grid-synthesized responder and the leader candidates for a solved value."""
     eps = 10.0 * config.solve.residual_tol
-    beta_sel = build_beta_selector(problem, solver.value_, eps)
-    alpha_sel = build_alpha_selector(problem, solver.value_, eps)
-    beta_policy = FeedbackBetaPolicy(beta_sel, lag_n=0)
-    candidates = _default_candidates(problem, alpha_sel)
-    return solver, beta_policy, candidates
+    beta_sel = build_beta_selector(problem, value, eps)
+    alpha_sel = build_alpha_selector(problem, value, eps)
+    return FeedbackBetaPolicy(beta_sel, lag_n=0), _default_candidates(problem, alpha_sel)
 
 
 def run_invariance_suite(config: ExperimentConfig) -> InvarianceReport:
@@ -291,7 +291,8 @@ def run_invariance_suite(config: ExperimentConfig) -> InvarianceReport:
     if not report.passed:
         raise RuntimeError("validation stage failed:\n" + report.summary())
     try:
-        solver, beta_policy, candidates = _solve_and_policies(config, problem)
+        solver = IsaacsSolver(h=config.h, cfg=config.solve).fit(problem)
+        beta_policy, candidates = _feedback_players(config, problem, solver.value_)
     except Exception as exc:
         raise RuntimeError(f"pde stage failed: {exc}") from exc
     cfg = SimConfig(
@@ -302,18 +303,19 @@ def run_invariance_suite(config: ExperimentConfig) -> InvarianceReport:
         lag_n=config.sim.lag_n,
     )
     pde_values = [float(solver.predict(np.asarray(p)[None, :])[0]) for p in config.points]
-    estimates = {}
-    for ip, pt in enumerate(config.points):
-        for var in config.variants:
-            spec = build_variant_spec(problem, var, config.variant_params)
-            try:
-                estimates[(ip, var)] = estimate_value(
-                    problem, spec, pt, beta_policy, candidates, cfg
-                )
-            except Exception as exc:
-                raise RuntimeError(
-                    f"simulation stage failed at point {pt}, variant {var}: {exc}"
-                ) from exc
+    specs = {var: build_variant_spec(problem, var, config.variant_params) for var in config.variants}
+    keys = [(ip, var) for ip in range(len(config.points)) for var in config.variants]
+    try:
+        values = _estimate_values(
+            problem,
+            [(specs[var], config.points[ip]) for ip, var in keys],
+            beta_policy,
+            candidates,
+            cfg,
+        )
+    except Exception as exc:
+        raise RuntimeError(f"simulation stage failed: {exc}") from exc
+    estimates = dict(zip(keys, values))
     nv = len(config.variants)
     z = np.zeros((len(config.points), nv, nv))
     for ip in range(len(config.points)):
@@ -377,18 +379,15 @@ def run_vk_convergence(
     problem = config.problem
     pucci = config.pucci or PucciParams.build(problem.d, delta_hat=0.5)
     K_list = list(config.K_list)
-    rate = convergence_study(problem, pucci, problem.g, K_list, config.solve, config.h)
-    grid = DomainGrid.build(problem.domain, config.h)
-    prev = None
-    monotone = True
+    rate, plain, penalized = _penalty_sweep(
+        problem, pucci, problem.g, K_list, config.solve, config.h
+    )
+    mask = plain.grid_.in_closure
     tol = 10.0 * config.solve.residual_tol
-    for K in K_list:
-        u_K = solve_penalized(problem, pucci, K, problem.g, config.solve, grid=grid)
-        if prev is not None:
-            mask = grid.in_closure
-            if np.max(u_K.values[mask] - prev.values[mask]) > tol:
-                monotone = False
-        prev = u_K
+    monotone = all(
+        np.max(later.value_.values[mask] - earlier.value_.values[mask]) <= tol
+        for earlier, later in zip(penalized, penalized[1:])
+    )
 
     cross = {}
     v_mc = v_se = 0.0
@@ -401,23 +400,16 @@ def run_vk_convergence(
             seed=config.seed,
             lag_n=config.sim.lag_n,
         )
-        solver, beta_policy, candidates = _solve_and_policies(config, problem)
+        beta_policy, candidates = _feedback_players(config, problem, plain.value_)
         base_spec = ControlAdaptedSpec.baseline(problem)
         est = estimate_value(problem, base_spec, pt, beta_policy, candidates, cfg)
         v_mc, v_se = est.estimate, est.se
-        for K in (K_list[0], K_list[-1]):
-            ext = extend_problem(problem, pucci, K)
-            ext_cfg_pde = IsaacsSolver(h=config.h, cfg=config.solve)
-            ext_cfg_pde.fit(ext, problem.g, grid=grid)
-            eps = 10.0 * config.solve.residual_tol
-            beta_sel = build_beta_selector(ext, ext_cfg_pde.value_, eps)
-            alpha_sel = build_alpha_selector(ext, ext_cfg_pde.value_, eps)
+        for K, solver in ((K_list[0], penalized[0]), (K_list[-1], penalized[-1])):
+            ext = solver.problem_
+            beta_K, cand_K = _feedback_players(config, ext, solver.value_)
             spec = ControlAdaptedSpec.baseline(ext)
-            cand = _default_candidates(ext, alpha_sel)
-            est_K = estimate_value(
-                ext, spec, pt, FeedbackBetaPolicy(beta_sel, lag_n=0), cand, cfg
-            )
-            pde_val = float(ext_cfg_pde.predict(pt[None, :])[0])
+            est_K = estimate_value(ext, spec, pt, beta_K, cand_K, cfg)
+            pde_val = float(solver.predict(pt[None, :])[0])
             cross[float(K)] = (est_K.estimate, est_K.se, pde_val)
     return VkConvergenceReport(
         rate=rate, monotone=monotone, cross_checks=cross, v_mc=v_mc, v_mc_se=v_se

@@ -178,12 +178,6 @@ def diffusion_matrix(problem: GameProblem, ia: int, ib: int, x) -> np.ndarray:
     return 0.5 * (s @ s.T)
 
 
-def diffusion_matrix_batch(problem: GameProblem, ia: int, ib: int, x: np.ndarray) -> np.ndarray:
-    """Vectorized a = (1/2) sigma sigma^T, shape (n, d, d)."""
-    s = problem.sigma[ia][ib](x)
-    return 0.5 * np.einsum("nij,nkj->nik", s, s)
-
-
 def effective_drift(problem: GameProblem, ia: int, ib: int, x, r: float, pi) -> np.ndarray:
     """Drift r^2 (b + sigma pi) of the transformed dynamics at one point."""
     if not (problem.delta1 <= r <= 1.0 / problem.delta1 + 1e-12):

@@ -4,9 +4,11 @@ The elliptic operator of each action pair is discretized with central
 second differences on the diagonal, Kushner-style splitting of the mixed
 terms by the sign of a_ij, and first differences upwinded by the sign of
 b_i, which makes every off-center stencil weight nonnegative (positive
-type).  The sup-inf equation is solved by policy iteration: freeze the
-per-node argmax/argmin pair, solve the resulting linear system by
-red-black relaxation sweeps, repeat until the sup-inf residual is small.
+type).  One ``Discretization`` per (problem, grid) holds the operators of
+all action pairs.  The sup-inf equation is solved by Howard's algorithm:
+freeze the per-node argmax/argmin pair, solve the resulting M-matrix
+system exactly with a sparse direct solver, repeat until the sup-inf
+residual is small.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .model import ActionSets, GameProblem
 __all__ = [
     "SolveConfig",
     "PucciParams",
+    "Discretization",
     "RateReport",
     "h_mono",
     "discrete_L",
@@ -40,16 +43,11 @@ __all__ = [
 @dataclass(frozen=True)
 class SolveConfig:
     max_policy_iters: int = 80
-    inner_tol: float = 1e-10
     residual_tol: float = 1e-8
-    relaxation: float = 1.8
-    max_inner_sweeps: int = 200_000
 
     def __post_init__(self):
-        if self.inner_tol <= 0 or self.residual_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if not (0 < self.relaxation < 2):
-            raise ValueError("relaxation factor must lie in (0, 2)")
+        if self.residual_tol <= 0:
+            raise ValueError("residual tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -111,103 +109,129 @@ def h_mono(problem: GameProblem) -> float:
     return 2.0 * problem.delta / problem.K0
 
 
-class _Stencil:
-    """Neighbor index arrays over interior nodes, shared by all operators."""
+def _stencil_weights(grid: DomainGrid, planes, a: np.ndarray, bvec: np.ndarray, cvec: np.ndarray) -> np.ndarray:
+    """Positive-type weights for per-node coefficients, in stencil-slot order.
 
-    def __init__(self, grid: DomainGrid):
+    a: (m, d, d), bvec: (m, d), cvec: (m,).  Returns (m, s): the center,
+    then the (+, -) neighbors of each axis, then the (++, --, +-, -+)
+    neighbors of each coordinate plane.  Raises if any off-center weight
+    would be negative.
+    """
+    h = grid.spacing
+    d = grid.d
+    m = a.shape[0]
+    w = np.zeros((1 + 2 * d + 4 * len(planes), m))
+    center = w[0]
+    cross_drain = np.zeros((d, m))  # sum_j |a_ij|/(h_i h_j), removed from axis weights
+    for k, (i, j) in enumerate(planes):
+        aij = a[:, i, j]
+        wij = np.abs(aij) / (h[i] * h[j])
+        pos = aij >= 0
+        slot = 1 + 2 * d + 4 * k
+        w[slot] = w[slot + 1] = np.where(pos, wij, 0.0)
+        w[slot + 2] = w[slot + 3] = np.where(pos, 0.0, wij)
+        center += 2.0 * wij
+        cross_drain[i] += wij
+        cross_drain[j] += wij
+    for i in range(d):
+        aii = a[:, i, i]
+        bp = np.maximum(bvec[:, i], 0.0)
+        bm = np.maximum(-bvec[:, i], 0.0)
+        w[1 + 2 * i] = aii / h[i] ** 2 + bp / h[i] - cross_drain[i]
+        w[2 + 2 * i] = aii / h[i] ** 2 + bm / h[i] - cross_drain[i]
+        center -= 2.0 * aii / h[i] ** 2 + (bp + bm) / h[i]
+    center -= cvec
+    axis = w[1 : 1 + 2 * d]
+    if (axis < -1e-12 * float(np.max(np.abs(center)) + 1.0)).any():
+        raise ValueError(
+            "stencil loses positive type: mixed second-derivative terms "
+            "dominate a diagonal entry; refine the coefficients or delta_hat"
+        )
+    np.maximum(axis, 0.0, out=axis)
+    return w.T
+
+
+class Discretization:
+    """The monotone operators L^{ab} of every action pair on one grid.
+
+    Built once per (problem, grid).  All pairs share one sparsity pattern:
+    row k, for interior node ``idx[k]``, couples the node with its 2d axis
+    neighbors and the four diagonal neighbors in each coordinate plane,
+    whose flat lattice indices are ``cols[k]``.  Pair p = ia * n_beta + ib
+    keeps its weights in ``weights[p]`` (m, s) and its running cost in
+    ``fvals[p]`` (m,), so ``(weights[p], cols)`` is the CSR matrix of
+    L^{ab} over the lattice, s entries per row.  Columns that are not
+    interior nodes carry the Dirichlet data: the boundary contribution.
+    """
+
+    def __init__(self, grid: DomainGrid, coefficients, n_beta: int):
+        """``coefficients``: one (a, b, c, f) per pair, leader-major, on interior nodes."""
         self.grid = grid
         self.idx = grid.interior_idx
+        self.n_beta = n_beta
         d = grid.d
-        self.ip = [grid.axis_neighbors(self.idx, i)[0] for i in range(d)]
-        self.im = [grid.axis_neighbors(self.idx, i)[1] for i in range(d)]
-        self.pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-        self.diag = {}
-        for (i, j) in self.pairs:
-            self.diag[(i, j)] = grid.diagonal_neighbors(self.idx, i, j)
-
-    def weights(self, a: np.ndarray, bvec: np.ndarray, cvec: np.ndarray):
-        """Positive-type stencil weights for per-node coefficients.
-
-        a: (m, d, d), bvec: (m, d), cvec: (m,).  Returns (center, wplus,
-        wminus, wdiag) where wdiag maps (i, j) -> (w_pp_mm, w_pm_mp).
-        Raises if any off-center weight would be negative.
-        """
-        g = self.grid
-        h = g.spacing
-        m = len(self.idx)
-        d = g.d
-        center = np.zeros(m)
-        wplus = np.zeros((d, m))
-        wminus = np.zeros((d, m))
-        wdiag = {}
-        cross_drain = np.zeros((d, m))  # sum_j |a_ij|/(h_i h_j), removed from axis weights
-        for (i, j) in self.pairs:
-            aij = a[:, i, j]
-            w = np.abs(aij) / (h[i] * h[j])
-            pos = aij >= 0
-            wdiag[(i, j)] = (np.where(pos, w, 0.0), np.where(pos, 0.0, w))
-            center += 2.0 * w
-            cross_drain[i] += w
-            cross_drain[j] += w
+        planes = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        nbrs = [self.idx]
         for i in range(d):
-            aii = a[:, i, i]
-            bp = np.maximum(bvec[:, i], 0.0)
-            bm = np.maximum(-bvec[:, i], 0.0)
-            wplus[i] = aii / h[i] ** 2 + bp / h[i] - cross_drain[i]
-            wminus[i] = aii / h[i] ** 2 + bm / h[i] - cross_drain[i]
-            center -= 2.0 * aii / h[i] ** 2 + (bp + bm) / h[i]
-        center -= cvec
-        eps = -1e-12 * float(np.max(np.abs(center)) + 1.0)
-        if (wplus < eps).any() or (wminus < eps).any():
-            raise ValueError(
-                "stencil loses positive type: mixed second-derivative terms "
-                "dominate a diagonal entry; refine the coefficients or delta_hat"
-            )
-        return center, np.maximum(wplus, 0.0), np.maximum(wminus, 0.0), wdiag
+            nbrs.extend(grid.axis_neighbors(self.idx, i))
+        for i, j in planes:
+            nbrs.extend(grid.diagonal_neighbors(self.idx, i, j))
+        self.cols = np.stack(nbrs, axis=1)
+        self.weights = np.stack([_stencil_weights(grid, planes, a, b, c) for a, b, c, _ in coefficients])
+        self.fvals = np.stack([f for *_, f in coefficients])
+        # pattern of the interior-to-interior block, in CSR order
+        pos = np.full(grid.n_nodes, -1)
+        pos[self.idx] = np.arange(len(self.idx))
+        self._inner = pos[self.cols] >= 0
+        self._indices = pos[self.cols][self._inner]
+        self._indptr = np.concatenate([[0], np.cumsum(self._inner.sum(axis=1))])
 
-    def apply(self, weights, u: np.ndarray) -> np.ndarray:
-        """L u on interior nodes for a full-lattice value array ``u``."""
-        center, wplus, wminus, wdiag = weights
-        out = center * u[self.idx]
-        for i in range(self.grid.d):
-            out += wplus[i] * u[self.ip[i]] + wminus[i] * u[self.im[i]]
-        for (i, j), (w_main, w_anti) in wdiag.items():
-            pp, mm, pm, mp = self.diag[(i, j)]
-            out += w_main * (u[pp] + u[mm]) + w_anti * (u[pm] + u[mp])
-        return out
+    @classmethod
+    def from_problem(cls, problem: GameProblem, grid: DomainGrid) -> "Discretization":
+        pts = grid.coords[grid.interior]
 
+        def pair(ia, ib):
+            s = problem.sigma[ia][ib](pts)
+            a = 0.5 * np.einsum("nij,nkj->nik", s, s)
+            return a, problem.b[ia][ib](pts), problem.c[ia][ib](pts), problem.f[ia][ib](pts)
 
-class _PairData:
-    """Per-action-pair stencil weights and running cost on interior nodes."""
+        pairs = [pair(ia, ib) for ia in range(problem.n_alpha_ext) for ib in range(problem.n_beta)]
+        return cls(grid, pairs, problem.n_beta)
 
-    def __init__(self, problem: GameProblem, grid: DomainGrid, stencil: _Stencil):
-        pts = grid.coords[stencil.idx]
-        self.weights = []
-        self.fvals = []
-        for ia in range(problem.n_alpha_ext):
-            wrow, frow = [], []
-            for ib in range(problem.n_beta):
-                s = problem.sigma[ia][ib](pts)
-                a = 0.5 * np.einsum("nij,nkj->nik", s, s)
-                bvec = problem.b[ia][ib](pts)
-                cvec = problem.c[ia][ib](pts)
-                wrow.append(stencil.weights(a, bvec, cvec))
-                frow.append(problem.f[ia][ib](pts))
-            self.weights.append(wrow)
-            self.fvals.append(frow)
+    def hamiltonians(self, u: np.ndarray) -> np.ndarray:
+        """L^{ab} u + f^{ab} on interior nodes for a full-lattice ``u``, shape (nA, nB, m)."""
+        # summed center, then each axis, then each plane (a diagonal weight
+        # times the sum of its two neighbors): exact ties between pairs are
+        # broken by round-off, so the policy sequence depends on this order
+        w, uc = self.weights, u[self.cols]
+        ham = w[:, :, 0] * uc[:, 0]
+        for k in range(1, 1 + 2 * self.grid.d, 2):
+            ham += w[:, :, k] * uc[:, k] + w[:, :, k + 1] * uc[:, k + 1]
+        for k in range(1 + 2 * self.grid.d, w.shape[2], 4):
+            ham += w[:, :, k] * (uc[:, k] + uc[:, k + 1]) + w[:, :, k + 2] * (uc[:, k + 2] + uc[:, k + 3])
+        return (ham + self.fvals).reshape(-1, self.n_beta, len(self.idx))
 
-    def hamiltonians(self, stencil: _Stencil, u: np.ndarray) -> np.ndarray:
-        """L^{ab} u + f^{ab} on interior nodes, shape (nA, nB, m)."""
-        return np.stack(
-            [
-                np.stack(
-                    [stencil.apply(w, u) + f for w, f in zip(wrow, frow)],
-                    axis=0,
-                )
-                for wrow, frow in zip(self.weights, self.fvals)
-            ],
-            axis=0,
-        )
+    def round_off_floor(self, u: np.ndarray) -> float:
+        """eps * max|diag| * max|u|: the residual an exact solve can be held to."""
+        diag = float(np.max(np.abs(self.weights[:, :, 0])))
+        return float(np.finfo(float).eps * diag * np.nanmax(np.abs(u)))
+
+    def solve_policy(self, pair: np.ndarray, u: np.ndarray) -> None:
+        """Solve L^pi u + f^pi = 0 exactly on interior nodes, in place.
+
+        ``pair`` holds the frozen pair index of each interior node; the
+        values of ``u`` off the interior are the boundary data.
+        """
+        from scipy.sparse import csr_array
+        from scipy.sparse.linalg import spsolve
+
+        rows = np.arange(len(self.idx))
+        w = self.weights[pair, rows]
+        ub = np.where(self._inner, 0.0, u[self.cols])
+        rhs = -(self.fvals[pair, rows] + np.sum(w * ub, axis=1))
+        # copied: scipy sorts the column indices of each row in place
+        a = csr_array((w[self._inner], self._indices, self._indptr), shape=(len(rows), len(rows)), copy=True)
+        u[self.idx] = spsolve(a, rhs)
 
 
 def _check_spacing(problem: GameProblem, grid: DomainGrid) -> None:
@@ -225,68 +249,20 @@ def discrete_L(problem: GameProblem, ia: int, ib: int, u: ValueField, node: int)
     if not grid.interior[node]:
         raise ValueError(f"node {node} is not interior")
     _check_spacing(problem, grid)
-    stencil = _Stencil(grid)
-    pos = np.searchsorted(stencil.idx, node)
-    x = grid.coords[node][None, :]
-    s = problem.sigma[ia][ib](x)
-    a = 0.5 * np.einsum("nij,nkj->nik", s, s)
-    bvec = problem.b[ia][ib](x)
-    cvec = problem.c[ia][ib](x)
-    sub = _SingleNodeStencil(stencil, pos)
-    w = sub.weights(a, bvec, cvec)
-    return float(sub.apply(w, u.values)[0])
-
-
-class _SingleNodeStencil(_Stencil):
-    """View of a stencil restricted to one interior node."""
-
-    def __init__(self, base: _Stencil, pos: int):
-        self.grid = base.grid
-        self.idx = base.idx[pos : pos + 1]
-        self.ip = [arr[pos : pos + 1] for arr in base.ip]
-        self.im = [arr[pos : pos + 1] for arr in base.im]
-        self.pairs = base.pairs
-        self.diag = {k: tuple(arr[pos : pos + 1] for arr in v) for k, v in base.diag.items()}
+    disc = Discretization.from_problem(problem, grid)
+    row = np.searchsorted(disc.idx, node)
+    return float(disc.weights[ia * problem.n_beta + ib, row] @ u.values[disc.cols[row]])
 
 
 def evaluate_H(problem: GameProblem, u: ValueField) -> ValueField:
     """Sup over alpha of the inf over beta of L u + f; zero on the boundary."""
     grid = u.grid
     _check_spacing(problem, grid)
-    stencil = _Stencil(grid)
-    pairs = _PairData(problem, grid, stencil)
-    ham = pairs.hamiltonians(stencil, u.values)[: problem.n_alpha]
-    hvals = ham.min(axis=1).max(axis=0)
+    disc = Discretization.from_problem(problem, grid)
+    ham = disc.hamiltonians(u.values)[: problem.n_alpha]
     out = ValueField.zeros(grid)
-    out.values[stencil.idx] = hvals
+    out.values[disc.idx] = ham.min(axis=1).max(axis=0)
     return out
-
-
-def _pucci_problem(pucci: PucciParams, d: int, d1: int, template: GameProblem) -> GameProblem:
-    """Wrap the ray set as a one-beta game so the stencil code can run it."""
-    actions = ActionSets(tuple(f"ray{i}" for i in range(len(pucci.rays))), ("b0",))
-    sigma, bb, cc, ff = [], [], [], []
-    for a, bd, c0 in pucci.rays:
-        s = _matrix_sqrt(2.0 * a, d1)
-        sigma.append((const_matrix(s),))
-        bb.append((const_vector(bd),))
-        cc.append((const_scalar(c0),))
-        ff.append((const_scalar(0.0),))
-    return GameProblem(
-        actions=actions,
-        domain=template.domain,
-        sigma=tuple(sigma),
-        b=tuple(bb),
-        c=tuple(cc),
-        f=tuple(ff),
-        g=const_scalar(0.0),
-        K0=template.K0,
-        delta=min(template.delta, pucci.delta_hat),
-        delta1=template.delta1,
-        K1=template.K1,
-        d=d,
-        d1=d1,
-    )
 
 
 def _matrix_sqrt(m: np.ndarray, d1: int) -> np.ndarray:
@@ -303,112 +279,50 @@ def _matrix_sqrt(m: np.ndarray, d1: int) -> np.ndarray:
 def evaluate_P(pucci: PucciParams, u: ValueField, problem: GameProblem | None = None) -> ValueField:
     """Max over the ray set of the constant-coefficient operators applied to u."""
     grid = u.grid
-    stencil = _Stencil(grid)
-    pts = grid.coords[stencil.idx]
-    best = None
-    for a, bd, c0 in pucci.rays:
-        m = len(stencil.idx)
-        aa = np.broadcast_to(a, (m, grid.d, grid.d))
-        bb = np.broadcast_to(bd, (m, grid.d))
-        cc = np.full(m, c0)
-        w = stencil.weights(aa, bb, cc)
-        val = stencil.apply(w, u.values)
-        best = val if best is None else np.maximum(best, val)
+    m = int(grid.interior.sum())
+    rays = [
+        (np.broadcast_to(a, (m, grid.d, grid.d)), np.broadcast_to(bd, (m, grid.d)), np.full(m, c0), np.zeros(m))
+        for a, bd, c0 in pucci.rays
+    ]
+    disc = Discretization(grid, rays, n_beta=1)
     out = ValueField.zeros(grid)
-    out.values[stencil.idx] = best
+    out.values[disc.idx] = disc.hamiltonians(u.values)[:, 0].max(axis=0)
     return out
 
 
-class _PolicyIterationCore:
-    """Shared machinery: assemble per-pair data once, iterate policies."""
+def _policy_iteration(disc: Discretization, u: np.ndarray, cfg: SolveConfig):
+    """Howard's algorithm on the sup-inf scheme, updating ``u`` in place.
 
-    def __init__(self, problem: GameProblem, grid: DomainGrid, cfg: SolveConfig):
-        _check_spacing(problem, grid)
-        self.problem = problem
-        self.grid = grid
-        self.cfg = cfg
-        self.stencil = _Stencil(grid)
-        self.pairs = _PairData(problem, grid, self.stencil)
-        lattice_par = np.zeros(grid.n_nodes, dtype=int)
-        rem = np.arange(grid.n_nodes)
-        for i in range(grid.d):
-            k = rem // grid.strides[i]
-            rem = rem - k * grid.strides[i]
-            lattice_par += k
-        par = lattice_par[self.stencil.idx] % 2
-        self.colors = [np.flatnonzero(par == 0), np.flatnonzero(par == 1)]
-
-    def solve(self, g_boundary) -> tuple[ValueField, np.ndarray, np.ndarray, float, int]:
-        grid, cfg = self.grid, self.cfg
-        u = ValueField.from_function(grid, g_boundary)
-        na = self.problem.n_alpha_ext
-        idx = self.stencil.idx
-        residual = math.inf
-        ia_pol = np.zeros(len(idx), dtype=int)
-        ib_pol = np.zeros(len(idx), dtype=int)
-        for it in range(1, cfg.max_policy_iters + 1):
-            ham = self.pairs.hamiltonians(self.stencil, u.values)
-            per_alpha_min = ham.min(axis=1)
-            ib_per_alpha = ham.argmin(axis=1)
-            hvals = per_alpha_min.max(axis=0)
-            residual = float(np.max(np.abs(hvals)))
-            if residual <= cfg.residual_tol:
-                return u, ia_pol, ib_pol, residual, it - 1
-            ia_pol = per_alpha_min.argmax(axis=0)
-            cols = np.arange(len(idx))
-            ib_pol = ib_per_alpha[ia_pol, cols]
-            self._linear_solve(u.values, ia_pol, ib_pol)
-        ham = self.pairs.hamiltonians(self.stencil, u.values)
-        residual = float(np.max(np.abs(ham.min(axis=1).max(axis=0))))
-        if residual <= cfg.residual_tol:
-            return u, ia_pol, ib_pol, residual, cfg.max_policy_iters
+    Each step freezes the per-node argmax/argmin pair and solves its
+    linear system exactly.  Returns the last frozen policy, the sup-inf
+    residual and the number of linear solves.
+    """
+    rows = np.arange(len(disc.idx))
+    ia_pol = np.zeros(len(rows), dtype=int)
+    ib_pol = np.zeros(len(rows), dtype=int)
+    for it in range(cfg.max_policy_iters + 1):
+        ham = disc.hamiltonians(u)
+        per_alpha_min = ham.min(axis=1)
+        residual = float(np.max(np.abs(per_alpha_min.max(axis=0))))
+        if residual <= cfg.residual_tol or it == cfg.max_policy_iters:
+            break
+        new_ia = per_alpha_min.argmax(axis=0)
+        new_ib = ham.argmin(axis=1)[new_ia, rows]
+        if it > 0 and np.array_equal(new_ia, ia_pol) and np.array_equal(new_ib, ib_pol):
+            # an exact solve of the same system cannot lower the residual
+            raise RuntimeError(
+                f"policy iteration stalled at iteration {it}: the policy repeats "
+                f"with residual {residual:.3g} above residual_tol {cfg.residual_tol:.3g}; "
+                f"round-off floor eps*max|diag|*max|u| = {disc.round_off_floor(u):.3g}"
+            )
+        ia_pol, ib_pol = new_ia, new_ib
+        disc.solve_policy(ia_pol * disc.n_beta + ib_pol, u)
+    if residual > cfg.residual_tol:
         raise RuntimeError(
             f"policy iteration did not converge: residual {residual:.3g} "
             f"after {cfg.max_policy_iters} iterations"
         )
-
-    def _linear_solve(self, u: np.ndarray, ia_pol: np.ndarray, ib_pol: np.ndarray) -> None:
-        """Relaxation sweeps on the frozen-policy linear system, in place."""
-        cfg = self.cfg
-        idx = self.stencil.idx
-        m = len(idx)
-        d = self.grid.d
-        pair_id = ia_pol * self.problem.n_beta + ib_pol
-        center = np.zeros(m)
-        wplus = np.zeros((d, m))
-        wminus = np.zeros((d, m))
-        fpol = np.zeros(m)
-        wdiag_pol = {
-            key: (np.zeros(m), np.zeros(m)) for key in self.stencil.diag
-        }
-        for ia in range(self.problem.n_alpha_ext):
-            for ib in range(self.problem.n_beta):
-                sel = pair_id == ia * self.problem.n_beta + ib
-                if not sel.any():
-                    continue
-                c0, wp, wm, wd = self.pairs.weights[ia][ib]
-                center[sel] = c0[sel]
-                wplus[:, sel] = wp[:, sel]
-                wminus[:, sel] = wm[:, sel]
-                fpol[sel] = self.pairs.fvals[ia][ib][sel]
-                for key, (w1, w2) in wd.items():
-                    wdiag_pol[key][0][sel] = w1[sel]
-                    wdiag_pol[key][1][sel] = w2[sel]
-        weights = (center, wplus, wminus, wdiag_pol)
-        omega = cfg.relaxation
-        prev_res = math.inf
-        for sweep in range(cfg.max_inner_sweeps):
-            for color in self.colors:
-                res_c = self.stencil.apply(weights, u)[color] + fpol[color]
-                u[idx[color]] += omega * res_c / (-center[color])
-            res = float(np.max(np.abs(self.stencil.apply(weights, u) + fpol)))
-            if res <= cfg.inner_tol:
-                return
-            if sweep % 50 == 49:
-                if res > prev_res and omega > 1.0:
-                    omega = max(1.0, 0.5 * (omega + 1.0))
-                prev_res = res
-        raise RuntimeError("inner relaxation did not reach tolerance")
+    return ia_pol, ib_pol, residual, it
 
 
 def solve_isaacs(
@@ -463,8 +377,10 @@ class IsaacsSolver(_ParamsMixin):
             grid = DomainGrid.build(problem.domain, self.h)
         if g_boundary is None:
             g_boundary = problem.g
-        core = _PolicyIterationCore(problem, grid, self.cfg)
-        u, ia_pol, ib_pol, residual, iters = core.solve(g_boundary)
+        _check_spacing(problem, grid)
+        u = ValueField.from_function(grid, g_boundary)
+        disc = Discretization.from_problem(problem, grid)
+        ia_pol, ib_pol, residual, iters = _policy_iteration(disc, u.values, self.cfg)
         # boundary ring carries the Dirichlet data exactly
         u.values[grid.boundary_idx] = np.asarray(g_boundary(grid.coords[grid.boundary_idx]))
         self.problem_ = problem
@@ -586,24 +502,22 @@ class RateReport:
             fh.write(f"# fitted_N,{self.fitted_N:.17g},fitted_chi,{self.fitted_chi:.17g}\n")
 
 
-def convergence_study(
-    problem: GameProblem,
-    pucci: PucciParams,
-    g_boundary,
-    K_list,
-    cfg: SolveConfig = SolveConfig(),
-    h: float = 1 / 128,
-) -> RateReport:
-    """Gap e(K) = sup|u_K - v| against the penalty constant, with a decay fit."""
+def _penalty_sweep(problem: GameProblem, pucci: PucciParams, g_boundary, K_list, cfg: SolveConfig, h: float):
+    """Solve the plain game and each penalized game once, on one grid.
+
+    Returns the rate report, the plain solver and one solver per K, each
+    fitted on its extended problem.
+    """
     K_list = list(K_list)
     if any(k < 1 for k in K_list) or sorted(K_list) != K_list:
         raise ValueError("K_list must be increasing and at least 1")
     grid = DomainGrid.build(problem.domain, h)
-    v_ref = solve_isaacs(problem, g_boundary, cfg, grid=grid)
-    errs = []
-    for K in K_list:
-        u_K = solve_penalized(problem, pucci, K, g_boundary, cfg, grid=grid)
-        errs.append(u_K.sup_diff(v_ref))
+    plain = IsaacsSolver(h=h, cfg=cfg).fit(problem, g_boundary, grid=grid)
+    penalized = [
+        IsaacsSolver(h=h, cfg=cfg).fit(extend_problem(problem, pucci, K), g_boundary, grid=grid)
+        for K in K_list
+    ]
+    errs = [s.value_.sup_diff(plain.value_) for s in penalized]
     floor = 10.0 * cfg.residual_tol
     usable = [(k, e) for k, e in zip(K_list, errs) if e > floor]
     if len(usable) >= 2:
@@ -615,4 +529,16 @@ def convergence_study(
     else:
         chi = math.inf
         n_hat = 0.0
-    return RateReport(K_list, errs, chi, n_hat)
+    return RateReport(K_list, errs, chi, n_hat), plain, penalized
+
+
+def convergence_study(
+    problem: GameProblem,
+    pucci: PucciParams,
+    g_boundary,
+    K_list,
+    cfg: SolveConfig = SolveConfig(),
+    h: float = 1 / 128,
+) -> RateReport:
+    """Gap e(K) = sup|u_K - v| against the penalty constant, with a decay fit."""
+    return _penalty_sweep(problem, pucci, g_boundary, K_list, cfg, h)[0]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .grids import ValueField
 from .model import GameProblem
-from .pde import _PairData, _Stencil, evaluate_H
+from .pde import Discretization
 from .simulate import ControlAdaptedSpec, SimConfig, _run_ensemble
 
 __all__ = [
@@ -110,9 +110,8 @@ def build_beta_selector(problem: GameProblem, u_hat: ValueField, epsilon: float)
     if epsilon <= 0:
         raise ValueError("slack epsilon must be positive")
     grid = u_hat.grid
-    stencil = _Stencil(grid)
-    pairs = _PairData(problem, grid, stencil)
-    ham = pairs.hamiltonians(stencil, u_hat.values)  # (nA_ext, nB, m)
+    disc = Discretization.from_problem(problem, grid)
+    ham = disc.hamiltonians(u_hat.values)  # (nA_ext, nB, m)
     # sup-inf over the full (possibly penalty-extended) leader set
     worst = float(ham.min(axis=1).max(axis=0).max())
     if worst >= epsilon:
@@ -128,15 +127,15 @@ def build_beta_selector(problem: GameProblem, u_hat: ValueField, epsilon: float)
         vals = ham[ia]  # (nB, m)
         feas = vals <= epsilon
         if not feas.any(axis=0).all():
-            bad = stencil.idx[~feas.any(axis=0)][0]
+            bad = disc.idx[~feas.any(axis=0)][0]
             best = float(vals.min(axis=0)[~feas.any(axis=0)][0])
             raise ValueError(
                 f"no feasible responder action at node {bad} for alpha {ia}: "
                 f"best margin {best - epsilon:.3g}"
             )
         choice = feas.argmax(axis=0)  # first feasible index
-        beta_table[ia, stencil.idx] = choice
-        margins[ia, stencil.idx] = vals[choice, np.arange(vals.shape[1])] - epsilon
+        beta_table[ia, disc.idx] = choice
+        margins[ia, disc.idx] = vals[choice, np.arange(vals.shape[1])] - epsilon
     return MarkovSelector(
         role="beta",
         grid=grid,
@@ -153,9 +152,8 @@ def build_alpha_selector(problem: GameProblem, u_check: ValueField, epsilon: flo
     if epsilon <= 0:
         raise ValueError("slack epsilon must be positive")
     grid = u_check.grid
-    stencil = _Stencil(grid)
-    pairs = _PairData(problem, grid, stencil)
-    ham = pairs.hamiltonians(stencil, u_check.values)
+    disc = Discretization.from_problem(problem, grid)
+    ham = disc.hamiltonians(u_check.values)
     worst = float(ham.min(axis=1).max(axis=0).min())
     if worst <= -epsilon:
         raise ValueError(
@@ -165,14 +163,14 @@ def build_alpha_selector(problem: GameProblem, u_check: ValueField, epsilon: flo
     minvals = ham.min(axis=1)  # (nA_ext, m)
     feas = minvals >= -epsilon
     if not feas.any(axis=0).all():
-        bad = stencil.idx[~feas.any(axis=0)][0]
+        bad = disc.idx[~feas.any(axis=0)][0]
         raise ValueError(f"no feasible leader action at node {bad}")
     choice = feas.argmax(axis=0)
     n_nodes = grid.n_nodes
     alpha_table = np.zeros(n_nodes, dtype=int)
-    alpha_table[stencil.idx] = choice
+    alpha_table[disc.idx] = choice
     margins = np.zeros(n_nodes)
-    margins[stencil.idx] = minvals[choice, np.arange(minvals.shape[1])] + epsilon
+    margins[disc.idx] = minvals[choice, np.arange(minvals.shape[1])] + epsilon
     return MarkovSelector(
         role="alpha",
         grid=grid,
@@ -350,9 +348,7 @@ def _drift_test(
         raise ValueError("need at least one checkpoint")
     _, extras = _run_ensemble(
         problem,
-        spec,
-        x0,
-        alpha_policy,
+        [(spec, x0, alpha_policy)],
         beta_policy,
         cfg,
         value_field=value_field,

@@ -22,7 +22,9 @@ reported.
 
 All simulation is vectorized across paths; the Gaussian draw for (path
 i, step k) depends only on the seed, so runs with different variants or
-candidate policies but a shared seed use common random numbers.
+candidate policies but a shared seed use common random numbers.  Such
+runs can be stepped together as lanes of one ensemble, which draws the
+stream once and pays the per-step overhead once.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
     "ComparisonReport",
     "em_step",
     "simulate_to_exit",
+    "simulate_lanes",
     "girsanov_martingale_check",
     "increment_bound_study",
     "pathwise_comparison",
@@ -266,11 +269,50 @@ class _PairCoefficients:
         return self.f_field(x)
 
 
+_DRAW_BLOCK = 8  # steps drawn per call of the worker thread
+_MAX_ROWS = 1 << 19  # paths per ensemble; 45 lanes of 10k paths fit in one
+
+
+def _gaussian_steps(seed: int, n: int, d1: int, dt: float):
+    """The seed's Gaussian increments, one (n, d1) array per step.
+
+    One Philox stream is drawn in blocks of steps, which is the same
+    stream as step-by-step draws.  A worker thread draws the next
+    block while the caller uses the current one; numpy releases the GIL
+    while it fills the array.  The executor is imported here so that
+    ``import sdglab`` does not load the threading machinery.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = np.random.Generator(np.random.Philox(seed))
+
+    def draw():
+        z = rng.standard_normal((_DRAW_BLOCK, n, d1))
+        z *= math.sqrt(dt)  # what rng.normal(0.0, sqrt(dt)) returns
+        return z
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        ahead = pool.submit(draw)
+        while True:
+            current = ahead.result()
+            ahead = pool.submit(draw)
+            yield from current
+
+
+def _distinct(objs):
+    """Distinct objects (by identity) in first-seen order, and each one's index."""
+    uniq, idx = [], []
+    for obj in objs:
+        j = next((i for i, u in enumerate(uniq) if u is obj), len(uniq))
+        if j == len(uniq):
+            uniq.append(obj)
+        idx.append(j)
+    return uniq, idx
+
+
 def _run_ensemble(
     problem: GameProblem,
-    spec: ControlAdaptedSpec,
-    x0,
-    alpha_policy,
+    lanes,
     beta_policy,
     cfg: SimConfig,
     *,
@@ -279,47 +321,75 @@ def _run_ensemble(
     lag_ns: tuple[int, ...] = (),
     track_exp_psi_integral: bool = False,
 ):
-    """Vectorized ensemble simulation; the single code path behind the ops."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if not problem.domain.contains(x0[None, :])[0]:
-        raise ValueError("starting point must lie inside the domain")
+    """Vectorized ensemble simulation; the single code path behind the ops.
+
+    ``lanes`` is a sequence of (spec, x0, alpha_policy).  Each lane holds
+    cfg.n_paths paths, stacked lane after lane, and every lane reads the
+    same Gaussian draw at each step, so a lane's paths are exactly those
+    of a run of that lane alone.  Returns one batch per lane and the
+    extras over all stacked rows.
+    """
+    starts = []
+    for _, x0, _ in lanes:
+        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+        if not problem.domain.contains(x0[None, :])[0]:
+            raise ValueError("starting point must lie inside the domain")
+        starts.append(x0)
     n = cfg.n_paths
-    d, d1 = problem.d, problem.d1
+    n_rows = len(lanes) * n
+    d1 = problem.d1
     dt = cfg.dt
     nb = problem.n_beta
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    n_pairs = problem.n_alpha_ext * nb
+    draws = _gaussian_steps(cfg.seed, n, d1, dt)
     coeffs = {
         (ia, ib): _PairCoefficients(problem, ia, ib)
         for ia in range(problem.n_alpha_ext)
         for ib in range(nb)
     }
+    # lanes are stacked leader by leader, so each leader owns one block of
+    # rows; rows are stepped in groups of one spec and one action pair
+    leaders, leader_of = _distinct([lane[2] for lane in lanes])
+    stack = sorted(range(len(lanes)), key=leader_of.__getitem__)
+    leader_rows = n * np.cumsum([0] + [leader_of.count(i) for i in range(len(leaders))])
+    specs, spec_of = _distinct([lanes[j][0] for j in stack])
+    spec_row = np.repeat(np.asarray(spec_of, dtype=int), n)
+    draw_col = np.tile(np.arange(n), len(lanes))  # row -> path within its lane
 
-    X = np.tile(x0, (n, 1))
-    phi = np.zeros(n)
-    psi = np.zeros(n)
-    run_pay = np.zeros(n)
-    exp_psi_int = np.zeros(n) if track_exp_psi_integral else None
-    tau = np.full(n, cfg.t_max)
+    X = np.repeat(np.asarray([starts[j] for j in stack]), n, axis=0)
+    phi = np.zeros(n_rows)
+    psi = np.zeros(n_rows)
+    run_pay = np.zeros(n_rows)
+    exp_psi_int = np.zeros(n_rows) if track_exp_psi_integral else None
+    tau = np.full(n_rows, cfg.t_max)
     exit_state = X.copy()
-    phi_exit = np.zeros(n)
-    psi_exit = np.zeros(n)
-    censored = np.ones(n, dtype=bool)
-    frozen_m = np.zeros(n)  # checkpoint contribution frozen at exit
-    alive = np.ones(n, dtype=bool)
+    phi_exit = np.zeros(n_rows)
+    psi_exit = np.zeros(n_rows)
+    censored = np.ones(n_rows, dtype=bool)
+    frozen_m = np.zeros(n_rows)  # checkpoint contribution frozen at exit
+    act = np.arange(n_rows)  # rows still alive, in increasing order
     dist = problem.domain.boundary_distance(X)
 
     # policy lags: each requested n keeps a frozen state snapshot
     policy_lags = sorted(
-        {p.lag_n for p in (alpha_policy, beta_policy) if getattr(p, "lag_n", 0)}
+        {p.lag_n for p in (*leaders, beta_policy) if getattr(p, "lag_n", 0)}
     )
     lag_all = sorted(set(policy_lags) | set(lag_ns))
     snapshots = {m: X.copy() for m in lag_all}
     last_cell = {m: 0 for m in lag_all}
-    M_acc = {m: np.zeros(n) for m in lag_ns}
+    M_acc = {m: np.zeros(n_rows) for m in lag_ns}
 
     cps = sorted(checkpoint_times)
     cp_values = []
     cp_recorded = 0
+
+    def checkpoint():
+        contrib = frozen_m.copy()
+        if act.size and value_field is not None:
+            contrib[act] = (
+                value_field.interpolate(X[act]) * np.exp(-phi[act] - psi[act]) + run_pay[act]
+            )
+        cp_values.append(contrib)
 
     n_steps = int(round(cfg.t_max / dt))
     for k in range(n_steps):
@@ -327,129 +397,133 @@ def _run_ensemble(
         for m in lag_all:
             cell = int(math.floor(m * t + 1e-9))
             if cell > last_cell[m]:
-                snapshots[m][alive] = X[alive]
+                snapshots[m][act] = X[act]
                 last_cell[m] = cell
         while cp_recorded < len(cps) and t >= cps[cp_recorded] - 0.5 * dt:
-            contrib = frozen_m.copy()
-            if alive.any() and value_field is not None:
-                contrib[alive] = (
-                    value_field.interpolate(X[alive]) * np.exp(-phi[alive] - psi[alive])
-                    + run_pay[alive]
-                )
-            cp_values.append(contrib)
+            checkpoint()
             cp_recorded += 1
-        if not alive.any():
+        if not act.size:
             break
-        dW = rng.normal(0.0, math.sqrt(dt), size=(n, d1))
-        act = np.flatnonzero(alive)
         x_alive = X[act]
-        x_alpha = snapshots[alpha_policy.lag_n][act] if getattr(alpha_policy, "lag_n", 0) else x_alive
-        ia = alpha_policy.select(k, t, x_alpha)
-        if np.isscalar(ia) or ia.ndim == 0:
-            ia = np.full(len(act), int(ia))
+        ia = np.empty(act.size, dtype=int)
+        bounds = np.searchsorted(act, leader_rows).tolist()
+        for policy, lo, hi in zip(leaders, bounds[:-1], bounds[1:]):
+            if lo < hi:
+                lag = getattr(policy, "lag_n", 0)
+                x_alpha = snapshots[lag][act[lo:hi]] if lag else x_alive[lo:hi]
+                ia[lo:hi] = policy.select(k, t, x_alpha)
         x_beta = snapshots[beta_policy.lag_n][act] if getattr(beta_policy, "lag_n", 0) else x_alive
         ib = beta_policy.respond(ia, k, t, x_beta)
         if np.isscalar(ib) or ib.ndim == 0:
-            ib = np.full(len(act), int(ib))
+            ib = np.full(act.size, int(ib))
 
-        w_old = np.exp(-phi[act] - psi[act])
-        x_new = x_alive.copy()
-        dphi = np.zeros(len(act))
-        dpsi = np.zeros(len(act))
-        dpay = np.zeros(len(act))
-        pair_code = ia * nb + ib
-        for code in np.unique(pair_code):
-            gsel = pair_code == code
-            rows = act[gsel]
-            cia, cib = int(code) // nb, int(code) % nb
+        group = ia * nb + ib
+        if len(specs) > 1:
+            group += spec_row[act] * n_pairs
+        # after a stable sort each group is one contiguous, ascending run
+        order = np.argsort(group, kind="stable")
+        rows = act[order]
+        group = group[order]
+        cuts = (np.flatnonzero(group[1:] != group[:-1]) + 1).tolist()
+        xs_all = x_alive[order]
+        dW = next(draws)[draw_col[rows]]
+        w_old = np.exp(-phi[rows] - psi[rows])
+        x_new = np.empty_like(xs_all)
+        dphi = np.empty(rows.size)
+        dpsi = np.empty(rows.size)
+        dpay = np.empty(rows.size)
+        for lo, hi in zip([0] + cuts, cuts + [rows.size]):
+            code = int(group[lo])
+            spec = specs[code // n_pairs]
+            cia, cib = divmod(code % n_pairs, nb)
             cf = coeffs[(cia, cib)]
             r = float(spec.r_table[cia, cib])
             piv = spec.pi_table[cia, cib]
             q = spec.noise_table[cia, cib]
-            xs = X[rows]
-            dw = dW[rows] @ q.T
+            xs = xs_all[lo:hi]
+            dw = dW[lo:hi] @ q.T
             sig = cf.sigma(xs)
             noise = np.einsum("nij,nj->ni", sig, dw)
             drift = r * r * (cf.b(xs) + np.einsum("nij,j->ni", sig, piv))
-            x_new[gsel] = xs + r * noise + drift * dt
-            dphi[gsel] = r * r * cf.c(xs) * dt
-            dpsi[gsel] = 0.5 * r * r * float(piv @ piv) * dt + r * (dw @ piv)
-            dpay[gsel] = r * r * cf.f(xs) * w_old[gsel] * dt
+            x_new[lo:hi] = xs + r * noise + drift * dt
+            dphi[lo:hi] = r * r * cf.c(xs) * dt
+            dpsi[lo:hi] = 0.5 * r * r * float(piv @ piv) * dt + r * (dw @ piv)
+            dpay[lo:hi] = r * r * cf.f(xs) * w_old[lo:hi] * dt
 
-        dist_old = dist[act]
+        dist_old = dist[rows]
         dist_new = problem.domain.boundary_distance(x_new)
         exiting = dist_new <= 0.0
-        scale = np.ones(len(act))
+        scale = np.ones(rows.size)
         if exiting.any():
             theta = dist_old[exiting] / (dist_old[exiting] - dist_new[exiting])
             scale[exiting] = theta
         if lag_ns:
             for m in lag_ns:
-                diff = x_alive - snapshots[m][act]
-                M_acc[m][act] += (
-                    np.exp(-phi[act] - psi[act])
+                diff = xs_all - snapshots[m][rows]
+                M_acc[m][rows] += (
+                    np.exp(-phi[rows] - psi[rows])
                     * np.einsum("ni,ni->n", diff, diff)
                     * scale
                     * dt
                 )
         if track_exp_psi_integral:
-            exp_psi_int[act] += np.exp(-psi[act]) * scale * dt
+            exp_psi_int[rows] += np.exp(-psi[rows]) * scale * dt
 
-        run_pay[act] += dpay * scale
-        phi[act] += dphi * scale
-        psi[act] += dpsi * scale
-        X[act] = x_alive + (x_new - x_alive) * scale[:, None]
-        dist[act] = np.where(exiting, 0.0, dist_new)
+        run_pay[rows] += dpay * scale
+        phi[rows] += dphi * scale
+        psi[rows] += dpsi * scale
+        X[rows] = xs_all + (x_new - xs_all) * scale[:, None]
+        dist[rows] = np.where(exiting, 0.0, dist_new)
 
         if exiting.any():
-            rows = act[exiting]
-            tau[rows] = t + scale[exiting] * dt
-            exit_state[rows] = X[rows]
-            phi_exit[rows] = phi[rows]
-            psi_exit[rows] = psi[rows]
-            censored[rows] = False
-            alive[rows] = False
+            gone = rows[exiting]
+            tau[gone] = t + scale[exiting] * dt
+            exit_state[gone] = X[gone]
+            phi_exit[gone] = phi[gone]
+            psi_exit[gone] = psi[gone]
+            censored[gone] = False
+            keep = np.ones(act.size, dtype=bool)
+            keep[order[exiting]] = False
+            act = act[keep]
             if value_field is not None:
-                frozen_m[rows] = (
-                    value_field.interpolate(X[rows]) * np.exp(-phi[rows] - psi[rows])
-                    + run_pay[rows]
+                frozen_m[gone] = (
+                    value_field.interpolate(X[gone]) * np.exp(-phi[gone] - psi[gone])
+                    + run_pay[gone]
                 )
 
+    draws.close()
     while cp_recorded < len(cps):
-        contrib = frozen_m.copy()
-        if alive.any() and value_field is not None:
-            contrib[alive] = (
-                value_field.interpolate(X[alive]) * np.exp(-phi[alive] - psi[alive])
-                + run_pay[alive]
-            )
-        cp_values.append(contrib)
+        checkpoint()
         cp_recorded += 1
 
     # censored paths keep their state at the horizon; terminal term is zero
     exit_state[censored] = X[censored]
     phi_exit[censored] = phi[censored]
     psi_exit[censored] = psi[censored]
-    terminal = np.zeros(n)
+    terminal = np.zeros(n_rows)
     hit = ~censored
     if hit.any():
         gvals = problem.g(exit_state[hit])
         terminal[hit] = gvals * np.exp(-phi_exit[hit] - psi_exit[hit])
 
-    batch = TrajectoryBatch(
-        tau=tau,
-        censored=censored,
-        exit_state=exit_state,
-        phi=phi_exit,
-        psi=psi_exit,
-        running_payoff=run_pay,
-        terminal_payoff=terminal,
-    )
+    batches = [
+        TrajectoryBatch(
+            tau=tau[sl],
+            censored=censored[sl],
+            exit_state=exit_state[sl],
+            phi=phi_exit[sl],
+            psi=psi_exit[sl],
+            running_payoff=run_pay[sl],
+            terminal_payoff=terminal[sl],
+        )
+        for sl in (slice(p * n, (p + 1) * n) for p in np.argsort(stack))
+    ]
     extras = {
         "checkpoints": np.asarray(cp_values) if cps else None,
         "M_acc": M_acc,
         "exp_psi_integral": exp_psi_int,
     }
-    return batch, extras
+    return batches, extras
 
 
 def simulate_to_exit(
@@ -461,8 +535,22 @@ def simulate_to_exit(
     cfg: SimConfig,
 ) -> TrajectoryBatch:
     """Simulate cfg.n_paths trajectories until exit or censoring."""
-    batch, _ = _run_ensemble(problem, spec, x0, alpha_policy, beta_policy, cfg)
-    return batch
+    return simulate_lanes(problem, [(spec, x0, alpha_policy)], beta_policy, cfg)[0]
+
+
+def simulate_lanes(problem: GameProblem, lanes, beta_policy, cfg: SimConfig) -> list[TrajectoryBatch]:
+    """``simulate_to_exit`` for each (spec, x0, alpha_policy) lane, stepped together.
+
+    Every lane uses the seed's Gaussian stream, so each batch equals the
+    one ``simulate_to_exit`` gives for that lane; the lanes share the
+    draw and the per-step overhead.  Lanes are run in ensembles of at
+    most ``_MAX_ROWS`` paths, which bounds the memory.
+    """
+    per_run = max(1, _MAX_ROWS // cfg.n_paths)
+    batches = []
+    for i in range(0, len(lanes), per_run):
+        batches += _run_ensemble(problem, lanes[i : i + per_run], beta_policy, cfg)[0]
+    return batches
 
 
 @dataclass
@@ -491,8 +579,8 @@ def girsanov_martingale_check(
     cfg: SimConfig,
 ) -> MartingaleReport:
     """Monte Carlo check of E exp(-psi_tau) = 1 and the occupation bound."""
-    batch, extras = _run_ensemble(
-        problem, spec, x0, alpha_policy, beta_policy, cfg, track_exp_psi_integral=True
+    (batch,), extras = _run_ensemble(
+        problem, [(spec, x0, alpha_policy)], beta_policy, cfg, track_exp_psi_integral=True
     )
     w = np.exp(-batch.psi)
     # censored paths contribute zero per the tau = infinity convention;
@@ -543,8 +631,8 @@ def increment_bound_study(
         raise ValueError("n_list must be increasing")
     if cfg.dt > 1.0 / (4 * max(n_list)):
         raise ValueError("timestep too coarse for the finest lag")
-    batch, extras = _run_ensemble(
-        problem, spec, x0, alpha_policy, beta_policy, cfg, lag_ns=tuple(n_list)
+    _, extras = _run_ensemble(
+        problem, [(spec, x0, alpha_policy)], beta_policy, cfg, lag_ns=tuple(n_list)
     )
     Ms, ses = [], []
     for m in n_list:

@@ -76,6 +76,17 @@ def test_experiment_defaults(tmp_path):
     assert cfg.z_threshold == 3.0
 
 
+def test_solve_section_keys(tmp_path):
+    ok = MINIMAL + "\n[solve]\nresidual_tol = 1e-9\nmax_policy_iters = 12\n"
+    cfg = load_experiment(_write(tmp_path, ok))
+    assert (cfg.solve.residual_tol, cfg.solve.max_policy_iters) == (1e-9, 12)
+    # the exact frozen-policy solve has no relaxation knobs; unknown keys are errors
+    for key in ("inner_tol", "relaxation", "max_inner_sweeps", "residual_tolerance"):
+        bad = MINIMAL + f"\n[solve]\nresidual_tol = 1e-9\n{key} = 1.5\n"
+        with pytest.raises(ConfigError, match=key):
+            load_experiment(_write(tmp_path, bad))
+
+
 def test_coefficient_override_precedence(tmp_path):
     text = MINIMAL.replace("alpha = a0", "alpha = a0, a1").replace(
         "beta = b0", "beta = b0, b1"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,9 +8,11 @@ from sdglab.coefficients import ScalarField, const_matrix, const_scalar, const_v
 from sdglab.grids import DomainGrid, ValueField
 from sdglab.model import ActionSets, DomainSpec, GameProblem
 from sdglab.pde import (
+    Discretization,
     IsaacsSolver,
     PenalizedSolver,
     PucciParams,
+    SolveConfig,
     convergence_study,
     discrete_L,
     evaluate_H,
@@ -125,6 +128,44 @@ def test_spacing_guard():
     assert h_mono(p) == pytest.approx(1.0 / 2.2)
     with pytest.raises(ValueError):
         solve_isaacs(p, h=0.5)
+
+
+# --- exact frozen-policy solve -------------------------------------------------
+
+
+def _frozen_policy_residual(solver):
+    """max|L^pi u + f^pi| over interior nodes, and the scale max|diag| * max|u|."""
+    disc = Discretization.from_problem(solver.problem_, solver.grid_)
+    u = solver.value_.values
+    ham = disc.hamiltonians(u)
+    res = ham[solver.policy_alpha_, solver.policy_beta_, np.arange(len(disc.idx))]
+    scale = float(np.max(np.abs(disc.weights[:, :, 0]))) * float(np.nanmax(np.abs(u)))
+    return float(np.max(np.abs(res))), scale
+
+
+def test_exact_solve_game(solved_game):
+    res, scale = _frozen_policy_residual(solved_game)
+    assert res <= 1e-12 * scale
+    assert solved_game.n_iter_ == 2
+
+
+def test_exact_solve_mixed_derivative_2d():
+    p = dataclasses.replace(
+        _problem_2d([[SQRT2, 0.0], [-0.4, 1.0]], bdrift=(0.3, -0.2), c=0.1),
+        f=((const_scalar(1.0),),),
+        g=ScalarField("affine", (0.0, 1.0, 0.5)),
+    )
+    solver = IsaacsSolver(h=1 / 32).fit(p)
+    res, scale = _frozen_policy_residual(solver)
+    assert res <= 1e-12 * scale
+    assert solver.n_iter_ == 1
+
+
+def test_residual_below_round_off_floor_fails_loudly(game_problem):
+    # at h = 1/2048 the exact solve bottoms out near 2e-9, and the policy repeats
+    solver = IsaacsSolver(h=1 / 2048, cfg=SolveConfig(residual_tol=1e-10))
+    with pytest.raises(RuntimeError, match=r"iteration \d+.*residual .*floor .* = \d"):
+        solver.fit(game_problem)
 
 
 # --- extremal operator --------------------------------------------------------

@@ -11,6 +11,7 @@ from sdglab.simulate import (
     em_step,
     girsanov_martingale_check,
     increment_bound_study,
+    simulate_lanes,
     simulate_to_exit,
 )
 
@@ -114,6 +115,43 @@ def test_simulate_is_bitwise_deterministic(analytic_problem):
     cfg2 = SimConfig(dt=1e-3, t_max=2.0, n_paths=200, seed=43)
     c = simulate_to_exit(analytic_problem, spec, [0.5], ConstantPolicy(0), ConstantResponder(0), cfg2)
     assert not np.array_equal(a.tau, c.tau)
+
+
+@pytest.mark.parametrize("max_rows", [1 << 19, 600])
+def test_lanes_match_separate_runs(game_problem, solved_game, monkeypatch, max_rows):
+    # lanes differ in spec, start and leader (one lagged); the responder
+    # is a lagged feedback policy shared by all of them.  With 600 rows
+    # the four 300-path lanes run as two ensembles of two.
+    import sdglab.simulate
+
+    monkeypatch.setattr(sdglab.simulate, "_MAX_ROWS", max_rows)
+    from sdglab.policies import (
+        BangBangPolicy,
+        FeedbackBetaPolicy,
+        build_alpha_selector,
+        build_beta_selector,
+        make_feedback_policy,
+    )
+
+    p = game_problem
+    beta = FeedbackBetaPolicy(build_beta_selector(p, solved_game.value_, 1e-9), lag_n=4)
+    lagged = make_feedback_policy(build_alpha_selector(p, solved_game.value_, 1e-9), 8)
+    switch = BangBangPolicy([0.05], [1, 0])
+    base = ControlAdaptedSpec.baseline(p)
+    tilted = _spec(p, r=1.2, pi=0.3, flip=True, variant="combined")
+    lanes = [
+        (tilted, [0.3], switch),
+        (base, [0.5], ConstantPolicy(0)),
+        (base, [0.7], switch),
+        (tilted, [0.4], lagged),
+    ]
+    cfg = SimConfig(dt=1e-3, t_max=2.0, n_paths=300, seed=5)
+    together = simulate_lanes(p, lanes, beta, cfg)
+    assert len(together) == len(lanes)
+    for (spec, x0, alpha), batch in zip(lanes, together):
+        alone = simulate_to_exit(p, spec, x0, alpha, beta, cfg)
+        for name in ("tau", "censored", "exit_state", "phi", "psi", "running_payoff", "terminal_payoff"):
+            assert np.array_equal(getattr(batch, name), getattr(alone, name)), name
 
 
 def test_start_outside_domain_rejected(analytic_problem):
