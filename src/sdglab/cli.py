@@ -24,7 +24,6 @@ from .pde import IsaacsSolver, PenalizedSolver, PucciParams
 from .policies import ConstantPolicy, ConstantResponder
 from .simulate import (
     ControlAdaptedSpec,
-    SimConfig,
     girsanov_martingale_check,
     increment_bound_study,
     simulate_to_exit,
@@ -137,16 +136,6 @@ def _stage_penalize(cfg, args, out_dir: Path) -> int:
     return 0 if solver.residual_ <= cfg.solve.residual_tol else 1
 
 
-def _sim_cfg(cfg) -> SimConfig:
-    return SimConfig(
-        dt=cfg.sim.dt,
-        t_max=cfg.sim.t_max,
-        n_paths=cfg.sim.n_paths,
-        seed=cfg.seed,
-        lag_n=cfg.sim.lag_n,
-    )
-
-
 def _stage_simulate(cfg, args, out_dir: Path) -> int:
     problem = cfg.problem
     spec = build_variant_spec(problem, args.variant, cfg.variant_params)
@@ -154,7 +143,7 @@ def _stage_simulate(cfg, args, out_dir: Path) -> int:
     lines = []
     out_dir.mkdir(parents=True, exist_ok=True)
     for ip, pt in enumerate(cfg.points):
-        batch = simulate_to_exit(problem, spec, pt, alpha, beta, _sim_cfg(cfg))
+        batch = simulate_to_exit(problem, spec, pt, alpha, beta, cfg.sim_config)
         pay = batch.payoff
         se = float(pay.std(ddof=1) / math.sqrt(len(pay)))
         lines.append(
@@ -196,7 +185,7 @@ def _stage_martingale(cfg, args, out_dir: Path) -> int:
     spec = build_variant_spec(problem, "girsanov", cfg.variant_params)
     alpha, beta, _ = _constant_policies(problem, cfg)
     report = girsanov_martingale_check(
-        problem, spec, cfg.points[0], alpha, beta, _sim_cfg(cfg)
+        problem, spec, cfg.points[0], alpha, beta, cfg.sim_config
     )
     ok = abs(report.weight_mean - 1.0) <= 3.0 * report.weight_se + report.censored_weight_mass
     text = report.summary() + f"\nresult: {'PASS' if ok else 'FAIL'}"
@@ -215,7 +204,7 @@ def _stage_increments(cfg, args, out_dir: Path) -> int:
     spec = ControlAdaptedSpec.baseline(problem)
     alpha, beta, _ = _constant_policies(problem, cfg)
     report = increment_bound_study(
-        problem, spec, cfg.points[0], alpha, beta, _sim_cfg(cfg), lags
+        problem, spec, cfg.points[0], alpha, beta, cfg.sim_config, lags
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     report.to_csv(out_dir / "increments.csv")

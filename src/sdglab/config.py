@@ -173,12 +173,18 @@ def _sim_config(parser) -> SimConfig:
     if "sim" not in parser:
         return base
     sec = parser["sim"]
+    if "seed" in sec:
+        raise ConfigError("[sim] takes no seed; the Monte Carlo seed is [experiment] seed")
+    for key in sec:
+        if key not in ("dt", "t_max", "n_paths", "lag_n"):
+            raise ConfigError(
+                f"unknown key {key!r} in [sim]; accepted keys are dt, t_max, n_paths and lag_n"
+            )
     try:
         return SimConfig(
             dt=sec.getfloat("dt", fallback=base.dt),
             t_max=sec.getfloat("t_max", fallback=base.t_max),
             n_paths=sec.getint("n_paths", fallback=base.n_paths),
-            seed=sec.getint("seed", fallback=base.seed),
             lag_n=sec.getint("lag_n", fallback=base.lag_n),
         )
     except ValueError as exc:

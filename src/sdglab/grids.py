@@ -102,12 +102,10 @@ class DomainGrid:
     def nearest_node(self, x: np.ndarray) -> np.ndarray:
         """Flat index of the nearest lattice node, clipped to the lattice."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        k = np.round((x - self.origin) / self.spacing).astype(int)
-        flat = np.zeros(x.shape[0], dtype=int)
-        for i in range(self.d):
-            ki = np.clip(k[:, i], 0, self.lattice_shape[i] - 1)
-            flat += ki * self.strides[i]
-        return flat
+        k = np.rint((x - self.origin) / self.spacing).astype(int)
+        np.maximum(k, 0, out=k)
+        np.minimum(k, np.subtract(self.lattice_shape, 1), out=k)
+        return (k * self.strides).sum(axis=1)
 
 
 @dataclass

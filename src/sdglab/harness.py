@@ -11,11 +11,11 @@ with the same config and seed produce identical bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grids import DomainGrid, ValueField
+from .grids import DomainGrid
 from .model import GameProblem, validate_problem
 from .pde import IsaacsSolver, PucciParams, RateReport, SolveConfig, _penalty_sweep
 from .policies import (
@@ -23,8 +23,7 @@ from .policies import (
     ConstantPolicy,
     FeedbackAlphaPolicy,
     FeedbackBetaPolicy,
-    build_alpha_selector,
-    build_beta_selector,
+    _feedback_selectors,
 )
 from .simulate import VARIANTS, ControlAdaptedSpec, SimConfig, simulate_lanes
 
@@ -185,6 +184,11 @@ class ExperimentConfig:
                 raise ValueError(f"evaluation point {p} is not interior to the domain")
 
     @property
+    def sim_config(self) -> SimConfig:
+        """The Monte Carlo settings, seeded with the experiment's ``seed``."""
+        return replace(self.sim, seed=self.seed)
+
+    @property
     def budget(self) -> float:
         return self.budget_h2 * self.h**2 + self.budget_sqrt_dt * math.sqrt(self.sim.dt)
 
@@ -266,19 +270,19 @@ class InvarianceReport:
                         fh.write(f"{ip},{va},{vb},{self.z_scores[ip, i, j]:.17g}\n")
 
 
-def _default_candidates(problem: GameProblem, alpha_selector) -> CandidateControlSet:
+def _feedback_players(config: ExperimentConfig, solver: IsaacsSolver):
+    """Grid-synthesized responder and the leader candidates for a fitted solver.
+
+    Both feedback players read the state on the ``[sim] lag_n`` grid (0:
+    the current state).  The leader candidates are each regular constant
+    action and the feedback leader.
+    """
+    problem, lag_n = solver.problem_, config.sim.lag_n
+    beta_sel, alpha_sel = _feedback_selectors(solver, 10.0 * config.solve.residual_tol)
     policies = [ConstantPolicy(ia, name=f"const_{problem.actions.a_labels[ia]}")
                 for ia in range(problem.n_alpha)]
-    policies.append(FeedbackAlphaPolicy(alpha_selector, lag_n=0))
-    return CandidateControlSet(policies)
-
-
-def _feedback_players(config: ExperimentConfig, problem: GameProblem, value: ValueField):
-    """Grid-synthesized responder and the leader candidates for a solved value."""
-    eps = 10.0 * config.solve.residual_tol
-    beta_sel = build_beta_selector(problem, value, eps)
-    alpha_sel = build_alpha_selector(problem, value, eps)
-    return FeedbackBetaPolicy(beta_sel, lag_n=0), _default_candidates(problem, alpha_sel)
+    policies.append(FeedbackAlphaPolicy(alpha_sel, lag_n=lag_n))
+    return FeedbackBetaPolicy(beta_sel, lag_n=lag_n), CandidateControlSet(policies)
 
 
 def run_invariance_suite(config: ExperimentConfig) -> InvarianceReport:
@@ -292,16 +296,10 @@ def run_invariance_suite(config: ExperimentConfig) -> InvarianceReport:
         raise RuntimeError("validation stage failed:\n" + report.summary())
     try:
         solver = IsaacsSolver(h=config.h, cfg=config.solve).fit(problem)
-        beta_policy, candidates = _feedback_players(config, problem, solver.value_)
+        beta_policy, candidates = _feedback_players(config, solver)
     except Exception as exc:
         raise RuntimeError(f"pde stage failed: {exc}") from exc
-    cfg = SimConfig(
-        dt=config.sim.dt,
-        t_max=config.sim.t_max,
-        n_paths=config.sim.n_paths,
-        seed=config.seed,
-        lag_n=config.sim.lag_n,
-    )
+    cfg = config.sim_config
     pde_values = [float(solver.predict(np.asarray(p)[None, :])[0]) for p in config.points]
     specs = {var: build_variant_spec(problem, var, config.variant_params) for var in config.variants}
     keys = [(ip, var) for ip in range(len(config.points)) for var in config.variants]
@@ -393,20 +391,14 @@ def run_vk_convergence(
     v_mc = v_se = 0.0
     if mc_cross_check:
         pt = np.asarray(mc_point if mc_point is not None else config.points[0], dtype=float)
-        cfg = SimConfig(
-            dt=config.sim.dt,
-            t_max=config.sim.t_max,
-            n_paths=config.sim.n_paths,
-            seed=config.seed,
-            lag_n=config.sim.lag_n,
-        )
-        beta_policy, candidates = _feedback_players(config, problem, plain.value_)
+        cfg = config.sim_config
+        beta_policy, candidates = _feedback_players(config, plain)
         base_spec = ControlAdaptedSpec.baseline(problem)
         est = estimate_value(problem, base_spec, pt, beta_policy, candidates, cfg)
         v_mc, v_se = est.estimate, est.se
         for K, solver in ((K_list[0], penalized[0]), (K_list[-1], penalized[-1])):
             ext = solver.problem_
-            beta_K, cand_K = _feedback_players(config, ext, solver.value_)
+            beta_K, cand_K = _feedback_players(config, solver)
             spec = ControlAdaptedSpec.baseline(ext)
             est_K = estimate_value(ext, spec, pt, beta_K, cand_K, cfg)
             pde_val = float(solver.predict(pt[None, :])[0])

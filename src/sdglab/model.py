@@ -95,9 +95,7 @@ class DomainSpec:
         """Strict interior membership, vectorized over rows of ``x``."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.shape == "box":
-            lo = np.asarray(self.lower)
-            up = np.asarray(self.upper)
-            return np.all((x > lo) & (x < up), axis=1)
+            return ((x > self.lower) & (x < self.upper)).all(axis=1)
         c = np.asarray(self.center)
         return np.sum((x - c) ** 2, axis=1) < self.radius**2
 
@@ -105,9 +103,7 @@ class DomainSpec:
         """Signed distance to the boundary: positive inside, negative outside."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.shape == "box":
-            lo = np.asarray(self.lower)
-            up = np.asarray(self.upper)
-            return np.min(np.minimum(x - lo, up - x), axis=1)
+            return np.minimum(x - self.lower, np.subtract(self.upper, x)).min(axis=1)
         c = np.asarray(self.center)
         return self.radius - np.sqrt(np.sum((x - c) ** 2, axis=1))
 

@@ -363,7 +363,8 @@ class IsaacsSolver(_ParamsMixin):
 
     After ``fit`` the solved grid function is in ``value_``, the final
     per-node saddle policy in ``policy_alpha_`` / ``policy_beta_`` (indexed
-    like the interior nodes), the sup-inf residual in ``residual_``.
+    like the interior nodes), the sup-inf residual in ``residual_`` and
+    the operators in ``discretization_``.
     """
 
     _param_names = ("h", "cfg")
@@ -385,6 +386,7 @@ class IsaacsSolver(_ParamsMixin):
         u.values[grid.boundary_idx] = np.asarray(g_boundary(grid.coords[grid.boundary_idx]))
         self.problem_ = problem
         self.grid_ = grid
+        self.discretization_ = disc
         self.value_ = u
         self.policy_alpha_ = ia_pol
         self.policy_beta_ = ib_pol

@@ -62,23 +62,17 @@ class MarkovSelector:
         if self.role != "beta":
             raise ValueError("selector does not carry a beta table")
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        nodes = self.grid.nearest_node(x)
-        out = self.beta_table[np.asarray(ia, dtype=int), nodes]
-        outside = ~self.domain.contains(x)
-        if outside.any():
-            out = np.where(outside, self.default_action, out)
-        return out
+        return self._default_outside(x, self.beta_table[np.asarray(ia, dtype=int), self.grid.nearest_node(x)])
 
     def alpha_at(self, x: np.ndarray) -> np.ndarray:
         if self.role != "alpha":
             raise ValueError("selector does not carry an alpha table")
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        nodes = self.grid.nearest_node(x)
-        out = self.alpha_table[nodes]
-        outside = ~self.domain.contains(x)
-        if outside.any():
-            out = np.where(outside, self.default_action, out)
-        return out
+        return self._default_outside(x, self.alpha_table[self.grid.nearest_node(x)])
+
+    def _default_outside(self, x: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        inside = self.domain.contains(x)
+        return actions if inside.all() else np.where(inside, actions, self.default_action)
 
     def to_csv(self, path) -> None:
         g = self.grid
@@ -107,11 +101,35 @@ class MarkovSelector:
 
 def build_beta_selector(problem: GameProblem, u_hat: ValueField, epsilon: float) -> MarkovSelector:
     """Least-index responder with L u_hat + f <= epsilon per (alpha, node)."""
+    disc = Discretization.from_problem(problem, u_hat.grid)
+    return _beta_selector(problem, disc, disc.hamiltonians(u_hat.values), u_hat, epsilon)
+
+
+def build_alpha_selector(problem: GameProblem, u_check: ValueField, epsilon: float) -> MarkovSelector:
+    """Least-index leader with min over beta of L u_check + f >= -epsilon per node."""
+    disc = Discretization.from_problem(problem, u_check.grid)
+    return _alpha_selector(problem, disc, disc.hamiltonians(u_check.values), u_check, epsilon)
+
+
+def _feedback_selectors(solver, epsilon: float) -> tuple[MarkovSelector, MarkovSelector]:
+    """Responder and leader selectors for a fitted ``IsaacsSolver``'s value.
+
+    Both reuse the solver's discretization and one evaluation of the
+    Hamiltonians, instead of assembling the operators again.
+    """
+    disc, u = solver.discretization_, solver.value_
+    ham = disc.hamiltonians(u.values)
+    return (
+        _beta_selector(solver.problem_, disc, ham, u, epsilon),
+        _alpha_selector(solver.problem_, disc, ham, u, epsilon),
+    )
+
+
+def _beta_selector(problem, disc, ham, u_hat, epsilon) -> MarkovSelector:
+    """``ham``: L u_hat + f per pair and interior node of ``disc``, (nA_ext, nB, m)."""
     if epsilon <= 0:
         raise ValueError("slack epsilon must be positive")
     grid = u_hat.grid
-    disc = Discretization.from_problem(problem, grid)
-    ham = disc.hamiltonians(u_hat.values)  # (nA_ext, nB, m)
     # sup-inf over the full (possibly penalty-extended) leader set
     worst = float(ham.min(axis=1).max(axis=0).max())
     if worst >= epsilon:
@@ -147,13 +165,10 @@ def build_beta_selector(problem: GameProblem, u_hat: ValueField, epsilon: float)
     )
 
 
-def build_alpha_selector(problem: GameProblem, u_check: ValueField, epsilon: float) -> MarkovSelector:
-    """Least-index leader with min over beta of L u_check + f >= -epsilon per node."""
+def _alpha_selector(problem, disc, ham, u_check, epsilon) -> MarkovSelector:
     if epsilon <= 0:
         raise ValueError("slack epsilon must be positive")
     grid = u_check.grid
-    disc = Discretization.from_problem(problem, grid)
-    ham = disc.hamiltonians(u_check.values)
     worst = float(ham.min(axis=1).max(axis=0).min())
     if worst <= -epsilon:
         raise ValueError(

@@ -25,15 +25,28 @@ i, step k) depends only on the seed, so runs with different variants or
 candidate policies but a shared seed use common random numbers.  Such
 runs can be stepped together as lanes of one ensemble, which draws the
 stream once and pays the per-step overhead once.
+
+A step of an ensemble is one set of array expressions over all alive
+rows, whatever mix of specs and action pairs they hold.  Each row's code
+(spec, ia, ib) indexes per-code tables of r, r^2, pi, the noise transform
+and the constant 0.5 r^2 |pi|^2 dt, built once per ensemble together with
+their products with every coefficient that does not depend on x.  A
+coefficient that does depend on x is evaluated per action pair, never per
+spec: from per-row parameters for the 1-D affine family, otherwise once
+per pair present on that pair's rows.  Every element is computed in the
+operation order of ``em_step``, so a row's result does not depend on the
+rows stepped with it.  A path that leaves the domain is stopped at the
+linearly interpolated crossing, and its state stays frozen from then on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .coefficients import ScalarField
 from .grids import ValueField
 from .model import GameProblem
 
@@ -235,38 +248,104 @@ def em_step(
     return PathState(t=state.t + dt, x=x_new, phi=phi_new, psi=psi_new)
 
 
-class _PairCoefficients:
-    """Vectorized per-pair coefficient evaluation with constant fast paths."""
+def _per_code(table):
+    """Row gather from a per-code table, or its one entry if every code shares it."""
+    table = np.asarray(table, dtype=float)
+    if (table == table[:1]).all():
+        return lambda code, first=table[0]: first
+    return table.__getitem__
 
-    def __init__(self, problem: GameProblem, ia: int, ib: int):
-        self.sigma_field = problem.sigma[ia][ib]
-        self.b_field = problem.b[ia][ib]
-        self.c_field = problem.c[ia][ib]
-        self.f_field = problem.f[ia][ib]
-        self.sigma_const = self.sigma_field.at(np.zeros(problem.d)) if self.sigma_field.is_constant else None
-        self.b_const = self.b_field.at(np.zeros(problem.d)) if self.b_field.is_constant else None
-        self.c_const = self.c_field.at(np.zeros(problem.d)) if self.c_field.is_constant else None
-        self.f_const = self.f_field.at(np.zeros(problem.d)) if self.f_field.is_constant else None
 
-    def sigma(self, x):
-        if self.sigma_const is not None:
-            return np.broadcast_to(self.sigma_const, (x.shape[0],) + self.sigma_const.shape)
-        return self.sigma_field(x)
+class _PairField:
+    """One coefficient (sigma, b, c or f) of every action pair, evaluated per row.
 
-    def b(self, x):
-        if self.b_const is not None:
-            return np.broadcast_to(self.b_const, (x.shape[0],) + self.b_const.shape)
-        return self.b_field(x)
+    Constant fields are gathered from a table, 1-D affine scalar fields
+    from per-row parameters as c0 + x c1 (bit-exact with the family), any
+    other field once per pair present, on that pair's rows.
+    """
 
-    def c(self, x):
-        if self.c_const is not None:
-            return np.full(x.shape[0], self.c_const)
-        return self.c_field(x)
+    def __init__(self, fields, d: int):
+        self.fields = fields
+        self.const = self.affine = None
+        if all(f.is_constant for f in fields):
+            self.const = np.concatenate([f(np.zeros((1, d))) for f in fields])
+            self.const_at = _per_code(self.const)
+        elif all(
+            isinstance(f, ScalarField) and f.kind == "affine" and min(len(f.params) - 1, d) == 1
+            for f in fields
+        ):
+            self.affine = tuple(np.array([f.params[i] for f in fields]) for i in (0, 1))
 
-    def f(self, x):
-        if self.f_const is not None:
-            return np.full(x.shape[0], self.f_const)
-        return self.f_field(x)
+    def __call__(self, pair: np.ndarray, x: np.ndarray) -> np.ndarray:
+        if self.const is not None:
+            return self.const_at(pair)
+        if self.affine is not None:
+            c0, c1 = self.affine
+            return c0[pair] + x[:, 0] * c1[pair]
+        present = np.flatnonzero(np.bincount(pair, minlength=len(self.fields)))
+        if present.size == 1:
+            return self.fields[present[0]](x)
+        rows = [np.flatnonzero(pair == p) for p in present]
+        vals = [self.fields[p](x[r]) for p, r in zip(present, rows)]
+        out = np.empty((len(x),) + vals[0].shape[1:])
+        for r, v in zip(rows, vals):
+            out[r] = v
+        return out
+
+
+class _StepKernel:
+    """The Euler-Maruyama step of rows of any (spec, action pair) codes.
+
+    A row's code is spec * n_pairs + ia * n_beta + ib, and its pair
+    ia * n_beta + ib; see the module docstring.
+    """
+
+    def __init__(self, problem: GameProblem, specs, dt: float):
+        pairs = [(ia, ib) for ia in range(problem.n_alpha_ext) for ib in range(problem.n_beta)]
+        self.n_pairs = len(pairs)
+        self.dt = dt
+        self.sigma, self.b, self.c, self.f = (
+            _PairField([table[ia][ib] for ia, ib in pairs], problem.d)
+            for table in (problem.sigma, problem.b, problem.c, problem.f)
+        )
+        r = np.array([s.r_table[ia, ib] for s in specs for ia, ib in pairs])
+        pi = np.array([s.pi_table[ia, ib] for s in specs for ia, ib in pairs])
+        q = np.array([s.noise_table[ia, ib] for s in specs for ia, ib in pairs])
+        r2 = r * r
+        self.r = _per_code(r)
+        self.r2 = _per_code(r2)
+        self.pi = _per_code(pi)
+        self.q = None if (q == np.eye(problem.d1)).all() else _per_code(q)
+        self.psi0 = _per_code([0.5 * ri * ri * float(p @ p) * dt for ri, p in zip(r.tolist(), pi)])
+        # products of the per-code tables with the coefficients that are constant in x
+        code_pair = np.tile(np.arange(self.n_pairs), len(specs))
+        self.drift_dt = self.phi_dt = self.r2f = None
+        if self.sigma.const is not None and self.b.const is not None:
+            sig_pi = np.einsum("nij,nj->ni", self.sigma.const[code_pair], pi)
+            self.drift_dt = _per_code(r2[:, None] * (self.b.const[code_pair] + sig_pi) * dt)
+        if self.c.const is not None:
+            self.phi_dt = _per_code(r2 * self.c.const[code_pair] * dt)
+        if self.f.const is not None:
+            self.r2f = _per_code(r2 * self.f.const[code_pair])
+
+    def move(self, code, pair, x, dW):
+        """New states of the rows at ``x`` on the increments ``dW``, and the rotated noise."""
+        dw = dW if self.q is None else np.einsum("...kj,...j->...k", self.q(code), dW)
+        sig = self.sigma(pair, x)
+        if self.drift_dt is not None:
+            drift_dt = self.drift_dt(code)
+        else:
+            sig_pi = np.einsum("...ij,...j->...i", sig, self.pi(code))
+            drift_dt = self.r2(code)[..., None] * (self.b(pair, x) + sig_pi) * self.dt
+        return x + self.r(code)[..., None] * np.einsum("...ij,...j->...i", sig, dw) + drift_dt, dw
+
+    def accrue(self, code, pair, x, dw, weight):
+        """Increments of phi, psi and the running payoff at weight exp(-phi - psi)."""
+        dt = self.dt
+        dphi = self.phi_dt(code) if self.phi_dt is not None else self.r2(code) * self.c(pair, x) * dt
+        dpsi = self.psi0(code) + self.r(code) * np.einsum("...j,...j->...", dw, self.pi(code))
+        r2f = self.r2f(code) if self.r2f is not None else self.r2(code) * self.f(pair, x)
+        return dphi, dpsi, r2f * weight * dt
 
 
 _DRAW_BLOCK = 8  # steps drawn per call of the worker thread
@@ -337,23 +416,15 @@ def _run_ensemble(
         starts.append(x0)
     n = cfg.n_paths
     n_rows = len(lanes) * n
-    d1 = problem.d1
     dt = cfg.dt
     nb = problem.n_beta
-    n_pairs = problem.n_alpha_ext * nb
-    draws = _gaussian_steps(cfg.seed, n, d1, dt)
-    coeffs = {
-        (ia, ib): _PairCoefficients(problem, ia, ib)
-        for ia in range(problem.n_alpha_ext)
-        for ib in range(nb)
-    }
-    # lanes are stacked leader by leader, so each leader owns one block of
-    # rows; rows are stepped in groups of one spec and one action pair
+    # lanes are stacked leader by leader, so each leader owns one block of rows
     leaders, leader_of = _distinct([lane[2] for lane in lanes])
     stack = sorted(range(len(lanes)), key=leader_of.__getitem__)
     leader_rows = n * np.cumsum([0] + [leader_of.count(i) for i in range(len(leaders))])
     specs, spec_of = _distinct([lanes[j][0] for j in stack])
-    spec_row = np.repeat(np.asarray(spec_of, dtype=int), n)
+    kernel = _StepKernel(problem, specs, dt)
+    spec_code = np.repeat(np.asarray(spec_of) * kernel.n_pairs, n)  # row -> first code of its spec
     draw_col = np.tile(np.arange(n), len(lanes))  # row -> path within its lane
 
     X = np.repeat(np.asarray([starts[j] for j in stack]), n, axis=0)
@@ -362,157 +433,100 @@ def _run_ensemble(
     run_pay = np.zeros(n_rows)
     exp_psi_int = np.zeros(n_rows) if track_exp_psi_integral else None
     tau = np.full(n_rows, cfg.t_max)
-    exit_state = X.copy()
-    phi_exit = np.zeros(n_rows)
-    psi_exit = np.zeros(n_rows)
     censored = np.ones(n_rows, dtype=bool)
-    frozen_m = np.zeros(n_rows)  # checkpoint contribution frozen at exit
     act = np.arange(n_rows)  # rows still alive, in increasing order
     dist = problem.domain.boundary_distance(X)
 
     # policy lags: each requested n keeps a frozen state snapshot
-    policy_lags = sorted(
-        {p.lag_n for p in (*leaders, beta_policy) if getattr(p, "lag_n", 0)}
-    )
-    lag_all = sorted(set(policy_lags) | set(lag_ns))
+    lag_all = sorted({p.lag_n for p in (*leaders, beta_policy) if getattr(p, "lag_n", 0)} | set(lag_ns))
     snapshots = {m: X.copy() for m in lag_all}
     last_cell = {m: 0 for m in lag_all}
     M_acc = {m: np.zeros(n_rows) for m in lag_ns}
 
     cps = sorted(checkpoint_times)
     cp_values = []
-    cp_recorded = 0
+    cp_rows = np.arange(n_rows)  # rows that may have moved since the last checkpoint
 
     def checkpoint():
-        contrib = frozen_m.copy()
-        if act.size and value_field is not None:
-            contrib[act] = (
-                value_field.interpolate(X[act]) * np.exp(-phi[act] - psi[act]) + run_pay[act]
-            )
+        # an exited row's state is frozen, so its last value is reused
+        nonlocal cp_rows
+        contrib = cp_values[-1].copy() if cp_values else np.zeros(n_rows)
+        if value_field is not None and cp_rows.size:
+            w = np.exp(-phi[cp_rows] - psi[cp_rows])
+            contrib[cp_rows] = value_field.interpolate(X[cp_rows]) * w + run_pay[cp_rows]
+        cp_rows = act
         cp_values.append(contrib)
 
-    n_steps = int(round(cfg.t_max / dt))
-    for k in range(n_steps):
-        t = k * dt
-        for m in lag_all:
-            cell = int(math.floor(m * t + 1e-9))
-            if cell > last_cell[m]:
-                snapshots[m][act] = X[act]
-                last_cell[m] = cell
-        while cp_recorded < len(cps) and t >= cps[cp_recorded] - 0.5 * dt:
-            checkpoint()
-            cp_recorded += 1
-        if not act.size:
-            break
-        x_alive = X[act]
-        ia = np.empty(act.size, dtype=int)
-        bounds = np.searchsorted(act, leader_rows).tolist()
-        for policy, lo, hi in zip(leaders, bounds[:-1], bounds[1:]):
-            if lo < hi:
-                lag = getattr(policy, "lag_n", 0)
-                x_alpha = snapshots[lag][act[lo:hi]] if lag else x_alive[lo:hi]
-                ia[lo:hi] = policy.select(k, t, x_alpha)
-        x_beta = snapshots[beta_policy.lag_n][act] if getattr(beta_policy, "lag_n", 0) else x_alive
-        ib = beta_policy.respond(ia, k, t, x_beta)
-        if np.isscalar(ib) or ib.ndim == 0:
-            ib = np.full(act.size, int(ib))
+    draws = _gaussian_steps(cfg.seed, n, problem.d1, dt)
+    try:
+        for k in range(int(round(cfg.t_max / dt))):
+            t = k * dt
+            for m in lag_all:
+                cell = int(math.floor(m * t + 1e-9))
+                if cell > last_cell[m]:
+                    snapshots[m][act] = X[act]
+                    last_cell[m] = cell
+            while len(cp_values) < len(cps) and t >= cps[len(cp_values)] - 0.5 * dt:
+                checkpoint()
+            if not act.size:
+                break
+            xs = X[act]
+            ia = np.empty(act.size, dtype=int)
+            bounds = np.searchsorted(act, leader_rows).tolist()
+            for policy, lo, hi in zip(leaders, bounds[:-1], bounds[1:]):
+                if lo < hi:
+                    lag = getattr(policy, "lag_n", 0)
+                    ia[lo:hi] = policy.select(k, t, snapshots[lag][act[lo:hi]] if lag else xs[lo:hi])
+            lag = getattr(beta_policy, "lag_n", 0)
+            ib = beta_policy.respond(ia, k, t, snapshots[lag][act] if lag else xs)
+            pair = ia * nb + ib
+            code = spec_code[act] + pair if len(specs) > 1 else pair
+            x_new, dw = kernel.move(code, pair, xs, next(draws)[draw_col[act]])
+            weight = np.exp(-phi[act] - psi[act])
+            dphi, dpsi, dpay = kernel.accrue(code, pair, xs, dw, weight)
 
-        group = ia * nb + ib
-        if len(specs) > 1:
-            group += spec_row[act] * n_pairs
-        # after a stable sort each group is one contiguous, ascending run
-        order = np.argsort(group, kind="stable")
-        rows = act[order]
-        group = group[order]
-        cuts = (np.flatnonzero(group[1:] != group[:-1]) + 1).tolist()
-        xs_all = x_alive[order]
-        dW = next(draws)[draw_col[rows]]
-        w_old = np.exp(-phi[rows] - psi[rows])
-        x_new = np.empty_like(xs_all)
-        dphi = np.empty(rows.size)
-        dpsi = np.empty(rows.size)
-        dpay = np.empty(rows.size)
-        for lo, hi in zip([0] + cuts, cuts + [rows.size]):
-            code = int(group[lo])
-            spec = specs[code // n_pairs]
-            cia, cib = divmod(code % n_pairs, nb)
-            cf = coeffs[(cia, cib)]
-            r = float(spec.r_table[cia, cib])
-            piv = spec.pi_table[cia, cib]
-            q = spec.noise_table[cia, cib]
-            xs = xs_all[lo:hi]
-            dw = dW[lo:hi] @ q.T
-            sig = cf.sigma(xs)
-            noise = np.einsum("nij,nj->ni", sig, dw)
-            drift = r * r * (cf.b(xs) + np.einsum("nij,j->ni", sig, piv))
-            x_new[lo:hi] = xs + r * noise + drift * dt
-            dphi[lo:hi] = r * r * cf.c(xs) * dt
-            dpsi[lo:hi] = 0.5 * r * r * float(piv @ piv) * dt + r * (dw @ piv)
-            dpay[lo:hi] = r * r * cf.f(xs) * w_old[lo:hi] * dt
-
-        dist_old = dist[rows]
-        dist_new = problem.domain.boundary_distance(x_new)
-        exiting = dist_new <= 0.0
-        scale = np.ones(rows.size)
-        if exiting.any():
-            theta = dist_old[exiting] / (dist_old[exiting] - dist_new[exiting])
-            scale[exiting] = theta
-        if lag_ns:
+            dist_old = dist[act]
+            dist_new = problem.domain.boundary_distance(x_new)
+            exiting = dist_new <= 0.0
+            scale = np.ones(act.size)
+            if exiting.any():
+                scale[exiting] = dist_old[exiting] / (dist_old[exiting] - dist_new[exiting])
             for m in lag_ns:
-                diff = xs_all - snapshots[m][rows]
-                M_acc[m][rows] += (
-                    np.exp(-phi[rows] - psi[rows])
-                    * np.einsum("ni,ni->n", diff, diff)
-                    * scale
-                    * dt
-                )
-        if track_exp_psi_integral:
-            exp_psi_int[rows] += np.exp(-psi[rows]) * scale * dt
+                diff = xs - snapshots[m][act]
+                M_acc[m][act] += weight * np.einsum("ni,ni->n", diff, diff) * scale * dt
+            if track_exp_psi_integral:
+                exp_psi_int[act] += np.exp(-psi[act]) * scale * dt
 
-        run_pay[rows] += dpay * scale
-        phi[rows] += dphi * scale
-        psi[rows] += dpsi * scale
-        X[rows] = xs_all + (x_new - xs_all) * scale[:, None]
-        dist[rows] = np.where(exiting, 0.0, dist_new)
+            run_pay[act] += dpay * scale
+            phi[act] += dphi * scale
+            psi[act] += dpsi * scale
+            X[act] = xs + (x_new - xs) * scale[:, None]
+            dist[act] = dist_new  # read again only while the row is alive
 
-        if exiting.any():
-            gone = rows[exiting]
-            tau[gone] = t + scale[exiting] * dt
-            exit_state[gone] = X[gone]
-            phi_exit[gone] = phi[gone]
-            psi_exit[gone] = psi[gone]
-            censored[gone] = False
-            keep = np.ones(act.size, dtype=bool)
-            keep[order[exiting]] = False
-            act = act[keep]
-            if value_field is not None:
-                frozen_m[gone] = (
-                    value_field.interpolate(X[gone]) * np.exp(-phi[gone] - psi[gone])
-                    + run_pay[gone]
-                )
-
-    draws.close()
-    while cp_recorded < len(cps):
+            if exiting.any():
+                gone = act[exiting]
+                tau[gone] = t + scale[exiting] * dt
+                censored[gone] = False
+                act = act[~exiting]
+    finally:
+        draws.close()
+    while len(cp_values) < len(cps):
         checkpoint()
-        cp_recorded += 1
 
-    # censored paths keep their state at the horizon; terminal term is zero
-    exit_state[censored] = X[censored]
-    phi_exit[censored] = phi[censored]
-    psi_exit[censored] = psi[censored]
+    # an exited row's state stays at its exit; censored paths keep their
+    # state at the horizon and a zero terminal term
     terminal = np.zeros(n_rows)
     hit = ~censored
     if hit.any():
-        gvals = problem.g(exit_state[hit])
-        terminal[hit] = gvals * np.exp(-phi_exit[hit] - psi_exit[hit])
+        terminal[hit] = problem.g(X[hit]) * np.exp(-phi[hit] - psi[hit])
 
     batches = [
         TrajectoryBatch(
             tau=tau[sl],
             censored=censored[sl],
-            exit_state=exit_state[sl],
-            phi=phi_exit[sl],
-            psi=psi_exit[sl],
+            exit_state=X[sl],
+            phi=phi[sl],
+            psi=psi[sl],
             running_payoff=run_pay[sl],
             terminal_payoff=terminal[sl],
         )
@@ -664,57 +678,38 @@ def pathwise_comparison(
     """Couple the penalty-visiting path with its projected twin on one noise.
 
     Requires pi == 0.  ``projection`` maps every extended alpha index to a
-    regular one (identity on the regular actions).
+    regular one (identity on the regular actions).  Both paths take the
+    ensemble's step on the seed's Gaussian stream, under their own action
+    pairs; neither is stopped at an interpolated exit.
     """
     if np.any(spec.pi_table != 0.0):
         raise ValueError("pathwise comparison requires pi identically zero")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    n, d, d1 = cfg.n_paths, problem.d, problem.d1
-    nb = problem.n_beta
-    dt = cfg.dt
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
-    coeffs = {
-        (ia, ib): _PairCoefficients(problem, ia, ib)
-        for ia in range(problem.n_alpha_ext)
-        for ib in range(nb)
-    }
+    n, nb, dt = cfg.n_paths, problem.n_beta, cfg.dt
+    kernel = _StepKernel(problem, [spec], dt)
     projection = np.asarray(projection, dtype=int)
     X = np.tile(x0, (n, 1))
     Y = X.copy()
     supdiff = np.zeros(n)
     occ = np.zeros(n)
-    running = np.ones(n, dtype=bool)  # stop at gamma = T ^ first exit of either
-    n_steps = int(round(T / dt))
-    for k in range(n_steps):
-        if not running.any():
-            break
-        t = k * dt
-        act = np.flatnonzero(running)
-        dW = rng.normal(0.0, math.sqrt(dt), size=(n, d1))
-        ia = mixed_alpha_policy.select(k, t, X[act])
-        if np.isscalar(ia) or ia.ndim == 0:
-            ia = np.full(len(act), int(ia))
-        ia_proj = projection[ia]
-        for arr, actions, xsrc in ((X, ia, X), (Y, ia_proj, Y)):
-            ib = beta_policy.respond(actions, k, t, xsrc[act])
-            if np.isscalar(ib) or ib.ndim == 0:
-                ib = np.full(len(act), int(ib))
-            code = actions * nb + ib
-            for cval in np.unique(code):
-                gsel = code == cval
-                rows = act[gsel]
-                cia, cib = int(cval) // nb, int(cval) % nb
-                cf = coeffs[(cia, cib)]
-                r = float(spec.r_table[cia, cib])
-                xs = arr[rows]
-                sig = cf.sigma(xs)
-                noise = np.einsum("nij,nj->ni", sig, dW[rows])
-                arr[rows] = xs + r * noise + r * r * cf.b(xs) * dt
-        occ[act] += np.where(ia >= problem.n_alpha, dt, 0.0)
-        diff = np.linalg.norm(X[act] - Y[act], axis=1)
-        supdiff[act] = np.maximum(supdiff[act], diff)
-        inside = problem.domain.contains(X[act]) & problem.domain.contains(Y[act])
-        running[act] = inside
+    act = np.arange(n)  # stop at gamma = T ^ first exit of either
+    draws = _gaussian_steps(cfg.seed, n, problem.d1, dt)
+    try:
+        for k in range(int(round(T / dt))):
+            if not act.size:
+                break
+            t = k * dt
+            dW = next(draws)[act]
+            ia = np.broadcast_to(mixed_alpha_policy.select(k, t, X[act]), act.shape)
+            for arr, actions in ((X, ia), (Y, projection[ia])):
+                xs = arr[act]
+                pair = actions * nb + beta_policy.respond(actions, k, t, xs)
+                arr[act] = kernel.move(pair, pair, xs, dW)[0]
+            occ[act] += np.where(ia >= problem.n_alpha, dt, 0.0)
+            supdiff[act] = np.maximum(supdiff[act], np.linalg.norm(X[act] - Y[act], axis=1))
+            act = act[problem.domain.contains(X[act]) & problem.domain.contains(Y[act])]
+    finally:
+        draws.close()
     mean_sup = float(supdiff.mean())
     se_sup = float(supdiff.std(ddof=1) / math.sqrt(n))
     mean_occ = float(occ.mean())

@@ -63,6 +63,18 @@ def test_alpha_selector_roundtrip(solved_game, game_problem):
         sel.beta_at(np.array([0]), np.array([[0.5, 0.0]]))
 
 
+def test_solver_selectors_match_the_builders(solved_game, game_problem):
+    from sdglab.policies import _feedback_selectors
+
+    beta, alpha = _feedback_selectors(solved_game, EPS)
+    for got, want in ((beta, build_beta_selector(game_problem, solved_game.value_, EPS)),
+                      (alpha, build_alpha_selector(game_problem, solved_game.value_, EPS))):
+        assert got.role == want.role
+        for name in ("beta_table", "alpha_table", "margins"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None and b is None) or np.array_equal(a, b), name
+
+
 def test_least_index_tie_break():
     from sdglab.pde import IsaacsSolver
 

@@ -250,3 +250,152 @@ def test_trajectory_batch_record_and_csv(tmp_path, analytic_problem):
     b.to_csv(p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_text().splitlines()[0].startswith("tau,censored,x1")
+
+
+class _LeaderFailingAtStep5:
+    lag_n = 0
+
+    def select(self, k, t, x):
+        if k == 5:
+            raise RuntimeError("leader failed at step 5")
+        return np.zeros(x.shape[0], dtype=int)
+
+
+def test_draw_thread_stops_when_a_policy_raises(analytic_problem):
+    import threading
+
+    spec = ControlAdaptedSpec.baseline(analytic_problem)
+    cfg = SimConfig(dt=1e-3, t_max=1.0, n_paths=100)
+    before = threading.active_count()
+    # the raised exception keeps the simulation's frame alive
+    with pytest.raises(RuntimeError, match="step 5") as info:
+        simulate_to_exit(analytic_problem, spec, [0.5], _LeaderFailingAtStep5(), ConstantResponder(0), cfg)
+    assert info.traceback
+    assert threading.active_count() == before
+
+
+def _draws(seed, n_steps, n, d1, dt):
+    rng = np.random.Generator(np.random.Philox(seed))
+    return [rng.normal(0.0, math.sqrt(dt), size=(n, d1)) for _ in range(n_steps)]
+
+
+def test_pathwise_comparison_matches_em_step_under_rotated_noise(analytic_problem):
+    from sdglab.harness import build_variant_spec
+    from sdglab.pde import PucciParams, extend_problem
+    from sdglab.policies import OccupancyPolicy
+    from sdglab.simulate import pathwise_comparison
+
+    p = extend_problem(analytic_problem, PucciParams.build(1, delta_hat=0.5), 1.0)
+    spec = build_variant_spec(p, "rotated_noise")  # "flip": odd pairs negate the noise
+    leader = OccupancyPolicy(0, p.n_alpha, 0.3, period=0.05)
+    projection = np.zeros(p.n_alpha_ext, dtype=int)
+    cfg = SimConfig(dt=1e-3, t_max=1.0, n_paths=20, seed=4)
+    T = 0.5
+    rep = pathwise_comparison(p, spec, [0.5], leader, ConstantResponder(0), cfg, T, projection)
+
+    n_steps = int(round(T / cfg.dt))
+    draws = _draws(cfg.seed, n_steps, cfg.n_paths, p.d1, cfg.dt)
+    sups, occs = [], []
+    for i in range(cfg.n_paths):
+        x = y = np.array([0.5])
+        sup = occ = 0.0
+        for k in range(n_steps):
+            t = k * cfg.dt
+            ia = int(leader.select(k, t, x[None])[0])
+            x = em_step(p, spec, PathState(t, x), ia, 0, draws[k][i], cfg.dt).x
+            y = em_step(p, spec, PathState(t, y), int(projection[ia]), 0, draws[k][i], cfg.dt).x
+            occ += cfg.dt if ia >= p.n_alpha else 0.0
+            sup = max(sup, float(np.linalg.norm(x - y)))
+            if not (p.domain.contains(x[None])[0] and p.domain.contains(y[None])[0]):
+                break
+        sups.append(sup)
+        occs.append(occ)
+    assert rep.mean_sup_divergence > 0
+    assert rep.mean_sup_divergence == pytest.approx(np.mean(sups), rel=0, abs=1e-12)
+    assert rep.mean_occupation_time == pytest.approx(np.mean(occs), rel=0, abs=1e-12)
+
+
+def _state_dependent_game():
+    """2x2 game on (0, 1) whose sigma and b vary in x (sin family), f affine."""
+    from sdglab.coefficients import MatrixField, VectorField, const_scalar, parse_scalar
+    from sdglab.model import ActionSets, DomainSpec, GameProblem
+
+    def sig(ia, ib):
+        return MatrixField(((parse_scalar(f"sin:{1.3 + 0.1 * ia},{0.1 + 0.05 * ib},{3 + ib}"),),))
+
+    def drift(ia, ib):
+        return VectorField((parse_scalar(f"sin:{0.3 - 0.6 * ia + 0.1 * ib},0.5,{2 + ia}"),),)
+
+    # the leader switches at x = 0.5 and the responder near x = 0.35
+    f = (("affine:0.29,-0.6", "affine:0.71,-1.8"), ("affine:-0.91,1.8", "affine:-0.49,0.6"))
+    return GameProblem(
+        actions=ActionSets(("a0", "a1"), ("b0", "b1")),
+        domain=DomainSpec("box", 1, (0.0,), (1.0,)),
+        sigma=tuple(tuple(sig(ia, ib) for ib in range(2)) for ia in range(2)),
+        b=tuple(tuple(drift(ia, ib) for ib in range(2)) for ia in range(2)),
+        c=tuple(tuple(const_scalar(0.2) for _ in range(2)) for _ in range(2)),
+        f=tuple(tuple(parse_scalar(v) for v in row) for row in f),
+        g=parse_scalar("affine:0.0,1.0"),
+        K0=3.0,
+        delta=0.5,
+    )
+
+
+def test_ensemble_matches_em_step_replay():
+    # every variant as one lane, a lagged feedback leader against a lagged
+    # feedback responder: rows mix specs and action pairs at each step, and
+    # sigma and b are evaluated per pair, f from per-row affine parameters
+    from sdglab.harness import build_variant_spec
+    from sdglab.pde import IsaacsSolver
+    from sdglab.policies import build_alpha_selector, build_beta_selector, make_feedback_policy
+    from sdglab.simulate import VARIANTS
+
+    p = _state_dependent_game()
+    value = IsaacsSolver(h=1 / 32).fit(p).value_
+    leader = make_feedback_policy(build_alpha_selector(p, value, 1e-6), 8)
+    beta = make_feedback_policy(build_beta_selector(p, value, 1e-6), 4)
+    specs = [build_variant_spec(p, v) for v in VARIANTS]
+    cfg = SimConfig(dt=2e-3, t_max=1.0, n_paths=50, seed=8)
+    batches = simulate_lanes(p, [(spec, [0.5], leader) for spec in specs], beta, cfg)
+
+    n_steps = int(round(cfg.t_max / cfg.dt))
+    draws = _draws(cfg.seed, n_steps, cfg.n_paths, p.d1, cfg.dt)
+    pairs_seen = set()
+    for spec, batch in zip(specs, batches):
+        for i in range(cfg.n_paths):
+            s = PathState(0.0, np.array([0.5]))
+            pay, tau, exited = 0.0, cfg.t_max, False
+            snap = {m: s.x for m in (4, 8)}  # the state at the start of each lag cell
+            cell = {m: 0 for m in snap}
+            for k in range(n_steps):
+                t = k * cfg.dt
+                for m in snap:
+                    if math.floor(m * t + 1e-9) > cell[m]:
+                        snap[m], cell[m] = s.x, math.floor(m * t + 1e-9)
+                ia = int(leader.select(k, t, snap[8][None])[0])
+                ib = int(beta.respond(np.array([ia]), k, t, snap[4][None])[0])
+                pairs_seen.add((ia, ib))
+                r = spec.r_table[ia, ib]
+                dpay = r * r * p.f[ia][ib].at(s.x) * math.exp(-s.phi - s.psi) * cfg.dt
+                new = em_step(p, spec, s, ia, ib, draws[k][i], cfg.dt)
+                d_old = p.domain.boundary_distance(s.x[None])[0]
+                d_new = p.domain.boundary_distance(new.x[None])[0]
+                if d_new <= 0.0:
+                    theta = d_old / (d_old - d_new)
+                    s = PathState(
+                        t + theta * cfg.dt,
+                        s.x + (new.x - s.x) * theta,
+                        s.phi + (new.phi - s.phi) * theta,
+                        s.psi + (new.psi - s.psi) * theta,
+                    )
+                    pay, tau, exited = pay + dpay * theta, s.t, True
+                    break
+                s, pay = new, pay + dpay
+            terminal = p.g.at(s.x) * math.exp(-s.phi - s.psi) if exited else 0.0
+            got = batch.record(i)
+            assert got.censored == (not exited)
+            for name, want in (("tau", tau), ("phi", s.phi), ("psi", s.psi),
+                               ("running_payoff", pay), ("terminal_payoff", terminal)):
+                assert getattr(got, name) == pytest.approx(want, rel=0, abs=1e-12), name
+            assert np.allclose(got.exit_state, s.x, rtol=0, atol=1e-12)
+    assert len(pairs_seen) == 4
