@@ -176,16 +176,13 @@ def _sim_config(parser) -> SimConfig:
     if "seed" in sec:
         raise ConfigError("[sim] takes no seed; the Monte Carlo seed is [experiment] seed")
     for key in sec:
-        if key not in ("dt", "t_max", "n_paths", "lag_n"):
-            raise ConfigError(
-                f"unknown key {key!r} in [sim]; accepted keys are dt, t_max, n_paths and lag_n"
-            )
+        if key not in ("dt", "t_max", "n_paths"):
+            raise ConfigError(f"unknown key {key!r} in [sim]; accepted keys are dt, t_max and n_paths")
     try:
         return SimConfig(
             dt=sec.getfloat("dt", fallback=base.dt),
             t_max=sec.getfloat("t_max", fallback=base.t_max),
             n_paths=sec.getint("n_paths", fallback=base.n_paths),
-            lag_n=sec.getint("lag_n", fallback=base.lag_n),
         )
     except ValueError as exc:
         raise ConfigError(f"bad [sim] section: {exc}") from exc

@@ -273,16 +273,15 @@ class InvarianceReport:
 def _feedback_players(config: ExperimentConfig, solver: IsaacsSolver):
     """Grid-synthesized responder and the leader candidates for a fitted solver.
 
-    Both feedback players read the state on the ``[sim] lag_n`` grid (0:
-    the current state).  The leader candidates are each regular constant
-    action and the feedback leader.
+    The leader candidates are each regular constant action and the
+    feedback leader.
     """
-    problem, lag_n = solver.problem_, config.sim.lag_n
+    problem = solver.problem_
     beta_sel, alpha_sel = _feedback_selectors(solver, 10.0 * config.solve.residual_tol)
     policies = [ConstantPolicy(ia, name=f"const_{problem.actions.a_labels[ia]}")
                 for ia in range(problem.n_alpha)]
-    policies.append(FeedbackAlphaPolicy(alpha_sel, lag_n=lag_n))
-    return FeedbackBetaPolicy(beta_sel, lag_n=lag_n), CandidateControlSet(policies)
+    policies.append(FeedbackAlphaPolicy(alpha_sel))
+    return FeedbackBetaPolicy(beta_sel), CandidateControlSet(policies)
 
 
 def run_invariance_suite(config: ExperimentConfig) -> InvarianceReport:

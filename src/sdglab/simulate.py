@@ -29,13 +29,12 @@ stream once and pays the per-step overhead once.
 A step of an ensemble is one set of array expressions over all alive
 rows, whatever mix of specs and action pairs they hold.  Each row's code
 (spec, ia, ib) indexes per-code tables of r, r^2, pi, the noise transform
-and the constant 0.5 r^2 |pi|^2 dt, built once per ensemble together with
-their products with every coefficient that does not depend on x.  A
-coefficient that does depend on x is evaluated per action pair, never per
-spec: from per-row parameters for the 1-D affine family, otherwise once
-per pair present on that pair's rows.  Every element is computed in the
-operation order of ``em_step``, so a row's result does not depend on the
-rows stepped with it.  A path that leaves the domain is stopped at the
+and the constant 0.5 r^2 |pi|^2 dt, built once per ensemble.  The
+coefficients are evaluated per action pair, never per spec: a constant
+coefficient from a per-pair table, the 1-D affine family from per-row
+parameters, any other coefficient once per pair present, on that pair's
+rows.  Every element is computed in the operation order of ``em_step``,
+so a row's result does not depend on the rows stepped with it.  A path that leaves the domain is stopped at the
 linearly interpolated crossing, and its state stays frozen from then on.
 """
 
@@ -126,7 +125,6 @@ class SimConfig:
     t_max: float = 2.0
     n_paths: int = 10_000
     seed: int = 0
-    lag_n: int = 0  # 0: feedback policies read the current (pre-step) state
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -135,8 +133,6 @@ class SimConfig:
             raise ValueError("truncation horizon must be at least 1")
         if self.n_paths < 1:
             raise ValueError("need at least one path")
-        if self.lag_n and self.lag_n * self.dt > 1 + 1e-12:
-            raise ValueError("policy lag 1/n must not be finer than the timestep")
 
 
 @dataclass
@@ -268,8 +264,7 @@ class _PairField:
         self.fields = fields
         self.const = self.affine = None
         if all(f.is_constant for f in fields):
-            self.const = np.concatenate([f(np.zeros((1, d))) for f in fields])
-            self.const_at = _per_code(self.const)
+            self.const = _per_code(np.concatenate([f(np.zeros((1, d))) for f in fields]))
         elif all(
             isinstance(f, ScalarField) and f.kind == "affine" and min(len(f.params) - 1, d) == 1
             for f in fields
@@ -278,7 +273,7 @@ class _PairField:
 
     def __call__(self, pair: np.ndarray, x: np.ndarray) -> np.ndarray:
         if self.const is not None:
-            return self.const_at(pair)
+            return self.const(pair)
         if self.affine is not None:
             c0, c1 = self.affine
             return c0[pair] + x[:, 0] * c1[pair]
@@ -311,41 +306,27 @@ class _StepKernel:
         r = np.array([s.r_table[ia, ib] for s in specs for ia, ib in pairs])
         pi = np.array([s.pi_table[ia, ib] for s in specs for ia, ib in pairs])
         q = np.array([s.noise_table[ia, ib] for s in specs for ia, ib in pairs])
-        r2 = r * r
         self.r = _per_code(r)
-        self.r2 = _per_code(r2)
+        self.r2 = _per_code(r * r)
         self.pi = _per_code(pi)
         self.q = None if (q == np.eye(problem.d1)).all() else _per_code(q)
         self.psi0 = _per_code([0.5 * ri * ri * float(p @ p) * dt for ri, p in zip(r.tolist(), pi)])
-        # products of the per-code tables with the coefficients that are constant in x
-        code_pair = np.tile(np.arange(self.n_pairs), len(specs))
-        self.drift_dt = self.phi_dt = self.r2f = None
-        if self.sigma.const is not None and self.b.const is not None:
-            sig_pi = np.einsum("nij,nj->ni", self.sigma.const[code_pair], pi)
-            self.drift_dt = _per_code(r2[:, None] * (self.b.const[code_pair] + sig_pi) * dt)
-        if self.c.const is not None:
-            self.phi_dt = _per_code(r2 * self.c.const[code_pair] * dt)
-        if self.f.const is not None:
-            self.r2f = _per_code(r2 * self.f.const[code_pair])
 
     def move(self, code, pair, x, dW):
         """New states of the rows at ``x`` on the increments ``dW``, and the rotated noise."""
         dw = dW if self.q is None else np.einsum("...kj,...j->...k", self.q(code), dW)
         sig = self.sigma(pair, x)
-        if self.drift_dt is not None:
-            drift_dt = self.drift_dt(code)
-        else:
-            sig_pi = np.einsum("...ij,...j->...i", sig, self.pi(code))
-            drift_dt = self.r2(code)[..., None] * (self.b(pair, x) + sig_pi) * self.dt
+        sig_pi = np.einsum("...ij,...j->...i", sig, self.pi(code))
+        drift_dt = self.r2(code)[..., None] * (self.b(pair, x) + sig_pi) * self.dt
         return x + self.r(code)[..., None] * np.einsum("...ij,...j->...i", sig, dw) + drift_dt, dw
 
     def accrue(self, code, pair, x, dw, weight):
         """Increments of phi, psi and the running payoff at weight exp(-phi - psi)."""
         dt = self.dt
-        dphi = self.phi_dt(code) if self.phi_dt is not None else self.r2(code) * self.c(pair, x) * dt
+        r2 = self.r2(code)
+        dphi = r2 * self.c(pair, x) * dt
         dpsi = self.psi0(code) + self.r(code) * np.einsum("...j,...j->...", dw, self.pi(code))
-        r2f = self.r2f(code) if self.r2f is not None else self.r2(code) * self.f(pair, x)
-        return dphi, dpsi, r2f * weight * dt
+        return dphi, dpsi, r2 * self.f(pair, x) * weight * dt
 
 
 _DRAW_BLOCK = 8  # steps drawn per call of the worker thread

@@ -88,31 +88,16 @@ def test_solve_section_keys(tmp_path):
 
 
 def test_sim_section_keys(tmp_path):
-    ok = MINIMAL + "\n[sim]\ndt = 1e-3\nt_max = 2.0\nn_paths = 50\nlag_n = 4\n"
+    ok = MINIMAL + "\n[sim]\ndt = 1e-3\nt_max = 2.0\nn_paths = 50\n"
     cfg = load_experiment(_write(tmp_path, ok))
-    assert (cfg.sim.dt, cfg.sim.t_max, cfg.sim.n_paths, cfg.sim.lag_n) == (1e-3, 2.0, 50, 4)
+    assert (cfg.sim.dt, cfg.sim.t_max, cfg.sim.n_paths) == (1e-3, 2.0, 50)
     # the seed belongs to [experiment]; a [sim] seed would be overridden by it
     with pytest.raises(ConfigError, match=r"\[experiment\] seed"):
         load_experiment(_write(tmp_path, MINIMAL + "\n[sim]\nseed = 3\n"))
-    for key in ("n_path", "lag", "delta_t"):
+    # feedback policies take their lag per policy (make_feedback_policy), not from [sim]
+    for key in ("lag_n", "n_path", "lag", "delta_t"):
         with pytest.raises(ConfigError, match=key):
             load_experiment(_write(tmp_path, MINIMAL + f"\n[sim]\ndt = 1e-3\n{key} = 2\n"))
-
-
-def test_sim_lag_n_reaches_the_feedback_players(tmp_path):
-    from sdglab.harness import run_invariance_suite
-
-    text = (CONFIGS / "game2x2.cfg").read_text()
-    text = text.replace("n_paths = 10000", "n_paths = 300").replace("dt = 5e-5", "dt = 2e-3")
-    text = text.replace("points = 0.25; 0.5; 0.75", "points = 0.5").replace("h = 0.0078125", "h = 0.03125")
-    estimates = []
-    for lag in (0, 4):
-        cfg = load_experiment(_write(tmp_path, text.replace("n_paths = 300", f"n_paths = 300\nlag_n = {lag}")))
-        rep = run_invariance_suite(cfg)
-        estimates.append([e.candidate_means for e in rep.estimates.values()])
-    for lag0, lag4 in zip(*estimates):
-        assert lag0["const_a0"] != lag4["const_a0"]  # the responder reads the lagged state
-        assert lag0["feedback_alpha"] != lag4["feedback_alpha"]
 
 
 def test_coefficient_override_precedence(tmp_path):
