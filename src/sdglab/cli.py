@@ -20,7 +20,7 @@ from .config import ConfigError, load_experiment
 from .grids import DomainGrid
 from .harness import build_variant_spec, run_invariance_suite, run_vk_convergence
 from .model import validate_problem
-from .pde import IsaacsSolver, PenalizedSolver, PucciParams
+from .pde import IsaacsSolver, PenalizedSolver
 from .policies import ConstantPolicy, ConstantResponder
 from .simulate import (
     ControlAdaptedSpec,
@@ -31,71 +31,23 @@ from .simulate import (
 
 __all__ = ["main", "build_parser"]
 
-STAGES = (
-    "validate",
-    "solve",
-    "penalize",
-    "simulate",
-    "invariance",
-    "converge",
-    "martingale",
-    "increments",
-)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sdglab",
-        description="Stochastic differential game laboratory: PDE solvers, "
-        "exit-time simulation, and probability-space invariance experiments.",
-    )
-    sub = parser.add_subparsers(dest="stage", required=True)
-    for stage in STAGES:
-        sp = sub.add_parser(stage, help=f"run the {stage} stage")
-        sp.add_argument("--config", required=True, help="problem/experiment INI file")
-        sp.add_argument("--seed", type=int, default=None, help="override the seed")
-        sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--paths", type=int, default=None, help="override n_paths")
-        sp.add_argument("--dt", type=float, default=None, help="override the timestep")
-        sp.add_argument("--grid-h", type=float, default=None, help="override the grid spacing")
-        if stage == "penalize":
-            sp.add_argument("--K", type=float, default=None, help="penalty constant")
-        if stage == "simulate":
-            sp.add_argument("--variant", default="baseline", help="variant to simulate")
-            sp.add_argument("--dump-paths", action="store_true", help="write per-path CSV")
-        if stage == "increments":
-            sp.add_argument(
-                "--lags", default="4,8,16,32", help="comma-separated lag parameters n"
-            )
-    return parser
-
-
-def _apply_overrides(cfg, args):
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.grid_h is not None:
-        updates["h"] = args.grid_h
-    sim_updates = {}
-    if args.paths is not None:
-        sim_updates["n_paths"] = args.paths
-    if args.dt is not None:
-        sim_updates["dt"] = args.dt
-    if sim_updates:
-        updates["sim"] = dataclasses.replace(cfg.sim, **sim_updates)
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+# flag -> (argparse keywords, the ExperimentConfig field it overrides, or
+# None for a flag the stage handler reads); "sim." fields are SimConfig's
+_FLAGS = {
+    "--seed": ({"type": int, "help": "override [experiment] seed"}, "seed"),
+    "--paths": ({"type": int, "help": "override [sim] n_paths"}, "sim.n_paths"),
+    "--dt": ({"type": float, "help": "override [sim] dt"}, "sim.dt"),
+    "--grid-h": ({"type": float, "help": "override [experiment] h"}, "h"),
+    "--K": ({"type": float, "help": "penalty constant (default: the largest k_list entry)"}, None),
+    "--variant": ({"default": "baseline", "help": "variant to simulate"}, None),
+    "--dump-paths": ({"action": "store_true", "help": "write per-path CSV"}, None),
+    "--lags": ({"default": "4,8,16,32", "help": "comma-separated lag parameters n"}, None),
+}
 
 
 def _write(out_dir: Path, name: str, text: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / name).write_text(text if text.endswith("\n") else text + "\n")
-
-
-def _constant_policies(problem, cfg):
-    spec_seed = cfg.seed
-    alpha = ConstantPolicy(0)
-    beta = ConstantResponder(0)
-    return alpha, beta, spec_seed
 
 
 def _stage_validate(cfg, args, out_dir: Path) -> int:
@@ -122,8 +74,7 @@ def _stage_solve(cfg, args, out_dir: Path) -> int:
 
 def _stage_penalize(cfg, args, out_dir: Path) -> int:
     K = args.K if args.K is not None else max(cfg.K_list)
-    pucci = cfg.pucci or PucciParams.build(cfg.problem.d, delta_hat=0.5)
-    solver = PenalizedSolver(K=K, pucci=pucci, h=cfg.h, cfg=cfg.solve)
+    solver = PenalizedSolver(K=K, pucci=cfg.pucci, h=cfg.h, cfg=cfg.solve)
     solver.fit(cfg.problem)
     out_dir.mkdir(parents=True, exist_ok=True)
     solver.value_.to_csv(out_dir / f"value_K{K:g}.csv")
@@ -139,7 +90,7 @@ def _stage_penalize(cfg, args, out_dir: Path) -> int:
 def _stage_simulate(cfg, args, out_dir: Path) -> int:
     problem = cfg.problem
     spec = build_variant_spec(problem, args.variant, cfg.variant_params)
-    alpha, beta, _ = _constant_policies(problem, cfg)
+    alpha, beta = ConstantPolicy(0), ConstantResponder(0)
     lines = []
     out_dir.mkdir(parents=True, exist_ok=True)
     for ip, pt in enumerate(cfg.points):
@@ -183,7 +134,7 @@ def _stage_converge(cfg, args, out_dir: Path) -> int:
 def _stage_martingale(cfg, args, out_dir: Path) -> int:
     problem = cfg.problem
     spec = build_variant_spec(problem, "girsanov", cfg.variant_params)
-    alpha, beta, _ = _constant_policies(problem, cfg)
+    alpha, beta = ConstantPolicy(0), ConstantResponder(0)
     report = girsanov_martingale_check(
         problem, spec, cfg.points[0], alpha, beta, cfg.sim_config
     )
@@ -202,7 +153,7 @@ def _stage_increments(cfg, args, out_dir: Path) -> int:
         print("error: --lags must be a comma-separated integer list", file=sys.stderr)
         return 2
     spec = ControlAdaptedSpec.baseline(problem)
-    alpha, beta, _ = _constant_policies(problem, cfg)
+    alpha, beta = ConstantPolicy(0), ConstantResponder(0)
     report = increment_bound_study(
         problem, spec, cfg.points[0], alpha, beta, cfg.sim_config, lags
     )
@@ -222,16 +173,52 @@ def _stage_increments(cfg, args, out_dir: Path) -> int:
     return 0 if ok else 1
 
 
-_HANDLERS = {
-    "validate": _stage_validate,
-    "solve": _stage_solve,
-    "penalize": _stage_penalize,
-    "simulate": _stage_simulate,
-    "invariance": _stage_invariance,
-    "converge": _stage_converge,
-    "martingale": _stage_martingale,
-    "increments": _stage_increments,
+_MC = ("--seed", "--paths", "--dt")
+
+# stage -> (handler, the flags it reads besides --config and --out);
+# argparse rejects any other flag with exit code 2
+_STAGES = {
+    "validate": (_stage_validate, ("--grid-h",)),
+    "solve": (_stage_solve, ("--grid-h",)),
+    "penalize": (_stage_penalize, ("--grid-h", "--K")),
+    "simulate": (_stage_simulate, (*_MC, "--variant", "--dump-paths")),
+    "invariance": (_stage_invariance, (*_MC, "--grid-h")),
+    "converge": (_stage_converge, (*_MC, "--grid-h")),
+    "martingale": (_stage_martingale, _MC),
+    "increments": (_stage_increments, (*_MC, "--lags")),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="sdglab",
+        description="Stochastic differential game laboratory: PDE solvers, "
+        "exit-time simulation, and probability-space invariance experiments.",
+    )
+    sub = parser.add_subparsers(dest="stage", required=True)
+    for stage, (_, flags) in _STAGES.items():
+        sp = sub.add_parser(stage, help=f"run the {stage} stage")
+        sp.add_argument("--config", required=True, help="problem/experiment INI file")
+        sp.add_argument("--out", default="out", help="output directory")
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag][0])
+    return parser
+
+
+def _apply_overrides(cfg, args):
+    updates, sim_updates = {}, {}
+    for flag in _STAGES[args.stage][1]:
+        field = _FLAGS[flag][1]
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if field is None or value is None:
+            continue
+        if field.startswith("sim."):
+            sim_updates[field[4:]] = value
+        else:
+            updates[field] = value
+    if sim_updates:
+        updates["sim"] = dataclasses.replace(cfg.sim, **sim_updates)
+    return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
 def main(argv=None) -> int:
@@ -253,7 +240,7 @@ def main(argv=None) -> int:
         return 2
     out_dir = Path(args.out)
     try:
-        return _HANDLERS[args.stage](cfg, args, out_dir)
+        return _STAGES[args.stage][0](cfg, args, out_dir)
     except (RuntimeError, ValueError) as exc:
         print(f"stage {args.stage} failed: {exc}", file=sys.stderr)
         return 1

@@ -3,6 +3,7 @@
 A problem file has sections [domain], [actions], [coefficients] and
 [constants]; experiment-level sections [pucci], [solve], [sim],
 [experiment] and [variants] are optional and fall back to defaults.
+Any other section, and any key that ``_KEYS`` does not list, is an error.
 
 Coefficient keys accept per-action overrides: ``f`` sets every action
 pair, ``f.a1`` one leader action across responses, ``f.b0`` one response
@@ -16,7 +17,7 @@ rows with ``|``.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -33,6 +34,74 @@ class ConfigError(ValueError):
     """Malformed or incomplete configuration file."""
 
 
+def _floats(text: str, sep: str = ",") -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(sep) if v.strip())
+
+
+def _names(text: str) -> tuple[str, ...]:
+    names = tuple(v.strip() for v in text.split(",") if v.strip())
+    if not names:
+        raise ValueError("empty list")
+    return names
+
+
+def _points(text: str) -> tuple[tuple[float, ...], ...]:
+    return tuple(_floats(p) for p in text.split(";") if p.strip())
+
+
+# Section -> key -> value parser, or (value parser, keyword) where the
+# keyword the value is passed as differs from the key.  The comment names
+# what each section builds; a key the file leaves out takes that
+# constructor's default.  [coefficients] keys depend on the action labels
+# and are checked by _coefficients.
+_KEYS = {
+    "domain": {  # DomainSpec; noise_dimension is GameProblem's d1
+        "shape": str.lower,
+        "dimension": int,
+        "lower": _floats,
+        "upper": _floats,
+        "center": _floats,
+        "radius": float,
+        "noise_dimension": (int, "d1"),
+    },
+    "actions": {"alpha": (_names, "a_labels"), "beta": (_names, "b_labels")},  # ActionSets
+    "coefficients": {},
+    "constants": {  # GameProblem
+        "k0": (float, "K0"),
+        "delta": float,
+        "delta1": float,
+        "k1": (float, "K1"),
+    },
+    "pucci": {  # PucciParams.build
+        "delta_hat": float,
+        "gradient_bound": float,
+        "zero_order": float,
+        "rotations": (int, "n_rotations"),
+    },
+    "solve": {"max_policy_iters": int, "residual_tol": float},  # SolveConfig
+    "sim": {"dt": float, "t_max": float, "n_paths": int},  # SimConfig
+    "variants": {  # VariantParams
+        "pi_scale": float,
+        "r_low": float,
+        "r_high": float,
+        "rotation": str,
+    },
+    "experiment": {  # ExperimentConfig
+        "points": _points,
+        "variants": _names,
+        "k_list": (_floats, "K_list"),
+        "h": float,
+        "seed": int,
+        "z_threshold": float,
+        "budget_h2": float,
+        "budget_sqrt_dt": float,
+    },
+}
+
+# [domain] keys of the other shape, which DomainSpec would store unread
+_OTHER_SHAPE_KEYS = {"box": ("center", "radius"), "ball": ("lower", "upper")}
+
+
 def _read(path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
@@ -42,62 +111,82 @@ def _read(path) -> configparser.ConfigParser:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
+    for name in parser.sections():
+        if name not in _KEYS:
+            raise ConfigError(
+                f"unknown section [{name}]; accepted sections are {', '.join(_KEYS)}"
+            )
+        for key in parser[name]:
+            if name != "coefficients" and key not in _KEYS[name]:
+                owners = [f"[{s}] {key}" for s, keys in _KEYS.items() if key in keys]
+                hint = f" (did you mean {owners[0]}?)" if owners else ""
+                raise ConfigError(
+                    f"unknown key {key!r} in [{name}]; accepted keys are "
+                    f"{', '.join(_KEYS[name])}{hint}"
+                )
     return parser
 
 
-def _floats(text: str, sep: str = ",") -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(sep) if v.strip())
+def _section(parser, name: str) -> dict:
+    """The keyword arguments that the keys given in section ``name`` set."""
+    kwargs = {}
+    for key, text in parser[name].items() if name in parser else ():
+        entry = _KEYS[name][key]
+        parse, keyword = entry if isinstance(entry, tuple) else (entry, key)
+        try:
+            kwargs[keyword] = parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for [{name}] {key}: {exc}") from exc
+    return kwargs
 
 
-def _domain(parser) -> tuple[DomainSpec, int]:
+def _build(name: str, make, kwargs: dict):
     try:
-        sec = parser["domain"]
-        shape = sec.get("shape", "box").strip().lower()
-        d = sec.getint("dimension")
-        if shape == "box":
-            lower = _floats(sec["lower"])
-            upper = _floats(sec["upper"])
-            dom = DomainSpec("box", d, lower, upper)
-        elif shape == "ball":
-            center = _floats(sec["center"])
-            radius = sec.getfloat("radius")
-            dom = DomainSpec("ball", d, center=center, radius=radius)
-        else:
-            raise ConfigError(f"unknown domain shape {shape!r}")
-        d1 = sec.getint("noise_dimension", fallback=d)
-    except (KeyError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad [domain] section: {exc}") from exc
-    return dom, d1
+        return make(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad [{name}] section: {exc}") from exc
 
 
-def _labels(text: str) -> tuple[str, ...]:
-    labels = tuple(v.strip() for v in text.split(",") if v.strip())
-    if not labels:
-        raise ConfigError("empty action list")
-    return labels
+def _candidates(key: str, al: str, bl: str) -> tuple[str, ...]:
+    """The keys that may set ``key`` for the pair (al, bl), most specific first."""
+    return (f"{key}.{al}.{bl}", f"{key}.{al}", f"{key}.{bl}", key)
 
 
-def _coefficient_table(sec, key, a_labels, b_labels, parse):
-    """Resolve the most specific of key, key.aI, key.bJ, key.aI.bJ per pair."""
-    if key not in sec and not any(k.startswith(key + ".") for k in sec):
-        raise ConfigError(f"missing coefficient {key!r}")
-    table = []
-    for al in a_labels:
-        row = []
-        for bl in b_labels:
-            for candidate in (f"{key}.{al}.{bl}", f"{key}.{al}", f"{key}.{bl}", key):
-                if candidate in sec:
-                    try:
-                        row.append(parse(sec[candidate]))
-                    except ValueError as exc:
-                        raise ConfigError(f"bad value for {candidate!r}: {exc}") from exc
-                    break
-            else:
-                raise ConfigError(f"no value covers {key} for pair ({al}, {bl})")
-        table.append(tuple(row))
-    return tuple(table)
+def _parse(sec, key: str, parse):
+    try:
+        return parse(sec[key])
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+
+
+def _coefficients(sec, actions: ActionSets) -> dict:
+    """The sigma, b, c, f tables and g, each pair taking its most specific key."""
+    names = {"sigma": parse_matrix, "b": parse_vector, "c": parse_scalar, "f": parse_scalar}
+    pairs = [(al, bl) for al in actions.a_labels for bl in actions.b_labels]
+    accepted = {"g"} | {k for name in names for al, bl in pairs for k in _candidates(name, al, bl)}
+    for key in sec:
+        if key not in accepted:
+            raise ConfigError(
+                f"unknown key {key!r} in [coefficients]; keys are g and sigma, b, c, f with an "
+                f"optional .<alpha>, .<beta> or .<alpha>.<beta> suffix, for alpha in "
+                f"{', '.join(actions.a_labels)} and beta in {', '.join(actions.b_labels)}"
+            )
+    out = {}
+    for name, parse in names.items():
+        table = []
+        for al in actions.a_labels:
+            row = []
+            for bl in actions.b_labels:
+                key = next((k for k in _candidates(name, al, bl) if k in sec), None)
+                if key is None:
+                    raise ConfigError(f"no value covers {name} for pair ({al}, {bl})")
+                row.append(_parse(sec, key, parse))
+            table.append(tuple(row))
+        out[name] = tuple(table)
+    if "g" not in sec:
+        raise ConfigError("missing coefficient 'g'")
+    out["g"] = _parse(sec, "g", parse_scalar)
+    return out
 
 
 def load_problem(path) -> GameProblem:
@@ -110,156 +199,43 @@ def _problem_from_parser(parser) -> GameProblem:
     for section in ("domain", "actions", "coefficients", "constants"):
         if section not in parser:
             raise ConfigError(f"missing [{section}] section")
-    domain, d1 = _domain(parser)
+    dom = _section(parser, "domain")
+    shape = dom.setdefault("shape", "box")
+    for key in _OTHER_SHAPE_KEYS.get(shape, ()):
+        if key in dom:
+            raise ConfigError(f"[domain] key {key!r} does not apply to shape {shape!r}")
+    d1 = dom.pop("d1", None)
+    domain = _build("domain", DomainSpec, dom)
+    actions = _build("actions", ActionSets, _section(parser, "actions"))
+    coefficients = _coefficients(parser["coefficients"], actions)
+    constants = _section(parser, "constants")
     try:
-        a_labels = _labels(parser["actions"]["alpha"])
-        b_labels = _labels(parser["actions"]["beta"])
-    except KeyError as exc:
-        raise ConfigError(f"bad [actions] section: missing {exc}") from exc
-    coeff = parser["coefficients"]
-    sigma = _coefficient_table(coeff, "sigma", a_labels, b_labels, parse_matrix)
-    b = _coefficient_table(coeff, "b", a_labels, b_labels, parse_vector)
-    c = _coefficient_table(coeff, "c", a_labels, b_labels, parse_scalar)
-    f = _coefficient_table(coeff, "f", a_labels, b_labels, parse_scalar)
-    if "g" not in coeff:
-        raise ConfigError("missing coefficient 'g'")
-    try:
-        g = parse_scalar(coeff["g"])
-    except ValueError as exc:
-        raise ConfigError(f"bad value for 'g': {exc}") from exc
-    const = parser["constants"]
-    try:
-        problem = GameProblem(
-            actions=ActionSets(a_labels, b_labels),
+        return GameProblem(
+            actions=actions,
             domain=domain,
-            sigma=sigma,
-            b=b,
-            c=c,
-            f=f,
-            g=g,
-            K0=const.getfloat("k0"),
-            delta=const.getfloat("delta"),
-            delta1=const.getfloat("delta1", fallback=0.5),
-            K1=const.getfloat("k1", fallback=1.0),
             d=domain.dimension,
-            d1=d1,
+            d1=domain.dimension if d1 is None else d1,
+            **coefficients,
+            **constants,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad problem definition: {exc}") from exc
-    return problem
-
-
-def _solve_config(parser) -> SolveConfig:
-    if "solve" not in parser:
-        return SolveConfig()
-    sec = parser["solve"]
-    for key in sec:
-        if key not in ("max_policy_iters", "residual_tol"):
-            raise ConfigError(
-                f"unknown key {key!r} in [solve]; accepted keys are max_policy_iters and residual_tol"
-            )
-    base = SolveConfig()
-    try:
-        return SolveConfig(
-            max_policy_iters=sec.getint("max_policy_iters", fallback=base.max_policy_iters),
-            residual_tol=sec.getfloat("residual_tol", fallback=base.residual_tol),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad [solve] section: {exc}") from exc
-
-
-def _sim_config(parser) -> SimConfig:
-    base = SimConfig()
-    if "sim" not in parser:
-        return base
-    sec = parser["sim"]
-    if "seed" in sec:
-        raise ConfigError("[sim] takes no seed; the Monte Carlo seed is [experiment] seed")
-    for key in sec:
-        if key not in ("dt", "t_max", "n_paths"):
-            raise ConfigError(f"unknown key {key!r} in [sim]; accepted keys are dt, t_max and n_paths")
-    try:
-        return SimConfig(
-            dt=sec.getfloat("dt", fallback=base.dt),
-            t_max=sec.getfloat("t_max", fallback=base.t_max),
-            n_paths=sec.getint("n_paths", fallback=base.n_paths),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad [sim] section: {exc}") from exc
-
-
-def _pucci(parser, d: int) -> PucciParams:
-    if "pucci" not in parser:
-        return PucciParams.build(d, delta_hat=0.5)
-    sec = parser["pucci"]
-    try:
-        return PucciParams.build(
-            d,
-            delta_hat=sec.getfloat("delta_hat", fallback=0.5),
-            gradient_bound=sec.getfloat("gradient_bound", fallback=0.0),
-            zero_order=sec.getfloat("zero_order", fallback=0.0),
-            n_rotations=sec.getint("rotations", fallback=16),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad [pucci] section: {exc}") from exc
-
-
-def _variant_params(parser) -> VariantParams:
-    base = VariantParams()
-    if "variants" not in parser:
-        return base
-    sec = parser["variants"]
-    try:
-        return VariantParams(
-            pi_scale=sec.getfloat("pi_scale", fallback=base.pi_scale),
-            r_low=sec.getfloat("r_low", fallback=base.r_low),
-            r_high=sec.getfloat("r_high", fallback=base.r_high),
-            rotation=sec.get("rotation", fallback=base.rotation),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad [variants] section: {exc}") from exc
 
 
 def load_experiment(path) -> ExperimentConfig:
     """Build the full experiment configuration from an INI file."""
     parser = _read(path)
     problem = _problem_from_parser(parser)
-    sec = parser["experiment"] if "experiment" in parser else {}
-    try:
-        if "points" in sec:
-            points = tuple(_floats(p) for p in sec["points"].split(";") if p.strip())
-        else:
-            lo, up = problem.domain.bounding_box()
-            mid = (np.asarray(lo) + np.asarray(up)) / 2.0
-            points = (tuple(float(v) for v in mid),)
-        variants = (
-            tuple(v.strip() for v in sec["variants"].split(",") if v.strip())
-            if "variants" in sec
-            else ("baseline", "time_change", "girsanov", "rotated_noise", "combined")
-        )
-        K_list = _floats(sec["k_list"]) if "k_list" in sec else (1, 2, 4, 8, 16, 32, 64)
-        get = sec.get if hasattr(sec, "get") else (lambda *a, **k: None)
-        h = float(get("h", 1 / 128) or 1 / 128)
-        seed = int(get("seed", 0) or 0)
-        z_threshold = float(get("z_threshold", 3.0) or 3.0)
-        budget_h2 = float(get("budget_h2", 4.0) or 4.0)
-        budget_sqrt_dt = float(get("budget_sqrt_dt", 0.65) or 0.65)
-        return ExperimentConfig(
-            problem=problem,
-            points=points,
-            variants=variants,
-            variant_params=_variant_params(parser),
-            sim=_sim_config(parser),
-            solve=_solve_config(parser),
-            h=h,
-            pucci=_pucci(parser, problem.d),
-            K_list=tuple(K_list),
-            seed=seed,
-            z_threshold=z_threshold,
-            budget_h2=budget_h2,
-            budget_sqrt_dt=budget_sqrt_dt,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad [experiment] section: {exc}") from exc
+    kwargs = _section(parser, "experiment")
+    if "points" not in kwargs:
+        lo, up = problem.domain.bounding_box()
+        mid = (np.asarray(lo) + np.asarray(up)) / 2.0
+        kwargs["points"] = (tuple(float(v) for v in mid),)
+    return _build("experiment", ExperimentConfig, dict(
+        problem=problem,
+        variant_params=_build("variants", VariantParams, _section(parser, "variants")),
+        sim=_build("sim", SimConfig, _section(parser, "sim")),
+        solve=_build("solve", SolveConfig, _section(parser, "solve")),
+        pucci=_build("pucci", partial(PucciParams.build, problem.d), _section(parser, "pucci")),
+        **kwargs,
+    ))

@@ -55,6 +55,17 @@ class VariantParams:
     r_high: float = 1.4
     rotation: str = "flip"  # "flip" or an angle in radians for d1 >= 2
 
+    def __post_init__(self):
+        if self.rotation != "flip":
+            try:
+                angle = float(self.rotation)
+            except (TypeError, ValueError):
+                angle = math.nan
+            if not math.isfinite(angle):
+                raise ValueError(
+                    f"rotation must be 'flip' or an angle in radians, not {self.rotation!r}"
+                )
+
 
 def build_variant_spec(
     problem: GameProblem, name: str, params: VariantParams = VariantParams()
@@ -374,7 +385,7 @@ def run_vk_convergence(
 ) -> VkConvergenceReport:
     """Penalized-solution gap study with an MC cross-check at min and max K."""
     problem = config.problem
-    pucci = config.pucci or PucciParams.build(problem.d, delta_hat=0.5)
+    pucci = config.pucci or PucciParams.build(problem.d)
     K_list = list(config.K_list)
     rate, plain, penalized = _penalty_sweep(
         problem, pucci, problem.g, K_list, config.solve, config.h

@@ -67,7 +67,7 @@ class PucciParams:
     @staticmethod
     def build(
         d: int,
-        delta_hat: float,
+        delta_hat: float = 0.5,
         gradient_bound: float = 0.0,
         zero_order: float = 0.0,
         n_rotations: int = 16,

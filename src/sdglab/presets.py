@@ -129,4 +129,4 @@ def holder_game(exponent: float = 0.4, amplitude: float = -6.0) -> GameProblem:
 
 
 def default_pucci(d: int = 1) -> PucciParams:
-    return PucciParams.build(d, delta_hat=0.5)
+    return PucciParams.build(d)

@@ -9,6 +9,7 @@ from sdglab.config import ConfigError, load_experiment, load_problem
 from sdglab.pde import IsaacsSolver
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+BUNDLED = sorted(CONFIGS.glob("*.cfg")) + [CONFIGS.parent / "sdgbench" / "box2d.cfg"]
 
 MINIMAL = """\
 [domain]
@@ -126,11 +127,39 @@ def test_coefficient_override_precedence(tmp_path):
         lambda t: t.replace("shape = box", "shape = torus"),
         lambda t: t.replace("sigma = 1.4142135623730951", "sigma = spam"),
         lambda t: t.replace("alpha = a0", "alpha ="),
+        # keys that nothing reads
+        lambda t: t.replace("upper = 1.0", "upper = 1.0\nnoise_dimnesion = 1"),
+        lambda t: t.replace("upper = 1.0", "upper = 1.0\ncenter = 0.5"),
+        lambda t: t.replace("delta = 0.5", "delta = 0.5\nkl = 9"),
+        lambda t: t.replace("f = 1.0", "f = 1.0\nf.a7 = 3.0"),
+        lambda t: t.replace("f = 1.0", "f = 1.0\nfx = 1"),
+        lambda t: t.replace("g = 0.0", "g = 0.0\ng.a0 = 1.0"),
     ],
 )
 def test_malformed_problem_raises(tmp_path, mutate):
     with pytest.raises(ConfigError):
         load_problem(_write(tmp_path, mutate(MINIMAL)))
+
+
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        ("[experiment]\nsead = 3\n", "sead"),
+        ("[variants]\nr_hgh = 2\n", "r_hgh"),
+        ("[pucci]\ndelta_hta = 0.4\n", "delta_hta"),
+        ("[simulation]\ndt = 1e-3\n", "simulation"),
+        ("[variants]\nrotation = flop\n", "flop"),
+    ],
+    ids=["experiment", "variants", "pucci", "section", "rotation"],
+)
+def test_unknown_experiment_name_raises(tmp_path, text, name):
+    with pytest.raises(ConfigError, match=name):
+        load_experiment(_write(tmp_path, MINIMAL + "\n" + text))
+
+
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.name)
+def test_bundled_config_loads(path):
+    assert load_experiment(path).problem.d >= 1
 
 
 def test_missing_file_and_bad_points(tmp_path):
@@ -144,6 +173,10 @@ def test_missing_file_and_bad_points(tmp_path):
 def test_cli_usage_errors(tmp_path):
     assert main(["validate", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert main(["warp", "--config", "x"]) == 2
+    # each stage takes only the flags it reads
+    cfg = str(CONFIGS / "analytic.cfg")
+    assert main(["solve", "--config", cfg, "--paths", "5"]) == 2
+    assert main(["simulate", "--config", cfg, "--grid-h", "9"]) == 2
     assert main(["--help"]) == 0
 
 

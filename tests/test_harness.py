@@ -56,6 +56,9 @@ def test_variant_noise_orthogonal_2d():
     assert np.allclose(np.einsum("abij,abkj->abik", q, q), eye[None, None])
     assert np.allclose(q[0, 0], eye)
     assert not np.allclose(q[0, 1], eye)
+    # the rotation is checked when the params are built, not when a d1 >= 2 spec needs it
+    with pytest.raises(ValueError, match="flop"):
+        VariantParams(rotation="flop")
 
 
 def test_estimate_value_singleton_equals_plain_mean(analytic_problem):
