@@ -41,7 +41,6 @@ from .model import (
 )
 from .pde import (
     IsaacsSolver,
-    PenalizedSolver,
     PucciParams,
     RateReport,
     SolveConfig,
@@ -51,8 +50,6 @@ from .pde import (
     evaluate_P,
     extend_problem,
     h_mono,
-    solve_isaacs,
-    solve_penalized,
 )
 from .policies import (
     BangBangPolicy,
@@ -65,7 +62,6 @@ from .policies import (
     OccupancyPolicy,
     build_alpha_selector,
     build_beta_selector,
-    make_feedback_policy,
     submartingale_test,
     supermartingale_test,
 )

@@ -20,9 +20,10 @@ from .config import ConfigError, load_experiment
 from .grids import DomainGrid
 from .harness import build_variant_spec, run_invariance_suite, run_vk_convergence
 from .model import validate_problem
-from .pde import IsaacsSolver, PenalizedSolver
+from .pde import IsaacsSolver, extend_problem
 from .policies import ConstantPolicy, ConstantResponder
 from .simulate import (
+    VARIANTS,
     ControlAdaptedSpec,
     girsanov_martingale_check,
     increment_bound_study,
@@ -39,7 +40,7 @@ _FLAGS = {
     "--dt": ({"type": float, "help": "override [sim] dt"}, "sim.dt"),
     "--grid-h": ({"type": float, "help": "override [experiment] h"}, "h"),
     "--K": ({"type": float, "help": "penalty constant (default: the largest k_list entry)"}, None),
-    "--variant": ({"default": "baseline", "help": "variant to simulate"}, None),
+    "--variant": ({"default": "baseline", "choices": VARIANTS, "help": "variant to simulate"}, None),
     "--dump-paths": ({"action": "store_true", "help": "write per-path CSV"}, None),
     "--lags": ({"default": "4,8,16,32", "help": "comma-separated lag parameters n"}, None),
 }
@@ -59,26 +60,16 @@ def _stage_validate(cfg, args, out_dir: Path) -> int:
 
 
 def _stage_solve(cfg, args, out_dir: Path) -> int:
-    solver = IsaacsSolver(h=cfg.h, cfg=cfg.solve)
-    solver.fit(cfg.problem)
+    """Solve the game, or for ``penalize`` the game extended by the penalty actions."""
+    problem, name, lines = cfg.problem, "value.csv", []
+    if args.stage == "penalize":
+        K = args.K if args.K is not None else max(cfg.K_list)
+        problem = extend_problem(problem, cfg.pucci, K)
+        name, lines = f"value_K{K:g}.csv", [f"K: {K:g}"]
+    solver = IsaacsSolver(h=cfg.h, cfg=cfg.solve).fit(problem)
     out_dir.mkdir(parents=True, exist_ok=True)
-    solver.value_.to_csv(out_dir / "value.csv")
-    lines = [f"residual: {solver.residual_:.6e}", f"policy iterations: {solver.n_iter_}"]
-    for pt in cfg.points:
-        val = float(solver.predict(np.asarray(pt)[None, :])[0])
-        lines.append("value(" + ",".join(f"{v:g}" for v in pt) + f") = {val:.10f}")
-    _write(out_dir, "summary.txt", "\n".join(lines))
-    print("\n".join(lines))
-    return 0 if solver.residual_ <= cfg.solve.residual_tol else 1
-
-
-def _stage_penalize(cfg, args, out_dir: Path) -> int:
-    K = args.K if args.K is not None else max(cfg.K_list)
-    solver = PenalizedSolver(K=K, pucci=cfg.pucci, h=cfg.h, cfg=cfg.solve)
-    solver.fit(cfg.problem)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    solver.value_.to_csv(out_dir / f"value_K{K:g}.csv")
-    lines = [f"K: {K:g}", f"residual: {solver.residual_:.6e}"]
+    solver.value_.to_csv(out_dir / name)
+    lines += [f"residual: {solver.residual_:.6e}", f"policy iterations: {solver.n_iter_}"]
     for pt in cfg.points:
         val = float(solver.predict(np.asarray(pt)[None, :])[0])
         lines.append("value(" + ",".join(f"{v:g}" for v in pt) + f") = {val:.10f}")
@@ -180,7 +171,7 @@ _MC = ("--seed", "--paths", "--dt")
 _STAGES = {
     "validate": (_stage_validate, ("--grid-h",)),
     "solve": (_stage_solve, ("--grid-h",)),
-    "penalize": (_stage_penalize, ("--grid-h", "--K")),
+    "penalize": (_stage_solve, ("--grid-h", "--K")),
     "simulate": (_stage_simulate, (*_MC, "--variant", "--dump-paths")),
     "invariance": (_stage_invariance, (*_MC, "--grid-h")),
     "converge": (_stage_converge, (*_MC, "--grid-h")),

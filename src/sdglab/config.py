@@ -103,7 +103,8 @@ _OTHER_SHAPE_KEYS = {"box": ("center", "radius"), "ball": ("lower", "upper")}
 
 
 def _read(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # no interpolation: a '%' in a value is read as text, not as a reference
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         with open(path) as fh:
             parser.read_file(fh)

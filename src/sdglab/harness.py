@@ -190,6 +190,11 @@ class ExperimentConfig:
     budget_sqrt_dt: float = 0.65
 
     def __post_init__(self):
+        unknown = [v for v in self.variants if v not in VARIANTS]
+        if unknown:
+            raise ValueError(
+                f"unknown variant {unknown[0]!r}; known variants are {', '.join(VARIANTS)}"
+            )
         for p in self.points:
             if not self.problem.domain.contains(np.asarray(p, dtype=float)[None, :])[0]:
                 raise ValueError(f"evaluation point {p} is not interior to the domain")

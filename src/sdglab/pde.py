@@ -9,12 +9,16 @@ all action pairs.  The sup-inf equation is solved by Howard's algorithm:
 freeze the per-node argmax/argmin pair, solve the resulting M-matrix
 system exactly with a sparse direct solver, repeat until the sup-inf
 residual is small.
+
+``IsaacsSolver`` is the one solve path.  The curvature-penalized equation
+max(H[u], P[u] - K) = 0 is the same sup-inf equation over a larger leader
+set: fit ``IsaacsSolver`` on ``extend_problem(problem, pucci, K)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,12 +35,9 @@ __all__ = [
     "discrete_L",
     "evaluate_H",
     "evaluate_P",
-    "solve_isaacs",
-    "solve_penalized",
     "extend_problem",
     "convergence_study",
     "IsaacsSolver",
-    "PenalizedSolver",
 ]
 
 
@@ -276,7 +277,7 @@ def _matrix_sqrt(m: np.ndarray, d1: int) -> np.ndarray:
     return out
 
 
-def evaluate_P(pucci: PucciParams, u: ValueField, problem: GameProblem | None = None) -> ValueField:
+def evaluate_P(pucci: PucciParams, u: ValueField) -> ValueField:
     """Max over the ray set of the constant-coefficient operators applied to u."""
     grid = u.grid
     m = int(grid.interior.sum())
@@ -325,23 +326,21 @@ def _policy_iteration(disc: Discretization, u: np.ndarray, cfg: SolveConfig):
     return ia_pol, ib_pol, residual, it
 
 
-def solve_isaacs(
-    problem: GameProblem,
-    g_boundary=None,
-    cfg: SolveConfig = SolveConfig(),
-    h: float = 1 / 128,
-    grid: DomainGrid | None = None,
-) -> ValueField:
-    """Solve the sup-inf equation with Dirichlet data; see IsaacsSolver."""
-    solver = IsaacsSolver(h=h, cfg=cfg)
-    solver.fit(problem, g_boundary, grid=grid)
-    return solver.value_
+class IsaacsSolver:
+    """Estimator-style wrapper: fit a game problem, predict interpolated values.
 
+    Parameters follow the scikit-learn convention (``get_params`` /
+    ``set_params``).  After ``fit`` the solved grid function is in
+    ``value_``, the final per-node saddle policy in ``policy_alpha_`` /
+    ``policy_beta_`` (indexed like the interior nodes), the sup-inf
+    residual in ``residual_`` and the operators in ``discretization_``.
+    """
 
-class _ParamsMixin:
-    """Minimal scikit-learn-compatible parameter handling."""
+    _param_names = ("h", "cfg")
 
-    _param_names: tuple[str, ...] = ()
+    def __init__(self, h: float = 1 / 128, cfg: SolveConfig = SolveConfig()):
+        self.h = h
+        self.cfg = cfg
 
     def get_params(self, deep: bool = True) -> dict:
         return {name: getattr(self, name) for name in self._param_names}
@@ -356,22 +355,6 @@ class _ParamsMixin:
     def __repr__(self):
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({args})"
-
-
-class IsaacsSolver(_ParamsMixin):
-    """Estimator-style wrapper: fit a game problem, predict interpolated values.
-
-    After ``fit`` the solved grid function is in ``value_``, the final
-    per-node saddle policy in ``policy_alpha_`` / ``policy_beta_`` (indexed
-    like the interior nodes), the sup-inf residual in ``residual_`` and
-    the operators in ``discretization_``.
-    """
-
-    _param_names = ("h", "cfg")
-
-    def __init__(self, h: float = 1 / 128, cfg: SolveConfig = SolveConfig()):
-        self.h = h
-        self.cfg = cfg
 
     def fit(self, problem: GameProblem, g_boundary=None, grid: DomainGrid | None = None):
         if grid is None:
@@ -398,63 +381,15 @@ class IsaacsSolver(_ParamsMixin):
         return self.value_.interpolate(x)
 
 
-class PenalizedSolver(_ParamsMixin):
-    """Solver for the curvature-penalized equation max(H[u], P[u] - K) = 0.
-
-    Realized as the plain sup-inf solver over the action set extended by
-    one penalty action per ray, each carrying the ray's constant
-    coefficients and running cost -K.
-    """
-
-    _param_names = ("K", "pucci", "h", "cfg")
-
-    def __init__(
-        self,
-        K: float,
-        pucci: PucciParams,
-        h: float = 1 / 128,
-        cfg: SolveConfig = SolveConfig(),
-    ):
-        self.K = K
-        self.pucci = pucci
-        self.h = h
-        self.cfg = cfg
-
-    def fit(self, problem: GameProblem, g_boundary=None, grid: DomainGrid | None = None):
-        if self.K < 0:
-            raise ValueError("penalty constant K must be nonnegative")
-        ext = extend_problem(problem, self.pucci, self.K)
-        inner = IsaacsSolver(h=self.h, cfg=self.cfg)
-        inner.fit(ext, g_boundary if g_boundary is not None else problem.g, grid=grid)
-        self.problem_ = problem
-        self.grid_ = inner.grid_
-        self.value_ = inner.value_
-        self.policy_alpha_ = inner.policy_alpha_
-        self.policy_beta_ = inner.policy_beta_
-        self.residual_ = inner.residual_
-        self.n_iter_ = inner.n_iter_
-        return self
-
-    def predict(self, x) -> np.ndarray:
-        return self.value_.interpolate(x)
-
-
-def solve_penalized(
-    problem: GameProblem,
-    pucci: PucciParams,
-    K: float,
-    g_boundary=None,
-    cfg: SolveConfig = SolveConfig(),
-    h: float = 1 / 128,
-    grid: DomainGrid | None = None,
-) -> ValueField:
-    solver = PenalizedSolver(K=K, pucci=pucci, h=h, cfg=cfg)
-    solver.fit(problem, g_boundary, grid=grid)
-    return solver.value_
-
-
 def extend_problem(problem: GameProblem, pucci: PucciParams, K: float) -> GameProblem:
-    """Append one penalty action per ray; their coefficients ignore beta and x."""
+    """Append one penalty action per ray; their coefficients ignore beta and x.
+
+    Each penalty action carries its ray's constant coefficients and the
+    running cost -K, so the sup-inf solution of the extended problem
+    solves max(H[u], P[u] - K) = 0.
+    """
+    if K < 0:
+        raise ValueError("penalty constant K must be nonnegative")
     if problem.actions.n_alpha2:
         raise ValueError("problem already carries penalty actions")
     nb = problem.n_beta

@@ -1,21 +1,22 @@
 """Near-optimal selectors and causal feedback policies.
 
 From a solved (or super/subsolution) grid function, a selector tabulates
-per node the least-index action satisfying the defining slack inequality;
-wrapping it with a grid-time lag gives the causal feedback strategies
-whose discounted value processes are super- or submartingales up to an
-epsilon compensator.  That drift property is what the Monte Carlo test
-at the bottom estimates.
+per node the least-index action satisfying the defining slack inequality:
+one table, indexed by node for the leader and by (leader action, node)
+for the responder.  Wrapping it with a grid-time lag gives the causal
+feedback strategies whose discounted value processes are super- or
+submartingales up to an epsilon compensator.  That drift property is what
+the Monte Carlo test at the bottom estimates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import ValueField
+from .grids import DomainGrid, ValueField
 from .model import GameProblem
 from .pde import Discretization
 from .simulate import ControlAdaptedSpec, SimConfig, _run_ensemble
@@ -31,7 +32,6 @@ __all__ = [
     "CandidateControlSet",
     "build_beta_selector",
     "build_alpha_selector",
-    "make_feedback_policy",
     "MartingaleTestReport",
     "supermartingale_test",
     "submartingale_test",
@@ -42,73 +42,63 @@ __all__ = [
 class MarkovSelector:
     """Tabulated feedback actions on the grid nodes.
 
-    ``beta_table`` has shape (nA, N) for the responder role, ``alpha_table``
-    shape (N,) for the leader role; only one of the two is meaningful
-    depending on ``role``.  Outside the domain the fixed default action is
-    used.
+    ``table`` holds one action per node: shape (N,) for a leader selector,
+    (nA, N) for a responder selector, whose row ``ia`` answers the leader
+    action ``ia``.  ``margins`` has the same shape and holds the slack of
+    the chosen action.  Outside the domain the default action 0 is played.
     """
 
-    role: str  # "beta" or "alpha"
-    grid: object
-    domain: object
-    epsilon: float
-    beta_table: np.ndarray | None = None
-    alpha_table: np.ndarray | None = None
-    margins: np.ndarray | None = None
-    default_action: int = 0
-    value_field: ValueField | None = None
+    grid: DomainGrid
+    table: np.ndarray
+    margins: np.ndarray
+
+    default_action = 0
+
+    @property
+    def role(self) -> str:
+        """``"beta"`` for a responder table, ``"alpha"`` for a leader table."""
+        return "beta" if self.table.ndim == 2 else "alpha"
 
     def beta_at(self, ia: np.ndarray, x: np.ndarray) -> np.ndarray:
         if self.role != "beta":
             raise ValueError("selector does not carry a beta table")
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self._default_outside(x, self.beta_table[np.asarray(ia, dtype=int), self.grid.nearest_node(x)])
+        return self._default_outside(x, self.table[np.asarray(ia, dtype=int), self.grid.nearest_node(x)])
 
     def alpha_at(self, x: np.ndarray) -> np.ndarray:
         if self.role != "alpha":
             raise ValueError("selector does not carry an alpha table")
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self._default_outside(x, self.alpha_table[self.grid.nearest_node(x)])
+        return self._default_outside(x, self.table[self.grid.nearest_node(x)])
 
     def _default_outside(self, x: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        inside = self.domain.contains(x)
+        inside = self.grid.domain.contains(x)
         return actions if inside.all() else np.where(inside, actions, self.default_action)
 
     def to_csv(self, path) -> None:
-        g = self.grid
-        mask = g.in_closure
-        coords = g.coords[mask]
+        mask = self.grid.in_closure
+        coords = self.grid.coords[mask]
+        head = [f"x{i + 1}" for i in range(coords.shape[1])]
+        if self.role == "beta":
+            head += [f"beta_for_alpha{a}" for a in range(self.table.shape[0])]
+        else:
+            head.append("alpha")
         with open(path, "w") as fh:
-            if self.role == "beta":
-                na = self.beta_table.shape[0]
-                head = ",".join(f"x{i + 1}" for i in range(coords.shape[1]))
-                head += "," + ",".join(f"beta_for_alpha{a}" for a in range(na))
-                fh.write(head + "\n")
-                for row, accs in zip(coords, self.beta_table[:, mask].T):
-                    fh.write(
-                        ",".join(f"{v:.17g}" for v in row)
-                        + ","
-                        + ",".join(str(int(a)) for a in accs)
-                        + "\n"
-                    )
-            else:
-                fh.write(
-                    ",".join(f"x{i + 1}" for i in range(coords.shape[1])) + ",alpha\n"
-                )
-                for row, a in zip(coords, self.alpha_table[mask]):
-                    fh.write(",".join(f"{v:.17g}" for v in row) + f",{int(a)}\n")
+            fh.write(",".join(head) + "\n")
+            for row, acts in zip(coords, np.atleast_2d(self.table)[:, mask].T):
+                fh.write(",".join([f"{v:.17g}" for v in row] + [str(int(a)) for a in acts]) + "\n")
 
 
 def build_beta_selector(problem: GameProblem, u_hat: ValueField, epsilon: float) -> MarkovSelector:
     """Least-index responder with L u_hat + f <= epsilon per (alpha, node)."""
     disc = Discretization.from_problem(problem, u_hat.grid)
-    return _beta_selector(problem, disc, disc.hamiltonians(u_hat.values), u_hat, epsilon)
+    return _beta_selector(disc, disc.hamiltonians(u_hat.values), epsilon)
 
 
 def build_alpha_selector(problem: GameProblem, u_check: ValueField, epsilon: float) -> MarkovSelector:
     """Least-index leader with min over beta of L u_check + f >= -epsilon per node."""
     disc = Discretization.from_problem(problem, u_check.grid)
-    return _alpha_selector(problem, disc, disc.hamiltonians(u_check.values), u_check, epsilon)
+    return _alpha_selector(disc, disc.hamiltonians(u_check.values), epsilon)
 
 
 def _feedback_selectors(solver, epsilon: float) -> tuple[MarkovSelector, MarkovSelector]:
@@ -117,19 +107,33 @@ def _feedback_selectors(solver, epsilon: float) -> tuple[MarkovSelector, MarkovS
     Both reuse the solver's discretization and one evaluation of the
     Hamiltonians, instead of assembling the operators again.
     """
-    disc, u = solver.discretization_, solver.value_
-    ham = disc.hamiltonians(u.values)
-    return (
-        _beta_selector(solver.problem_, disc, ham, u, epsilon),
-        _alpha_selector(solver.problem_, disc, ham, u, epsilon),
-    )
+    disc = solver.discretization_
+    ham = disc.hamiltonians(solver.value_.values)
+    return _beta_selector(disc, ham, epsilon), _alpha_selector(disc, ham, epsilon)
 
 
-def _beta_selector(problem, disc, ham, u_hat, epsilon) -> MarkovSelector:
+def _least_index(
+    disc: Discretization, values: np.ndarray, feasible: np.ndarray, slack: float
+) -> MarkovSelector:
+    """Selector of the first feasible action along axis -2 at each interior node.
+
+    ``values`` and ``feasible`` have the interior nodes of ``disc`` on
+    their last axis; the margin is the chosen value plus ``slack``.  Nodes
+    off the interior keep action 0 and margin 0.
+    """
+    choice = feasible.argmax(axis=-2)
+    picked = np.take_along_axis(values, choice[..., None, :], axis=-2)[..., 0, :]
+    table = np.zeros(choice.shape[:-1] + (disc.grid.n_nodes,), dtype=int)
+    margins = np.zeros(table.shape)
+    table[..., disc.idx] = choice
+    margins[..., disc.idx] = picked + slack
+    return MarkovSelector(grid=disc.grid, table=table, margins=margins)
+
+
+def _beta_selector(disc: Discretization, ham: np.ndarray, epsilon: float) -> MarkovSelector:
     """``ham``: L u_hat + f per pair and interior node of ``disc``, (nA_ext, nB, m)."""
     if epsilon <= 0:
         raise ValueError("slack epsilon must be positive")
-    grid = u_hat.grid
     # sup-inf over the full (possibly penalty-extended) leader set
     worst = float(ham.min(axis=1).max(axis=0).max())
     if worst >= epsilon:
@@ -137,64 +141,32 @@ def _beta_selector(problem, disc, ham, u_hat, epsilon) -> MarkovSelector:
             f"u_hat is not a discrete supersolution at slack {epsilon}: "
             f"max H = {worst:.3g}"
         )
-    na = problem.n_alpha
-    n_nodes = grid.n_nodes
-    beta_table = np.zeros((problem.n_alpha_ext, n_nodes), dtype=int)
-    margins = np.zeros((problem.n_alpha_ext, n_nodes))
-    for ia in range(problem.n_alpha_ext):
-        vals = ham[ia]  # (nB, m)
-        feas = vals <= epsilon
-        if not feas.any(axis=0).all():
-            bad = disc.idx[~feas.any(axis=0)][0]
-            best = float(vals.min(axis=0)[~feas.any(axis=0)][0])
-            raise ValueError(
-                f"no feasible responder action at node {bad} for alpha {ia}: "
-                f"best margin {best - epsilon:.3g}"
-            )
-        choice = feas.argmax(axis=0)  # first feasible index
-        beta_table[ia, disc.idx] = choice
-        margins[ia, disc.idx] = vals[choice, np.arange(vals.shape[1])] - epsilon
-    return MarkovSelector(
-        role="beta",
-        grid=grid,
-        domain=problem.domain,
-        epsilon=epsilon,
-        beta_table=beta_table,
-        margins=margins,
-        value_field=u_hat,
-    )
+    feasible = ham <= epsilon
+    missing = np.argwhere(~feasible.any(axis=1))
+    if missing.size:
+        ia, k = missing[0]
+        raise ValueError(
+            f"no feasible responder action at node {disc.idx[k]} for alpha {ia}: "
+            f"best margin {float(ham[ia, :, k].min()) - epsilon:.3g}"
+        )
+    return _least_index(disc, ham, feasible, -epsilon)
 
 
-def _alpha_selector(problem, disc, ham, u_check, epsilon) -> MarkovSelector:
+def _alpha_selector(disc: Discretization, ham: np.ndarray, epsilon: float) -> MarkovSelector:
     if epsilon <= 0:
         raise ValueError("slack epsilon must be positive")
-    grid = u_check.grid
-    worst = float(ham.min(axis=1).max(axis=0).min())
+    minvals = ham.min(axis=1)  # (nA_ext, m)
+    worst = float(minvals.max(axis=0).min())
     if worst <= -epsilon:
         raise ValueError(
             f"u_check is not a discrete subsolution at slack {epsilon}: "
             f"min H = {worst:.3g}"
         )
-    minvals = ham.min(axis=1)  # (nA_ext, m)
-    feas = minvals >= -epsilon
-    if not feas.any(axis=0).all():
-        bad = disc.idx[~feas.any(axis=0)][0]
-        raise ValueError(f"no feasible leader action at node {bad}")
-    choice = feas.argmax(axis=0)
-    n_nodes = grid.n_nodes
-    alpha_table = np.zeros(n_nodes, dtype=int)
-    alpha_table[disc.idx] = choice
-    margins = np.zeros(n_nodes)
-    margins[disc.idx] = minvals[choice, np.arange(minvals.shape[1])] + epsilon
-    return MarkovSelector(
-        role="alpha",
-        grid=grid,
-        domain=problem.domain,
-        epsilon=epsilon,
-        alpha_table=alpha_table,
-        margins=margins,
-        value_field=u_check,
-    )
+    feasible = minvals >= -epsilon
+    missing = np.flatnonzero(~feasible.any(axis=0))
+    if missing.size:
+        raise ValueError(f"no feasible leader action at node {disc.idx[missing[0]]}")
+    return _least_index(disc, minvals, feasible, epsilon)
 
 
 class ConstantPolicy:
@@ -263,46 +235,38 @@ class ConstantResponder:
         return np.full(np.shape(ia), self.action)
 
 
-class FeedbackAlphaPolicy:
-    """Leader feedback from an alpha selector, state frozen at the lag grid."""
+class _FeedbackPolicy:
+    """Feedback from a selector of the class's ``role``; the simulator
+    freezes the state argument at the last lag-grid time."""
+
+    role = ""
 
     def __init__(self, selector: MarkovSelector, lag_n: int = 0):
-        if selector.role != "alpha":
-            raise ValueError("needs an alpha selector")
+        if selector.role != self.role:
+            raise ValueError(f"needs a selector of role {self.role!r}, not {selector.role!r}")
         if lag_n < 0:
             raise ValueError("lag must be nonnegative")
         self.selector = selector
         self.lag_n = int(lag_n)
-        self.name = "feedback_alpha"
+        self.name = f"feedback_{self.role}"
+
+
+class FeedbackAlphaPolicy(_FeedbackPolicy):
+    """Leader feedback from an alpha selector."""
+
+    role = "alpha"
 
     def select(self, k, t, x):
         return self.selector.alpha_at(x)
 
 
-class FeedbackBetaPolicy:
-    """Responder feedback: action tracks the current opponent action while
-    the state argument stays frozen at the last lag-grid time."""
+class FeedbackBetaPolicy(_FeedbackPolicy):
+    """Responder feedback: the action tracks the current opponent action."""
 
-    def __init__(self, selector: MarkovSelector, lag_n: int = 0):
-        if selector.role != "beta":
-            raise ValueError("needs a beta selector")
-        if lag_n < 0:
-            raise ValueError("lag must be nonnegative")
-        self.selector = selector
-        self.lag_n = int(lag_n)
-        self.name = "feedback_beta"
+    role = "beta"
 
     def respond(self, ia, k, t, x):
         return self.selector.beta_at(ia, x)
-
-
-def make_feedback_policy(selector: MarkovSelector, n: int):
-    """Wrap a selector as a causal policy reading the state at kappa_n(t)."""
-    if n < 1:
-        raise ValueError("lag parameter n must be at least 1")
-    if selector.role == "beta":
-        return FeedbackBetaPolicy(selector, lag_n=n)
-    return FeedbackAlphaPolicy(selector, lag_n=n)
 
 
 @dataclass

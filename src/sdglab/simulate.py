@@ -370,6 +370,13 @@ def _distinct(objs):
     return uniq, idx
 
 
+def _start_point(problem: GameProblem, x0) -> np.ndarray:
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if not problem.domain.contains(x0[None, :])[0]:
+        raise ValueError("starting point must lie inside the domain")
+    return x0
+
+
 def _run_ensemble(
     problem: GameProblem,
     lanes,
@@ -389,12 +396,7 @@ def _run_ensemble(
     of a run of that lane alone.  Returns one batch per lane and the
     extras over all stacked rows.
     """
-    starts = []
-    for _, x0, _ in lanes:
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        if not problem.domain.contains(x0[None, :])[0]:
-            raise ValueError("starting point must lie inside the domain")
-        starts.append(x0)
+    starts = [_start_point(problem, x0) for _, x0, _ in lanes]
     n = cfg.n_paths
     n_rows = len(lanes) * n
     dt = cfg.dt
@@ -665,7 +667,7 @@ def pathwise_comparison(
     """
     if np.any(spec.pi_table != 0.0):
         raise ValueError("pathwise comparison requires pi identically zero")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = _start_point(problem, x0)
     n, nb, dt = cfg.n_paths, problem.n_beta, cfg.dt
     kernel = _StepKernel(problem, [spec], dt)
     projection = np.asarray(projection, dtype=int)

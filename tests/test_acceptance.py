@@ -16,7 +16,7 @@ import pytest
 
 from sdglab.cli import main as cli_main
 from sdglab.harness import ExperimentConfig, build_variant_spec, run_invariance_suite, run_vk_convergence
-from sdglab.pde import IsaacsSolver, PucciParams, SolveConfig, convergence_study, extend_problem, solve_isaacs, solve_penalized
+from sdglab.pde import IsaacsSolver, PucciParams, SolveConfig, convergence_study, extend_problem
 from sdglab.policies import (
     ConstantPolicy,
     ConstantResponder,
@@ -65,7 +65,7 @@ def test_criterion_01_analytic_anchor(solved_analytic, analytic_problem):
 def test_criterion_02_scheme_order(analytic_problem):
     errs = []
     for h in (1 / 64, 1 / 128):
-        v = solve_isaacs(analytic_problem, h=h).interpolate([[0.5]])[0]
+        v = IsaacsSolver(h=h).fit(analytic_problem).value_.interpolate([[0.5]])[0]
         errs.append(abs(v - 0.125))
     # quadratic solutions are reproduced to the solver floor at every h,
     # so the ratio test only applies above that floor

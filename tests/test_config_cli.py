@@ -6,7 +6,7 @@ import pytest
 
 from sdglab.cli import main
 from sdglab.config import ConfigError, load_experiment, load_problem
-from sdglab.pde import IsaacsSolver
+from sdglab.pde import IsaacsSolver, extend_problem
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BUNDLED = sorted(CONFIGS.glob("*.cfg")) + [CONFIGS.parent / "sdgbench" / "box2d.cfg"]
@@ -95,7 +95,7 @@ def test_sim_section_keys(tmp_path):
     # the seed belongs to [experiment]; a [sim] seed would be overridden by it
     with pytest.raises(ConfigError, match=r"\[experiment\] seed"):
         load_experiment(_write(tmp_path, MINIMAL + "\n[sim]\nseed = 3\n"))
-    # feedback policies take their lag per policy (make_feedback_policy), not from [sim]
+    # feedback policies take their lag per policy (lag_n), not from [sim]
     for key in ("lag_n", "n_path", "lag", "delta_t"):
         with pytest.raises(ConfigError, match=key):
             load_experiment(_write(tmp_path, MINIMAL + f"\n[sim]\ndt = 1e-3\n{key} = 2\n"))
@@ -149,8 +149,10 @@ def test_malformed_problem_raises(tmp_path, mutate):
         ("[pucci]\ndelta_hta = 0.4\n", "delta_hta"),
         ("[simulation]\ndt = 1e-3\n", "simulation"),
         ("[variants]\nrotation = flop\n", "flop"),
+        ("[experiment]\nseed = 7%\n", "7%"),
+        ("[experiment]\nvariants = basline, girsanov\n", "basline"),
     ],
-    ids=["experiment", "variants", "pucci", "section", "rotation"],
+    ids=["experiment", "variants", "pucci", "section", "rotation", "percent", "variant_name"],
 )
 def test_unknown_experiment_name_raises(tmp_path, text, name):
     with pytest.raises(ConfigError, match=name):
@@ -177,6 +179,12 @@ def test_cli_usage_errors(tmp_path):
     cfg = str(CONFIGS / "analytic.cfg")
     assert main(["solve", "--config", cfg, "--paths", "5"]) == 2
     assert main(["simulate", "--config", cfg, "--grid-h", "9"]) == 2
+    assert main(["simulate", "--config", cfg, "--variant", "basline"]) == 2
+    # a '%' or a misspelt variant in the file is a config error, not a crash
+    # or a failed stage
+    for old, new in (("seed = 7", "seed = 7%"), ("seed = 7", "variants = basline\nseed = 7")):
+        bad = _write(tmp_path, (CONFIGS / "analytic.cfg").read_text().replace(old, new))
+        assert main(["validate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert main(["--help"]) == 0
 
 
@@ -193,6 +201,21 @@ def test_cli_validate_and_solve(tmp_path):
     # h = 1/64 solve of the closed-form problem lands on 0.125 at the center
     line = [l for l in text.splitlines() if l.startswith("value(0.5)")][0]
     assert float(line.split("=")[1]) == pytest.approx(0.125, abs=1e-6)
+
+
+def test_cli_penalize_matches_extended_solve(tmp_path):
+    cfg = CONFIGS / "holder.cfg"
+    out = tmp_path / "pen"
+    argv = ["penalize", "--config", str(cfg), "--K", "4", "--grid-h", "0.03125", "--out", str(out)]
+    assert main(argv) == 0
+    exp = load_experiment(cfg)
+    solver = IsaacsSolver(h=0.03125, cfg=exp.solve).fit(extend_problem(exp.problem, exp.pucci, 4.0))
+    solver.value_.to_csv(tmp_path / "want.csv")
+    assert (out / "value_K4.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert lines[:2] == ["K: 4", f"residual: {solver.residual_:.6e}"]
+    values = [l.split(" = ")[1] for l in lines if l.startswith("value(")]
+    assert values == [f"{float(solver.predict(np.asarray(pt)[None, :])[0]):.10f}" for pt in exp.points]
 
 
 def test_cli_simulate_deterministic_bytes(tmp_path):

@@ -10,7 +10,6 @@ from sdglab.model import ActionSets, DomainSpec, GameProblem
 from sdglab.pde import (
     Discretization,
     IsaacsSolver,
-    PenalizedSolver,
     PucciParams,
     SolveConfig,
     convergence_study,
@@ -19,8 +18,6 @@ from sdglab.pde import (
     evaluate_P,
     extend_problem,
     h_mono,
-    solve_isaacs,
-    solve_penalized,
 )
 from sdglab.presets import holder_game, two_action_game
 
@@ -127,7 +124,7 @@ def test_spacing_guard():
     p = two_action_game()  # K0 = 2.2 -> bound 2*0.5/2.2 = 0.4545
     assert h_mono(p) == pytest.approx(1.0 / 2.2)
     with pytest.raises(ValueError):
-        solve_isaacs(p, h=0.5)
+        IsaacsSolver(h=0.5).fit(p)
 
 
 # --- exact frozen-policy solve -------------------------------------------------
@@ -222,7 +219,7 @@ def test_second_order_refinement_on_quartic_solution():
     p = _problem_1d(_Quartic())
     errors = []
     for h in (1 / 16, 1 / 32):
-        u = solve_isaacs(p, h=h)
+        u = IsaacsSolver(h=h).fit(p).value_
         xs = u.grid.coords[u.grid.in_closure]
         exact = xs[:, 0] ** 2 * (1 - xs[:, 0]) ** 2
         errors.append(float(np.max(np.abs(u.values[u.grid.in_closure] - exact))))
@@ -233,9 +230,9 @@ def test_second_order_refinement_on_quartic_solution():
 
 
 def test_larger_running_cost_gives_larger_solution(analytic_problem):
-    u1 = solve_isaacs(analytic_problem, h=1 / 32)
+    u1 = IsaacsSolver(h=1 / 32).fit(analytic_problem).value_
     p2 = _problem_1d(const_scalar(1.2), K0=2.0)
-    u2 = solve_isaacs(p2, h=1 / 32)
+    u2 = IsaacsSolver(h=1 / 32).fit(p2).value_
     m = u1.grid.in_closure
     assert np.all(u2.values[m] - u1.values[m] >= -1e-9)
 
@@ -257,9 +254,9 @@ def test_game_saddle_uses_both_actions(solved_game):
 def test_penalized_matches_plain_when_penalty_slack(analytic_problem):
     # the plain solution is concave, so the curvature penalty never binds
     pucci = PucciParams.build(1, delta_hat=0.5)
-    v = solve_isaacs(analytic_problem, h=1 / 64)
+    v = IsaacsSolver(h=1 / 64).fit(analytic_problem).value_
     for K in (1.0, 64.0):
-        u_K = solve_penalized(analytic_problem, pucci, K, h=1 / 64)
+        u_K = IsaacsSolver(h=1 / 64).fit(extend_problem(analytic_problem, pucci, K)).value_
         assert u_K.sup_diff(v) <= 1e-7
 
 
@@ -267,9 +264,9 @@ def test_penalized_above_plain_when_penalty_binds(holder_problem):
     # extra leader actions can only raise the sup side, so u_K >= v,
     # decreasing toward v as K grows
     pucci = PucciParams.build(1, delta_hat=0.5)
-    v = solve_isaacs(holder_problem, h=1 / 64)
-    u1 = solve_penalized(holder_problem, pucci, 1.0, h=1 / 64)
-    u4 = solve_penalized(holder_problem, pucci, 4.0, h=1 / 64)
+    v = IsaacsSolver(h=1 / 64).fit(holder_problem).value_
+    u1 = IsaacsSolver(h=1 / 64).fit(extend_problem(holder_problem, pucci, 1.0)).value_
+    u4 = IsaacsSolver(h=1 / 64).fit(extend_problem(holder_problem, pucci, 4.0)).value_
     m = v.grid.in_closure
     assert np.all(u1.values[m] >= v.values[m] - 1e-9)
     assert np.all(u4.values[m] <= u1.values[m] + 1e-9)
@@ -286,7 +283,7 @@ def test_extend_problem_shapes_and_guards(analytic_problem):
     with pytest.raises(ValueError):
         extend_problem(ext, pucci, 3.0)
     with pytest.raises(ValueError):
-        PenalizedSolver(K=-1.0, pucci=pucci).fit(analytic_problem)
+        extend_problem(analytic_problem, pucci, -1.0)
 
 
 def test_convergence_study_on_rough_cost(holder_problem):
@@ -326,5 +323,5 @@ def test_estimator_params_roundtrip():
 
 def test_boundary_data_honored(analytic_problem):
     g = lambda x: 2.0 * np.ones(x.shape[0])
-    u = solve_isaacs(analytic_problem, g_boundary=g, h=1 / 32)
+    u = IsaacsSolver(h=1 / 32).fit(analytic_problem, g).value_
     assert np.allclose(u.values[u.grid.boundary_idx], 2.0)

@@ -16,7 +16,6 @@ from sdglab.policies import (
     OccupancyPolicy,
     build_alpha_selector,
     build_beta_selector,
-    make_feedback_policy,
     submartingale_test,
     supermartingale_test,
 )
@@ -47,7 +46,7 @@ def test_beta_selector_margins_and_outside_default(solved_analytic, analytic_pro
     assert sel.role == "beta"
     assert np.all(sel.margins <= 1e-12)
     # singleton responder: only action 0 exists
-    assert np.all(sel.beta_table == 0)
+    assert np.all(sel.table == 0)
     out = sel.beta_at(np.array([0, 0]), np.array([[0.5], [1.7]]))
     assert out[1] == sel.default_action
     with pytest.raises(ValueError):
@@ -70,9 +69,8 @@ def test_solver_selectors_match_the_builders(solved_game, game_problem):
     for got, want in ((beta, build_beta_selector(game_problem, solved_game.value_, EPS)),
                       (alpha, build_alpha_selector(game_problem, solved_game.value_, EPS))):
         assert got.role == want.role
-        for name in ("beta_table", "alpha_table", "margins"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert (a is None and b is None) or np.array_equal(a, b), name
+        for name in ("table", "margins"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_least_index_tie_break():
@@ -82,7 +80,7 @@ def test_least_index_tie_break():
     solver = IsaacsSolver(h=1 / 32).fit(p)
     sel = build_beta_selector(p, solver.value_, EPS)
     # both actions feasible at every node; the first one must win
-    assert np.all(sel.beta_table == 0)
+    assert np.all(sel.table == 0)
 
 
 def test_selector_preconditions_reject_bad_inputs(solved_analytic, analytic_problem):
@@ -135,11 +133,7 @@ def test_feedback_policy_role_and_lag_checks(solved_game, game_problem):
         FeedbackBetaPolicy(asel)
     with pytest.raises(ValueError):
         FeedbackBetaPolicy(bsel, lag_n=-1)
-    with pytest.raises(ValueError):
-        make_feedback_policy(bsel, 0)
-    assert isinstance(make_feedback_policy(bsel, 2), FeedbackBetaPolicy)
-    assert isinstance(make_feedback_policy(asel, 2), FeedbackAlphaPolicy)
-    assert make_feedback_policy(asel, 2).lag_n == 2
+    assert FeedbackAlphaPolicy(asel, lag_n=2).lag_n == 2
 
 
 class _Recorder:

@@ -124,15 +124,15 @@ def test_lanes_match_separate_runs(game_problem, solved_game, monkeypatch, max_r
     monkeypatch.setattr(sdglab.simulate, "_MAX_ROWS", max_rows)
     from sdglab.policies import (
         BangBangPolicy,
+        FeedbackAlphaPolicy,
         FeedbackBetaPolicy,
         build_alpha_selector,
         build_beta_selector,
-        make_feedback_policy,
     )
 
     p = game_problem
     beta = FeedbackBetaPolicy(build_beta_selector(p, solved_game.value_, 1e-9), lag_n=4)
-    lagged = make_feedback_policy(build_alpha_selector(p, solved_game.value_, 1e-9), 8)
+    lagged = FeedbackAlphaPolicy(build_alpha_selector(p, solved_game.value_, 1e-9), lag_n=8)
     switch = BangBangPolicy([0.05], [1, 0])
     base = ControlAdaptedSpec.baseline(p)
     tilted = _spec(p, r=1.2, pi=0.3, flip=True, variant="combined")
@@ -310,6 +310,8 @@ def test_pathwise_comparison_matches_em_step_under_rotated_noise(analytic_proble
     assert rep.mean_sup_divergence > 0
     assert rep.mean_sup_divergence == pytest.approx(np.mean(sups), rel=0, abs=1e-12)
     assert rep.mean_occupation_time == pytest.approx(np.mean(occs), rel=0, abs=1e-12)
+    with pytest.raises(ValueError, match="inside the domain"):
+        pathwise_comparison(p, spec, [1.5], leader, ConstantResponder(0), cfg, T, projection)
 
 
 def _state_dependent_game():
@@ -344,13 +346,18 @@ def test_ensemble_matches_em_step_replay():
     # sigma and b are evaluated per pair, f from per-row affine parameters
     from sdglab.harness import build_variant_spec
     from sdglab.pde import IsaacsSolver
-    from sdglab.policies import build_alpha_selector, build_beta_selector, make_feedback_policy
+    from sdglab.policies import (
+        FeedbackAlphaPolicy,
+        FeedbackBetaPolicy,
+        build_alpha_selector,
+        build_beta_selector,
+    )
     from sdglab.simulate import VARIANTS
 
     p = _state_dependent_game()
     value = IsaacsSolver(h=1 / 32).fit(p).value_
-    leader = make_feedback_policy(build_alpha_selector(p, value, 1e-6), 8)
-    beta = make_feedback_policy(build_beta_selector(p, value, 1e-6), 4)
+    leader = FeedbackAlphaPolicy(build_alpha_selector(p, value, 1e-6), lag_n=8)
+    beta = FeedbackBetaPolicy(build_beta_selector(p, value, 1e-6), lag_n=4)
     specs = [build_variant_spec(p, v) for v in VARIANTS]
     cfg = SimConfig(dt=2e-3, t_max=1.0, n_paths=50, seed=8)
     batches = simulate_lanes(p, [(spec, [0.5], leader) for spec in specs], beta, cfg)
