@@ -72,7 +72,6 @@ from .simulate import (
     PathState,
     SimConfig,
     TrajectoryBatch,
-    TrajectoryRecord,
     em_step,
     girsanov_martingale_check,
     increment_bound_study,

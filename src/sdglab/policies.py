@@ -130,10 +130,20 @@ def _least_index(
     return MarkovSelector(grid=disc.grid, table=table, margins=margins)
 
 
+def _check_finite(disc: Discretization, ham: np.ndarray) -> None:
+    """Raise on a non-finite Hamiltonian, which every slack comparison would pass."""
+    if not np.isfinite(ham).all():
+        ia, ib, k = np.argwhere(~np.isfinite(ham))[0]
+        raise ValueError(
+            f"non-finite Hamiltonian {ham[ia, ib, k]} at node {disc.idx[k]} for pair (alpha {ia}, beta {ib})"
+        )
+
+
 def _beta_selector(disc: Discretization, ham: np.ndarray, epsilon: float) -> MarkovSelector:
     """``ham``: L u_hat + f per pair and interior node of ``disc``, (nA_ext, nB, m)."""
     if epsilon <= 0:
         raise ValueError("slack epsilon must be positive")
+    _check_finite(disc, ham)
     # sup-inf over the full (possibly penalty-extended) leader set
     worst = float(ham.min(axis=1).max(axis=0).max())
     if worst >= epsilon:
@@ -141,20 +151,14 @@ def _beta_selector(disc: Discretization, ham: np.ndarray, epsilon: float) -> Mar
             f"u_hat is not a discrete supersolution at slack {epsilon}: "
             f"max H = {worst:.3g}"
         )
-    feasible = ham <= epsilon
-    missing = np.argwhere(~feasible.any(axis=1))
-    if missing.size:
-        ia, k = missing[0]
-        raise ValueError(
-            f"no feasible responder action at node {disc.idx[k]} for alpha {ia}: "
-            f"best margin {float(ham[ia, :, k].min()) - epsilon:.3g}"
-        )
-    return _least_index(disc, ham, feasible, -epsilon)
+    # for finite values, the check above leaves a feasible responder for every (alpha, node)
+    return _least_index(disc, ham, ham <= epsilon, -epsilon)
 
 
 def _alpha_selector(disc: Discretization, ham: np.ndarray, epsilon: float) -> MarkovSelector:
     if epsilon <= 0:
         raise ValueError("slack epsilon must be positive")
+    _check_finite(disc, ham)
     minvals = ham.min(axis=1)  # (nA_ext, m)
     worst = float(minvals.max(axis=0).min())
     if worst <= -epsilon:
@@ -162,11 +166,8 @@ def _alpha_selector(disc: Discretization, ham: np.ndarray, epsilon: float) -> Ma
             f"u_check is not a discrete subsolution at slack {epsilon}: "
             f"min H = {worst:.3g}"
         )
-    feasible = minvals >= -epsilon
-    missing = np.flatnonzero(~feasible.any(axis=0))
-    if missing.size:
-        raise ValueError(f"no feasible leader action at node {disc.idx[missing[0]]}")
-    return _least_index(disc, minvals, feasible, epsilon)
+    # for finite values, the check above leaves a feasible leader action at every node
+    return _least_index(disc, minvals, minvals >= -epsilon, epsilon)
 
 
 class ConstantPolicy:

@@ -20,11 +20,11 @@ exp(-phi - psi); paths that fail to leave the domain by the time horizon
 are censored with a zero terminal term, and the censored mass is
 reported.
 
-All simulation is vectorized across paths; the Gaussian draw for (path
-i, step k) depends only on the seed, so runs with different variants or
-candidate policies but a shared seed use common random numbers.  Such
-runs can be stepped together as lanes of one ensemble, which draws the
-stream once and pays the per-step overhead once.
+All simulation is vectorized across paths.  A Gaussian increment depends
+only on the seed, the path's index within its lane, the step and the
+component, so it is evaluated for alive paths only, and runs with other
+variants or candidate policies but a shared seed use common random
+numbers.  Such runs can be stepped together as lanes of one ensemble.
 
 A step of an ensemble is one set of array expressions over all alive
 rows, whatever mix of specs and action pairs they hold.  Each row's code
@@ -53,7 +53,6 @@ __all__ = [
     "ControlAdaptedSpec",
     "SimConfig",
     "PathState",
-    "TrajectoryRecord",
     "TrajectoryBatch",
     "MartingaleReport",
     "BoundReport",
@@ -133,6 +132,8 @@ class SimConfig:
             raise ValueError("truncation horizon must be at least 1")
         if self.n_paths < 1:
             raise ValueError("need at least one path")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError("seed must lie in [0, 2**64)")
 
 
 @dataclass
@@ -141,25 +142,6 @@ class PathState:
     x: np.ndarray
     phi: float = 0.0
     psi: float = 0.0
-
-
-@dataclass
-class TrajectoryRecord:
-    tau: float
-    censored: bool
-    exit_state: np.ndarray
-    phi: float
-    psi: float
-    running_payoff: float
-    terminal_payoff: float
-
-    @property
-    def girsanov_weight(self) -> float:
-        return math.exp(-self.psi)
-
-    @property
-    def payoff(self) -> float:
-        return self.running_payoff + self.terminal_payoff
 
 
 @dataclass
@@ -176,17 +158,6 @@ class TrajectoryBatch:
 
     def __len__(self) -> int:
         return len(self.tau)
-
-    def record(self, i: int) -> TrajectoryRecord:
-        return TrajectoryRecord(
-            tau=float(self.tau[i]),
-            censored=bool(self.censored[i]),
-            exit_state=self.exit_state[i].copy(),
-            phi=float(self.phi[i]),
-            psi=float(self.psi[i]),
-            running_payoff=float(self.running_payoff[i]),
-            terminal_payoff=float(self.terminal_payoff[i]),
-        )
 
     @property
     def payoff(self) -> np.ndarray:
@@ -329,34 +300,64 @@ class _StepKernel:
         return dphi, dpsi, r2 * self.f(pair, x) * weight * dt
 
 
-_DRAW_BLOCK = 8  # steps drawn per call of the worker thread
+_BLOCK = 8  # steps per evaluation of the Gaussian stream
 _MAX_ROWS = 1 << 19  # paths per ensemble; 45 lanes of 10k paths fit in one
 
 
-def _gaussian_steps(seed: int, n: int, d1: int, dt: float):
-    """The seed's Gaussian increments, one (n, d1) array per step.
+def _gaussian_increments(seed: int, paths, k0: int, n_steps: int, d1: int, dt: float) -> np.ndarray:
+    """dW[p, k, j] of ``paths`` at steps k0 .. k0 + n_steps - 1, of shape (paths, steps, d1).
 
-    One Philox stream is drawn in blocks of steps, which is the same
-    stream as step-by-step draws.  A worker thread draws the next
-    block while the caller uses the current one; numpy releases the GIL
-    while it fills the array.  The executor is imported here so that
-    ``import sdglab`` does not load the threading machinery.
+    In wrapping uint64, with mix64 SplitMix64's finalizer and G = 0x9E3779B97F4A7C15,
+    dW[p, k, j] = sqrt(dt) ndtri(((mix64(mix64(seed) + ((p << 32) | (k d1 + j)) G) >> 12) + 0.5) 2**-52).
+    The uniform lies in [2**-53, 1 - 2**-53], so every normal is finite.
     """
-    from concurrent.futures import ThreadPoolExecutor
+    from scipy.special import ndtri
 
-    rng = np.random.Generator(np.random.Philox(seed))
-
-    def draw():
-        z = rng.standard_normal((_DRAW_BLOCK, n, d1))
-        z *= math.sqrt(dt)  # what rng.normal(0.0, sqrt(dt)) returns
+    def mix64(z):
+        for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            z ^= z >> shift
+            z *= mult
+        z ^= z >> 31
         return z
 
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        ahead = pool.submit(draw)
-        while True:
-            current = ahead.result()
-            ahead = pool.submit(draw)
-            yield from current
+    golden = np.uint64(0x9E3779B97F4A7C15)
+    # (p << 32 | c) G = (p << 32) G + c G, as the counter's low part c < 2**32
+    row = (np.asarray(paths, dtype=np.uint64) << 32) * golden + mix64(np.array([seed], dtype=np.uint64))
+    col = np.arange(k0 * d1, (k0 + n_steps) * d1, dtype=np.uint64) * golden
+    u = (mix64(row[:, None] + col) >> 12).astype(float)
+    u += 0.5
+    u *= 2.0**-52
+    ndtri(u, out=u)
+    u *= math.sqrt(dt)
+    return u.reshape(len(row), n_steps, d1)
+
+
+def _stream(horizon: float, cfg: SimConfig, d1: int, n_rows: int):
+    """The step count to ``horizon`` and ``increments(k, act)``, step k's increments of the alive rows.
+
+    ``increments`` is called at k = 0, 1, ... in turn.  Every ``_BLOCK`` steps
+    it evaluates the stream once per path of the rows alive then; row i is
+    path i % cfg.n_paths of its lane.  Raises before anything is allocated
+    if a counter would reach 2**32, past which streams repeat.
+    """
+    n, n_steps = cfg.n_paths, int(round(horizon / cfg.dt))
+    if n_steps * d1 >= 1 << 32 or n >= 1 << 32:
+        raise ValueError(f"{n_steps} steps of {d1} components or {n} paths overflow the stream's counters")
+    slot = np.empty(n_rows, dtype=np.intp)  # alive row -> its row of the block
+    block = None
+
+    def increments(k: int, act: np.ndarray) -> np.ndarray:
+        nonlocal block
+        if k % _BLOCK == 0:
+            # the rows of one path in several lanes share its normals
+            seen = np.zeros(n, dtype=bool)
+            seen[act % n] = True
+            paths = np.flatnonzero(seen)
+            slot[act] = (np.cumsum(seen) - 1)[act % n]
+            block = _gaussian_increments(cfg.seed, paths, k, min(_BLOCK, n_steps - k), d1, cfg.dt)
+        return block[slot[act], k % _BLOCK]
+
+    return n_steps, increments
 
 
 def _distinct(objs):
@@ -391,14 +392,15 @@ def _run_ensemble(
     """Vectorized ensemble simulation; the single code path behind the ops.
 
     ``lanes`` is a sequence of (spec, x0, alpha_policy).  Each lane holds
-    cfg.n_paths paths, stacked lane after lane, and every lane reads the
-    same Gaussian draw at each step, so a lane's paths are exactly those
-    of a run of that lane alone.  Returns one batch per lane and the
-    extras over all stacked rows.
+    cfg.n_paths paths, stacked lane after lane.  A normal depends only on
+    the seed, the path's index within its lane, the step and the component,
+    so a lane's paths are those of a run of that lane alone.  Returns one
+    batch per lane and the extras over all stacked rows.
     """
-    starts = [_start_point(problem, x0) for _, x0, _ in lanes]
     n = cfg.n_paths
     n_rows = len(lanes) * n
+    n_steps, increments = _stream(cfg.t_max, cfg, problem.d1, n_rows)
+    starts = [_start_point(problem, x0) for _, x0, _ in lanes]
     dt = cfg.dt
     nb = problem.n_beta
     # lanes are stacked leader by leader, so each leader owns one block of rows
@@ -408,7 +410,6 @@ def _run_ensemble(
     specs, spec_of = _distinct([lanes[j][0] for j in stack])
     kernel = _StepKernel(problem, specs, dt)
     spec_code = np.repeat(np.asarray(spec_of) * kernel.n_pairs, n)  # row -> first code of its spec
-    draw_col = np.tile(np.arange(n), len(lanes))  # row -> path within its lane
 
     X = np.repeat(np.asarray([starts[j] for j in stack]), n, axis=0)
     phi = np.zeros(n_rows)
@@ -440,59 +441,55 @@ def _run_ensemble(
         cp_rows = act
         cp_values.append(contrib)
 
-    draws = _gaussian_steps(cfg.seed, n, problem.d1, dt)
-    try:
-        for k in range(int(round(cfg.t_max / dt))):
-            t = k * dt
-            for m in lag_all:
-                cell = int(math.floor(m * t + 1e-9))
-                if cell > last_cell[m]:
-                    snapshots[m][act] = X[act]
-                    last_cell[m] = cell
-            while len(cp_values) < len(cps) and t >= cps[len(cp_values)] - 0.5 * dt:
-                checkpoint()
-            if not act.size:
-                break
-            xs = X[act]
-            ia = np.empty(act.size, dtype=int)
-            bounds = np.searchsorted(act, leader_rows).tolist()
-            for policy, lo, hi in zip(leaders, bounds[:-1], bounds[1:]):
-                if lo < hi:
-                    lag = getattr(policy, "lag_n", 0)
-                    ia[lo:hi] = policy.select(k, t, snapshots[lag][act[lo:hi]] if lag else xs[lo:hi])
-            lag = getattr(beta_policy, "lag_n", 0)
-            ib = beta_policy.respond(ia, k, t, snapshots[lag][act] if lag else xs)
-            pair = ia * nb + ib
-            code = spec_code[act] + pair if len(specs) > 1 else pair
-            x_new, dw = kernel.move(code, pair, xs, next(draws)[draw_col[act]])
-            weight = np.exp(-phi[act] - psi[act])
-            dphi, dpsi, dpay = kernel.accrue(code, pair, xs, dw, weight)
+    for k in range(n_steps):
+        t = k * dt
+        for m in lag_all:
+            cell = int(math.floor(m * t + 1e-9))
+            if cell > last_cell[m]:
+                snapshots[m][act] = X[act]
+                last_cell[m] = cell
+        while len(cp_values) < len(cps) and t >= cps[len(cp_values)] - 0.5 * dt:
+            checkpoint()
+        if not act.size:
+            break
+        xs = X[act]
+        ia = np.empty(act.size, dtype=int)
+        bounds = np.searchsorted(act, leader_rows).tolist()
+        for policy, lo, hi in zip(leaders, bounds[:-1], bounds[1:]):
+            if lo < hi:
+                lag = getattr(policy, "lag_n", 0)
+                ia[lo:hi] = policy.select(k, t, snapshots[lag][act[lo:hi]] if lag else xs[lo:hi])
+        lag = getattr(beta_policy, "lag_n", 0)
+        ib = beta_policy.respond(ia, k, t, snapshots[lag][act] if lag else xs)
+        pair = ia * nb + ib
+        code = spec_code[act] + pair if len(specs) > 1 else pair
+        x_new, dw = kernel.move(code, pair, xs, increments(k, act))
+        weight = np.exp(-phi[act] - psi[act])
+        dphi, dpsi, dpay = kernel.accrue(code, pair, xs, dw, weight)
 
-            dist_old = dist[act]
-            dist_new = problem.domain.boundary_distance(x_new)
-            exiting = dist_new <= 0.0
-            scale = np.ones(act.size)
-            if exiting.any():
-                scale[exiting] = dist_old[exiting] / (dist_old[exiting] - dist_new[exiting])
-            for m in lag_ns:
-                diff = xs - snapshots[m][act]
-                M_acc[m][act] += weight * np.einsum("ni,ni->n", diff, diff) * scale * dt
-            if track_exp_psi_integral:
-                exp_psi_int[act] += np.exp(-psi[act]) * scale * dt
+        dist_old = dist[act]
+        dist_new = problem.domain.boundary_distance(x_new)
+        exiting = dist_new <= 0.0
+        scale = np.ones(act.size)
+        if exiting.any():
+            scale[exiting] = dist_old[exiting] / (dist_old[exiting] - dist_new[exiting])
+        for m in lag_ns:
+            diff = xs - snapshots[m][act]
+            M_acc[m][act] += weight * np.einsum("ni,ni->n", diff, diff) * scale * dt
+        if track_exp_psi_integral:
+            exp_psi_int[act] += np.exp(-psi[act]) * scale * dt
 
-            run_pay[act] += dpay * scale
-            phi[act] += dphi * scale
-            psi[act] += dpsi * scale
-            X[act] = xs + (x_new - xs) * scale[:, None]
-            dist[act] = dist_new  # read again only while the row is alive
+        run_pay[act] += dpay * scale
+        phi[act] += dphi * scale
+        psi[act] += dpsi * scale
+        X[act] = xs + (x_new - xs) * scale[:, None]
+        dist[act] = dist_new  # read again only while the row is alive
 
-            if exiting.any():
-                gone = act[exiting]
-                tau[gone] = t + scale[exiting] * dt
-                censored[gone] = False
-                act = act[~exiting]
-    finally:
-        draws.close()
+        if exiting.any():
+            gone = act[exiting]
+            tau[gone] = t + scale[exiting] * dt
+            censored[gone] = False
+            act = act[~exiting]
     while len(cp_values) < len(cps):
         checkpoint()
 
@@ -538,10 +535,10 @@ def simulate_to_exit(
 def simulate_lanes(problem: GameProblem, lanes, beta_policy, cfg: SimConfig) -> list[TrajectoryBatch]:
     """``simulate_to_exit`` for each (spec, x0, alpha_policy) lane, stepped together.
 
-    Every lane uses the seed's Gaussian stream, so each batch equals the
-    one ``simulate_to_exit`` gives for that lane; the lanes share the
-    draw and the per-step overhead.  Lanes are run in ensembles of at
-    most ``_MAX_ROWS`` paths, which bounds the memory.
+    A normal depends only on the seed, the path's index within its lane,
+    the step and the component, so each batch equals the one
+    ``simulate_to_exit`` gives for that lane.  Lanes are run in ensembles
+    of at most ``_MAX_ROWS`` paths, which bounds the memory.
     """
     per_run = max(1, _MAX_ROWS // cfg.n_paths)
     batches = []
@@ -669,6 +666,7 @@ def pathwise_comparison(
         raise ValueError("pathwise comparison requires pi identically zero")
     x0 = _start_point(problem, x0)
     n, nb, dt = cfg.n_paths, problem.n_beta, cfg.dt
+    n_steps, increments = _stream(T, cfg, problem.d1, n)
     kernel = _StepKernel(problem, [spec], dt)
     projection = np.asarray(projection, dtype=int)
     X = np.tile(x0, (n, 1))
@@ -676,23 +674,19 @@ def pathwise_comparison(
     supdiff = np.zeros(n)
     occ = np.zeros(n)
     act = np.arange(n)  # stop at gamma = T ^ first exit of either
-    draws = _gaussian_steps(cfg.seed, n, problem.d1, dt)
-    try:
-        for k in range(int(round(T / dt))):
-            if not act.size:
-                break
-            t = k * dt
-            dW = next(draws)[act]
-            ia = np.broadcast_to(mixed_alpha_policy.select(k, t, X[act]), act.shape)
-            for arr, actions in ((X, ia), (Y, projection[ia])):
-                xs = arr[act]
-                pair = actions * nb + beta_policy.respond(actions, k, t, xs)
-                arr[act] = kernel.move(pair, pair, xs, dW)[0]
-            occ[act] += np.where(ia >= problem.n_alpha, dt, 0.0)
-            supdiff[act] = np.maximum(supdiff[act], np.linalg.norm(X[act] - Y[act], axis=1))
-            act = act[problem.domain.contains(X[act]) & problem.domain.contains(Y[act])]
-    finally:
-        draws.close()
+    for k in range(n_steps):
+        if not act.size:
+            break
+        t = k * dt
+        dW = increments(k, act)
+        ia = np.broadcast_to(mixed_alpha_policy.select(k, t, X[act]), act.shape)
+        for arr, actions in ((X, ia), (Y, projection[ia])):
+            xs = arr[act]
+            pair = actions * nb + beta_policy.respond(actions, k, t, xs)
+            arr[act] = kernel.move(pair, pair, xs, dW)[0]
+        occ[act] += np.where(ia >= problem.n_alpha, dt, 0.0)
+        supdiff[act] = np.maximum(supdiff[act], np.linalg.norm(X[act] - Y[act], axis=1))
+        act = act[problem.domain.contains(X[act]) & problem.domain.contains(Y[act])]
     mean_sup = float(supdiff.mean())
     se_sup = float(supdiff.std(ddof=1) / math.sqrt(n))
     mean_occ = float(occ.mean())

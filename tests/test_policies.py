@@ -73,6 +73,15 @@ def test_solver_selectors_match_the_builders(solved_game, game_problem):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+def test_selectors_reject_a_nan_value(solved_game, game_problem):
+    v = solved_game.value_.copy()
+    node = np.flatnonzero(v.grid.interior)[40]
+    v.values[node] = np.nan
+    for build in (build_beta_selector, build_alpha_selector):
+        with pytest.raises(ValueError, match="non-finite Hamiltonian nan at node"):
+            build(game_problem, v, EPS)
+
+
 def test_least_index_tie_break():
     from sdglab.pde import IsaacsSolver
 

@@ -8,6 +8,7 @@ from sdglab.simulate import (
     ControlAdaptedSpec,
     PathState,
     SimConfig,
+    _gaussian_increments,
     em_step,
     girsanov_martingale_check,
     increment_bound_study,
@@ -99,6 +100,9 @@ def test_sim_config_validation():
         SimConfig(t_max=0.5)
     with pytest.raises(ValueError):
         SimConfig(n_paths=0)
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(seed=seed)
 
 
 def test_simulate_is_bitwise_deterministic(analytic_problem):
@@ -234,14 +238,13 @@ def test_increment_bound_scaling(analytic_problem):
     assert max(scaled) / min(scaled) < 4.0
 
 
-def test_trajectory_batch_record_and_csv(tmp_path, analytic_problem):
+def test_trajectory_batch_fields_and_csv(tmp_path, analytic_problem):
     spec = ControlAdaptedSpec.baseline(analytic_problem)
     cfg = SimConfig(dt=1e-2, t_max=1.0, n_paths=20, seed=0)
     b = simulate_to_exit(analytic_problem, spec, [0.5], ConstantPolicy(0), ConstantResponder(0), cfg)
-    rec = b.record(3)
-    assert rec.tau == b.tau[3]
-    assert rec.payoff == pytest.approx(b.payoff[3])
-    assert rec.girsanov_weight == pytest.approx(np.exp(-b.psi[3]))
+    assert len(b) == 20
+    assert np.array_equal(b.payoff, b.running_payoff + b.terminal_payoff)
+    assert np.array_equal(b.girsanov_weight, np.exp(-b.psi))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     b.to_csv(p1)
     b.to_csv(p2)
@@ -249,31 +252,87 @@ def test_trajectory_batch_record_and_csv(tmp_path, analytic_problem):
     assert p1.read_text().splitlines()[0].startswith("tau,censored,x1")
 
 
-class _LeaderFailingAtStep5:
-    lag_n = 0
-
-    def select(self, k, t, x):
-        if k == 5:
-            raise RuntimeError("leader failed at step 5")
-        return np.zeros(x.shape[0], dtype=int)
+def _draws(seed, n_steps, n, d1, dt):
+    """The stream's increments of paths 0 .. n - 1, one (n, d1) array per step."""
+    return _gaussian_increments(seed, np.arange(n), 0, n_steps, d1, dt).swapaxes(0, 1)
 
 
-def test_draw_thread_stops_when_a_policy_raises(analytic_problem):
-    import threading
+def _stream_value(seed, p, k, j, d1, dt):
+    """One increment of the stream, in Python integers."""
+    def mix64(z):
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        return z ^ (z >> 31)
+
+    from scipy.special import ndtri
+
+    bits = mix64((mix64(seed) + ((p << 32) | (k * d1 + j)) * 0x9E3779B97F4A7C15) % 2**64) >> 12
+    return math.sqrt(dt) * float(ndtri((bits + 0.5) * 2.0**-52))
+
+
+def test_normals_depend_only_on_seed_path_step_and_component():
+    cases = ((7, 3, 5, 1, 2, 1e-3), (0, 99_999, 39_999, 0, 1, 1e-4), (2**63 + 5, 1, 0, 0, 1, 1.0))
+    for seed, p, k, j, d1, dt in cases:
+        assert _gaussian_increments(seed, [p], k, 1, d1, dt)[0, 0, j] == _stream_value(seed, p, k, j, d1, dt)
+    full = _gaussian_increments(7, np.arange(1000), 0, 1000, 1, 1.0)  # 1M normals
+    paths = np.array([0, 3, 17, 640, 999])
+    # a subset of paths, and a block that starts at another step, read the same values
+    assert np.array_equal(_gaussian_increments(7, paths, 0, 1000, 1, 1.0), full[paths])
+    assert np.array_equal(_gaussian_increments(7, paths[::-1], 5, 11, 1, 1.0), full[paths[::-1], 5:16])
+    two = _gaussian_increments(7, paths, 3, 4, 2, 0.25)
+    assert np.array_equal(two, 0.5 * _gaussian_increments(7, paths, 0, 11, 2, 1.0)[:, 3:7])
+    assert not np.isin(_gaussian_increments(8, paths, 0, 1000, 1, 1.0), full).any()
+
+    z = full[..., 0]  # (path, step)
+    assert abs(z.mean()) <= 5e-3
+    assert abs(z.var() - 1.0) <= 1e-2
+    assert abs(np.mean((z - z.mean()) ** 4) / z.var() ** 2 - 3.0) <= 0.05
+    assert abs(np.corrcoef(z[:, :-1].ravel(), z[:, 1:].ravel())[0, 1]) <= 5e-3  # step k, k + 1
+    assert abs(np.corrcoef(z[:-1].ravel(), z[1:].ravel())[0, 1]) <= 5e-3  # path i, i + 1
+
+
+def _unmix64(z):
+    """The inverse of SplitMix64's finalizer, in Python integers."""
+    for shift, mult in ((31, None), (27, 0x94D049BB133111EB), (30, 0xBF58476D1CE4E5B9)):
+        if mult is not None:
+            z = z * pow(mult, -1, 2**64) % 2**64
+        x = z
+        for _ in range(64 // shift + 1):
+            x = z ^ (x >> shift)
+        z = x
+    return z
+
+
+def test_extreme_stream_bits_give_finite_normals():
+    # path 0, step 0 hashes mix64(mix64(seed)): choose the seed whose bits are all 0 or all 1
+    from scipy.special import ndtri
+
+    for bits, want in ((0, ndtri(2.0**-53)), (2**64 - 1, ndtri(1.0 - 2.0**-53))):
+        seed = _unmix64(_unmix64(bits))
+        got = _gaussian_increments(seed, [0], 0, 1, 1, 1.0)[0, 0, 0]
+        assert np.isfinite(got) and got == want == _stream_value(seed, 0, 0, 0, 1, 1.0)
+
+
+def test_stream_counter_guard(analytic_problem):
+    from sdglab.simulate import _stream, pathwise_comparison
+
+    class _NeverCalled:
+        lag_n = 0
+
+        def select(self, k, t, x):
+            raise AssertionError("the step loop started")
 
     spec = ControlAdaptedSpec.baseline(analytic_problem)
-    cfg = SimConfig(dt=1e-3, t_max=1.0, n_paths=100)
-    before = threading.active_count()
-    # the raised exception keeps the simulation's frame alive
-    with pytest.raises(RuntimeError, match="step 5") as info:
-        simulate_to_exit(analytic_problem, spec, [0.5], _LeaderFailingAtStep5(), ConstantResponder(0), cfg)
-    assert info.traceback
-    assert threading.active_count() == before
-
-
-def _draws(seed, n_steps, n, d1, dt):
-    rng = np.random.Generator(np.random.Philox(seed))
-    return [rng.normal(0.0, math.sqrt(dt), size=(n, d1)) for _ in range(n_steps)]
+    cfg = SimConfig(dt=1e-10, t_max=2.0, n_paths=10)  # 2e10 steps
+    with pytest.raises(ValueError, match="overflow"):
+        simulate_to_exit(analytic_problem, spec, [0.5], _NeverCalled(), ConstantResponder(0), cfg)
+    with pytest.raises(ValueError, match="overflow"):
+        pathwise_comparison(analytic_problem, spec, [0.5], _NeverCalled(), ConstantResponder(0), cfg, 1.0,
+                            np.zeros(analytic_problem.n_alpha_ext, dtype=int))
+    # the path counter, checked without building an ensemble of 2**32 paths
+    with pytest.raises(ValueError, match="overflow"):
+        _stream(1.0, SimConfig(dt=1e-3, t_max=1.0, n_paths=1 << 32), 1, 0)
+    assert _stream(1.0, SimConfig(dt=1e-3, t_max=1.0, n_paths=(1 << 32) - 1), 1, 0)[0] == 1000
 
 
 def test_pathwise_comparison_matches_em_step_under_rotated_noise(analytic_problem):
@@ -396,10 +455,9 @@ def test_ensemble_matches_em_step_replay():
                     break
                 s, pay = new, pay + dpay
             terminal = p.g.at(s.x) * math.exp(-s.phi - s.psi) if exited else 0.0
-            got = batch.record(i)
-            assert got.censored == (not exited)
+            assert batch.censored[i] == (not exited)
             for name, want in (("tau", tau), ("phi", s.phi), ("psi", s.psi),
                                ("running_payoff", pay), ("terminal_payoff", terminal)):
-                assert getattr(got, name) == pytest.approx(want, rel=0, abs=1e-12), name
-            assert np.allclose(got.exit_state, s.x, rtol=0, atol=1e-12)
+                assert getattr(batch, name)[i] == pytest.approx(want, rel=0, abs=1e-12), name
+            assert np.allclose(batch.exit_state[i], s.x, rtol=0, atol=1e-12)
     assert len(pairs_seen) == 4
