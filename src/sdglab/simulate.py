@@ -26,16 +26,19 @@ component, so it is evaluated for alive paths only, and runs with other
 variants or candidate policies but a shared seed use common random
 numbers.  Such runs can be stepped together as lanes of one ensemble.
 
-A step of an ensemble is one set of array expressions over all alive
-rows, whatever mix of specs and action pairs they hold.  Each row's code
-(spec, ia, ib) indexes per-code tables of r, r^2, pi, the noise transform
-and the constant 0.5 r^2 |pi|^2 dt, built once per ensemble.  The
-coefficients are evaluated per action pair, never per spec: a constant
-coefficient from a per-pair table, the 1-D affine family from per-row
-parameters, any other coefficient once per pair present, on that pair's
-rows.  Every element is computed in the operation order of ``em_step``,
-so a row's result does not depend on the rows stepped with it.  A path that leaves the domain is stopped at the
-linearly interpolated crossing, and its state stays frozen from then on.
+An ensemble holds the state of the rows alive at the start of each
+``_BLOCK``-step block in compacted arrays and steps them in place, with
+one set of array expressions whatever mix of specs and action pairs they
+hold.  A row that leaves the domain is stopped at the linearly
+interpolated crossing and stays frozen there; until its block ends it is
+stepped at zero scale, and the policies' answers for it are discarded.
+Each row's code (spec, ia, ib) indexes per-code tables of r, r^2, pi, the
+noise transform and the constant 0.5 r^2 |pi|^2 dt, built once per
+ensemble.  The coefficients are evaluated per action pair, never per
+spec: a constant coefficient from a per-pair table, the 1-D affine family
+from per-row parameters, any other coefficient once per pair present, on
+that pair's rows.  Every element is computed in the operation order of
+``em_step``, so a row's result does not depend on the rows stepped with it.
 """
 
 from __future__ import annotations
@@ -108,13 +111,6 @@ class ControlAdaptedSpec:
             noise_table=np.broadcast_to(np.eye(d1), (na, nb, d1, d1)).copy(),
             delta1=problem.delta1,
             K1=problem.K1,
-        )
-
-    def is_baseline(self) -> bool:
-        return (
-            np.all(self.r_table == 1.0)
-            and np.all(self.pi_table == 0.0)
-            and np.all(self.noise_table == np.eye(self.noise_table.shape[-1]))
         )
 
 
@@ -332,32 +328,26 @@ def _gaussian_increments(seed: int, paths, k0: int, n_steps: int, d1: int, dt: f
     return u.reshape(len(row), n_steps, d1)
 
 
-def _stream(horizon: float, cfg: SimConfig, d1: int, n_rows: int):
-    """The step count to ``horizon`` and ``increments(k, act)``, step k's increments of the alive rows.
+def _stream(horizon: float, cfg: SimConfig, d1: int):
+    """The step count to ``horizon`` and ``block(k, rows)``, the increments of ``rows`` from step k.
 
-    ``increments`` is called at k = 0, 1, ... in turn.  Every ``_BLOCK`` steps
-    it evaluates the stream once per path of the rows alive then; row i is
-    path i % cfg.n_paths of its lane.  Raises before anything is allocated
-    if a counter would reach 2**32, past which streams repeat.
+    ``block`` covers steps k .. k + _BLOCK - 1 (fewer at the horizon), of shape
+    (steps, rows, d1), and is called at each block start for the rows alive then.
+    Row i is path i % cfg.n_paths of its lane; the rows of one path in several
+    lanes share its normals, which are evaluated once.  Raises before anything
+    is allocated if a counter would reach 2**32, past which streams repeat.
     """
     n, n_steps = cfg.n_paths, int(round(horizon / cfg.dt))
     if n_steps * d1 >= 1 << 32 or n >= 1 << 32:
         raise ValueError(f"{n_steps} steps of {d1} components or {n} paths overflow the stream's counters")
-    slot = np.empty(n_rows, dtype=np.intp)  # alive row -> its row of the block
-    block = None
 
-    def increments(k: int, act: np.ndarray) -> np.ndarray:
-        nonlocal block
-        if k % _BLOCK == 0:
-            # the rows of one path in several lanes share its normals
-            seen = np.zeros(n, dtype=bool)
-            seen[act % n] = True
-            paths = np.flatnonzero(seen)
-            slot[act] = (np.cumsum(seen) - 1)[act % n]
-            block = _gaussian_increments(cfg.seed, paths, k, min(_BLOCK, n_steps - k), d1, cfg.dt)
-        return block[slot[act], k % _BLOCK]
+    def block(k: int, rows: np.ndarray) -> np.ndarray:
+        seen = np.zeros(n, dtype=bool)
+        seen[rows % n] = True
+        dW = _gaussian_increments(cfg.seed, np.flatnonzero(seen), k, min(_BLOCK, n_steps - k), d1, cfg.dt)
+        return np.take(dW.swapaxes(0, 1), (np.cumsum(seen) - 1)[rows % n], axis=1)
 
-    return n_steps, increments
+    return n_steps, block
 
 
 def _distinct(objs):
@@ -373,6 +363,8 @@ def _distinct(objs):
 
 def _start_point(problem: GameProblem, x0) -> np.ndarray:
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.shape != (problem.d,):
+        raise ValueError(f"starting point {x0.tolist()} has dimension {x0.size}, the problem d = {problem.d}")
     if not problem.domain.contains(x0[None, :])[0]:
         raise ValueError("starting point must lie inside the domain")
     return x0
@@ -396,102 +388,107 @@ def _run_ensemble(
     the seed, the path's index within its lane, the step and the component,
     so a lane's paths are those of a run of that lane alone.  Returns one
     batch per lane and the extras over all stacked rows.
+
+    The working state ``w`` holds the rows alive at the block's start.  A
+    row that exits gets its tau, then is dead in ``live``, frozen at scale 0
+    and seen by the policies, whose answers for it are discarded, until the
+    block ends; the next block start writes it back and compresses ``w``.
     """
-    n = cfg.n_paths
-    n_rows = len(lanes) * n
-    n_steps, increments = _stream(cfg.t_max, cfg, problem.d1, n_rows)
     starts = [_start_point(problem, x0) for _, x0, _ in lanes]
-    dt = cfg.dt
-    nb = problem.n_beta
+    n, dt, nb = cfg.n_paths, cfg.dt, problem.n_beta
+    n_rows = len(lanes) * n
+    n_steps, block = _stream(cfg.t_max, cfg, problem.d1)
     # lanes are stacked leader by leader, so each leader owns one block of rows
     leaders, leader_of = _distinct([lane[2] for lane in lanes])
     stack = sorted(range(len(lanes)), key=leader_of.__getitem__)
     leader_rows = n * np.cumsum([0] + [leader_of.count(i) for i in range(len(leaders))])
     specs, spec_of = _distinct([lanes[j][0] for j in stack])
     kernel = _StepKernel(problem, specs, dt)
-    spec_code = np.repeat(np.asarray(spec_of) * kernel.n_pairs, n)  # row -> first code of its spec
-
     X = np.repeat(np.asarray([starts[j] for j in stack]), n, axis=0)
-    phi = np.zeros(n_rows)
-    psi = np.zeros(n_rows)
-    run_pay = np.zeros(n_rows)
-    exp_psi_int = np.zeros(n_rows) if track_exp_psi_integral else None
-    tau = np.full(n_rows, cfg.t_max)
-    censored = np.ones(n_rows, dtype=bool)
-    act = np.arange(n_rows)  # rows still alive, in increasing order
-    dist = problem.domain.boundary_distance(X)
-
+    tau, censored = np.full(n_rows, cfg.t_max), np.ones(n_rows, dtype=bool)
     # policy lags: each requested n keeps a frozen state snapshot
     lag_all = sorted({p.lag_n for p in (*leaders, beta_policy) if getattr(p, "lag_n", 0)} | set(lag_ns))
-    snapshots = {m: X.copy() for m in lag_all}
     last_cell = {m: 0 for m in lag_all}
-    M_acc = {m: np.zeros(n_rows) for m in lag_ns}
+    # the full-size state, and the working state w of the rows alive at the block's start
+    keys = ["phi", "psi", "pay"] + [("M", m) for m in lag_ns] + (["exp_psi"] if track_exp_psi_integral else [])
+    full = {"x": X, **{key: np.zeros(n_rows) for key in keys}}
+    w = {key: a.copy() for key, a in full.items()} | {("snap", m): X.copy() for m in lag_all}
+    w.update(dist=problem.domain.boundary_distance(X), code=np.repeat(np.asarray(spec_of) * kernel.n_pairs, n))
+    rows, live = np.arange(n_rows), np.ones(n_rows, dtype=bool)  # live: not yet exited
 
-    cps = sorted(checkpoint_times)
-    cp_values = []
-    cp_rows = np.arange(n_rows)  # rows that may have moved since the last checkpoint
+    def write_back(sel):
+        for key, a in full.items():
+            a[rows[sel]] = w[key][sel]
+
+    cps, cp_values = sorted(checkpoint_times), []
+    cp_rows = rows  # rows that may have moved since the last checkpoint
 
     def checkpoint():
         # an exited row's state is frozen, so its last value is reused
         nonlocal cp_rows
+        write_back(slice(None))
         contrib = cp_values[-1].copy() if cp_values else np.zeros(n_rows)
         if value_field is not None and cp_rows.size:
-            w = np.exp(-phi[cp_rows] - psi[cp_rows])
-            contrib[cp_rows] = value_field.interpolate(X[cp_rows]) * w + run_pay[cp_rows]
-        cp_rows = act
+            weight = np.exp(-full["phi"][cp_rows] - full["psi"][cp_rows])
+            contrib[cp_rows] = value_field.interpolate(X[cp_rows]) * weight + full["pay"][cp_rows]
+        cp_rows = rows[live]
         cp_values.append(contrib)
 
     for k in range(n_steps):
         t = k * dt
+        if k % _BLOCK == 0:
+            if not live.all():
+                write_back(~live)
+                rows = rows[live]
+                w = {key: a[live] for key, a in w.items()}
+                live = live[live]
+            bounds = np.searchsorted(rows, leader_rows).tolist()  # each leader's working rows
+            dW = block(k, rows)
+        x, phi, psi = w["x"], w["phi"], w["psi"]
         for m in lag_all:
             cell = int(math.floor(m * t + 1e-9))
             if cell > last_cell[m]:
-                snapshots[m][act] = X[act]
+                w["snap", m][:] = x
                 last_cell[m] = cell
         while len(cp_values) < len(cps) and t >= cps[len(cp_values)] - 0.5 * dt:
             checkpoint()
-        if not act.size:
+        if not live.any():
             break
-        xs = X[act]
-        ia = np.empty(act.size, dtype=int)
-        bounds = np.searchsorted(act, leader_rows).tolist()
+        ia = np.empty(rows.size, dtype=int)
         for policy, lo, hi in zip(leaders, bounds[:-1], bounds[1:]):
             if lo < hi:
                 lag = getattr(policy, "lag_n", 0)
-                ia[lo:hi] = policy.select(k, t, snapshots[lag][act[lo:hi]] if lag else xs[lo:hi])
+                ia[lo:hi] = policy.select(k, t, w["snap", lag][lo:hi] if lag else x[lo:hi])
         lag = getattr(beta_policy, "lag_n", 0)
-        ib = beta_policy.respond(ia, k, t, snapshots[lag][act] if lag else xs)
+        ib = beta_policy.respond(ia, k, t, w["snap", lag] if lag else x)
         pair = ia * nb + ib
-        code = spec_code[act] + pair if len(specs) > 1 else pair
-        x_new, dw = kernel.move(code, pair, xs, increments(k, act))
-        weight = np.exp(-phi[act] - psi[act])
-        dphi, dpsi, dpay = kernel.accrue(code, pair, xs, dw, weight)
-
-        dist_old = dist[act]
-        dist_new = problem.domain.boundary_distance(x_new)
-        exiting = dist_new <= 0.0
-        scale = np.ones(act.size)
+        code = w["code"] + pair if len(specs) > 1 else pair
+        x_new, dw = kernel.move(code, pair, x, dW[k % _BLOCK])
+        weight = np.exp(-phi - psi)
+        dphi, dpsi, dpay = kernel.accrue(code, pair, x, dw, weight)
+        dist_old, dist_new = w["dist"], problem.domain.boundary_distance(x_new)
+        exiting = (dist_new <= 0.0) & live
+        scale = live.astype(float)
         if exiting.any():
             scale[exiting] = dist_old[exiting] / (dist_old[exiting] - dist_new[exiting])
+            tau[rows[exiting]] = t + scale[exiting] * dt
+            censored[rows[exiting]] = False
+            live &= ~exiting
         for m in lag_ns:
-            diff = xs - snapshots[m][act]
-            M_acc[m][act] += weight * np.einsum("ni,ni->n", diff, diff) * scale * dt
+            diff = x - w["snap", m]
+            w["M", m] += weight * np.einsum("ni,ni->n", diff, diff) * scale * dt
         if track_exp_psi_integral:
-            exp_psi_int[act] += np.exp(-psi[act]) * scale * dt
+            w["exp_psi"] += np.exp(-psi) * scale * dt
 
-        run_pay[act] += dpay * scale
-        phi[act] += dphi * scale
-        psi[act] += dpsi * scale
-        X[act] = xs + (x_new - xs) * scale[:, None]
-        dist[act] = dist_new  # read again only while the row is alive
-
-        if exiting.any():
-            gone = act[exiting]
-            tau[gone] = t + scale[exiting] * dt
-            censored[gone] = False
-            act = act[~exiting]
+        w["pay"] += dpay * scale
+        phi += dphi * scale
+        psi += dpsi * scale
+        x += (x_new - x) * scale[:, None]
+        w["dist"] = dist_new  # read again only while the row is alive
     while len(cp_values) < len(cps):
         checkpoint()
+    write_back(slice(None))
+    phi, psi, pay = full["phi"], full["psi"], full["pay"]
 
     # an exited row's state stays at its exit; censored paths keep their
     # state at the horizon and a zero terminal term
@@ -507,15 +504,15 @@ def _run_ensemble(
             exit_state=X[sl],
             phi=phi[sl],
             psi=psi[sl],
-            running_payoff=run_pay[sl],
+            running_payoff=pay[sl],
             terminal_payoff=terminal[sl],
         )
         for sl in (slice(p * n, (p + 1) * n) for p in np.argsort(stack))
     ]
     extras = {
         "checkpoints": np.asarray(cp_values) if cps else None,
-        "M_acc": M_acc,
-        "exp_psi_integral": exp_psi_int,
+        "M_acc": {m: full["M", m] for m in lag_ns},
+        "exp_psi_integral": full.get("exp_psi"),
     }
     return batches, extras
 
@@ -666,7 +663,7 @@ def pathwise_comparison(
         raise ValueError("pathwise comparison requires pi identically zero")
     x0 = _start_point(problem, x0)
     n, nb, dt = cfg.n_paths, problem.n_beta, cfg.dt
-    n_steps, increments = _stream(T, cfg, problem.d1, n)
+    n_steps, block = _stream(T, cfg, problem.d1)
     kernel = _StepKernel(problem, [spec], dt)
     projection = np.asarray(projection, dtype=int)
     X = np.tile(x0, (n, 1))
@@ -678,15 +675,18 @@ def pathwise_comparison(
         if not act.size:
             break
         t = k * dt
-        dW = increments(k, act)
+        if k % _BLOCK == 0:
+            dW, pos = block(k, act), np.arange(act.size)  # pos: act's rows of the block
+        dWk = dW[k % _BLOCK, pos]
         ia = np.broadcast_to(mixed_alpha_policy.select(k, t, X[act]), act.shape)
         for arr, actions in ((X, ia), (Y, projection[ia])):
             xs = arr[act]
             pair = actions * nb + beta_policy.respond(actions, k, t, xs)
-            arr[act] = kernel.move(pair, pair, xs, dW)[0]
+            arr[act] = kernel.move(pair, pair, xs, dWk)[0]
         occ[act] += np.where(ia >= problem.n_alpha, dt, 0.0)
         supdiff[act] = np.maximum(supdiff[act], np.linalg.norm(X[act] - Y[act], axis=1))
-        act = act[problem.domain.contains(X[act]) & problem.domain.contains(Y[act])]
+        inside = problem.domain.contains(X[act]) & problem.domain.contains(Y[act])
+        act, pos = act[inside], pos[inside]
     mean_sup = float(supdiff.mean())
     se_sup = float(supdiff.std(ddof=1) / math.sqrt(n))
     mean_occ = float(occ.mean())

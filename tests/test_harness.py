@@ -18,7 +18,9 @@ from sdglab.simulate import ControlAdaptedSpec, SimConfig, simulate_to_exit
 def test_variant_tables(game_problem):
     params = VariantParams(pi_scale=0.2, r_low=0.8, r_high=1.25)
     base = build_variant_spec(game_problem, "baseline", params)
-    assert base.is_baseline()
+    ref = ControlAdaptedSpec.baseline(game_problem)
+    tables = ("r_table", "pi_table", "noise_table")
+    assert all(np.array_equal(getattr(base, name), getattr(ref, name)) for name in tables)
     tc = build_variant_spec(game_problem, "time_change", params)
     # rates alternate with action-pair parity
     assert tc.r_table[0, 0] == 0.8 and tc.r_table[0, 1] == 1.25
@@ -28,7 +30,7 @@ def test_variant_tables(game_problem):
     rn = build_variant_spec(game_problem, "rotated_noise", params)
     assert rn.noise_table[0, 0, 0, 0] == 1.0 and rn.noise_table[0, 1, 0, 0] == -1.0
     cb = build_variant_spec(game_problem, "combined", params)
-    assert not cb.is_baseline()
+    assert not all(np.array_equal(getattr(cb, name), getattr(ref, name)) for name in tables)
     with pytest.raises(ValueError):
         build_variant_spec(game_problem, "antipodal", params)
 

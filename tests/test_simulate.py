@@ -66,14 +66,6 @@ def test_em_step_rejects_nonfinite_noise(analytic_problem):
         em_step(analytic_problem, spec, PathState(0.0, np.array([0.5])), 0, 0, [np.nan], 0.01)
 
 
-def test_baseline_spec_identity(analytic_problem):
-    spec = ControlAdaptedSpec.baseline(analytic_problem)
-    assert spec.is_baseline()
-    assert not _spec(analytic_problem, r=1.5).is_baseline()
-    assert not _spec(analytic_problem, pi=0.2).is_baseline()
-    assert not _spec(analytic_problem, flip=True).is_baseline()
-
-
 def test_spec_validation(analytic_problem):
     with pytest.raises(ValueError):
         _spec(analytic_problem, r=3.0)  # outside [delta1, 1/delta1]
@@ -118,14 +110,8 @@ def test_simulate_is_bitwise_deterministic(analytic_problem):
     assert not np.array_equal(a.tau, c.tau)
 
 
-@pytest.mark.parametrize("max_rows", [1 << 19, 600])
-def test_lanes_match_separate_runs(game_problem, solved_game, monkeypatch, max_rows):
-    # lanes differ in spec, start and leader (one lagged); the responder
-    # is a lagged feedback policy shared by all of them.  With 600 rows
-    # the four 300-path lanes run as two ensembles of two.
-    import sdglab.simulate
-
-    monkeypatch.setattr(sdglab.simulate, "_MAX_ROWS", max_rows)
+def _mixed_lanes(p, value):
+    """Lanes that differ in spec, start and leader (one lagged), and a lagged responder shared by all."""
     from sdglab.policies import (
         BangBangPolicy,
         FeedbackAlphaPolicy,
@@ -134,9 +120,8 @@ def test_lanes_match_separate_runs(game_problem, solved_game, monkeypatch, max_r
         build_beta_selector,
     )
 
-    p = game_problem
-    beta = FeedbackBetaPolicy(build_beta_selector(p, solved_game.value_, 1e-9), lag_n=4)
-    lagged = FeedbackAlphaPolicy(build_alpha_selector(p, solved_game.value_, 1e-9), lag_n=8)
+    beta = FeedbackBetaPolicy(build_beta_selector(p, value, 1e-9), lag_n=4)
+    lagged = FeedbackAlphaPolicy(build_alpha_selector(p, value, 1e-9), lag_n=8)
     switch = BangBangPolicy([0.05], [1, 0])
     base = ControlAdaptedSpec.baseline(p)
     tilted = _spec(p, r=1.2, pi=0.3, flip=True, variant="combined")
@@ -146,6 +131,17 @@ def test_lanes_match_separate_runs(game_problem, solved_game, monkeypatch, max_r
         (base, [0.7], switch),
         (tilted, [0.4], lagged),
     ]
+    return lanes, beta
+
+
+@pytest.mark.parametrize("max_rows", [1 << 19, 600])
+def test_lanes_match_separate_runs(game_problem, solved_game, monkeypatch, max_rows):
+    # with 600 rows the four 300-path lanes run as two ensembles of two
+    import sdglab.simulate
+
+    monkeypatch.setattr(sdglab.simulate, "_MAX_ROWS", max_rows)
+    p = game_problem
+    lanes, beta = _mixed_lanes(p, solved_game.value_)
     cfg = SimConfig(dt=1e-3, t_max=2.0, n_paths=300, seed=5)
     together = simulate_lanes(p, lanes, beta, cfg)
     assert len(together) == len(lanes)
@@ -153,6 +149,58 @@ def test_lanes_match_separate_runs(game_problem, solved_game, monkeypatch, max_r
         alone = simulate_to_exit(p, spec, x0, alpha, beta, cfg)
         for name in ("tau", "censored", "exit_state", "phi", "psi", "running_payoff", "terminal_payoff"):
             assert np.array_equal(getattr(batch, name), getattr(alone, name)), name
+
+
+def test_block_size_does_not_change_outputs(game_problem, solved_game, monkeypatch):
+    # at _BLOCK = 1 the working state is compacted at every step
+    import dataclasses
+
+    import sdglab.simulate
+    from sdglab.policies import supermartingale_test
+
+    p = game_problem
+    lanes, beta = _mixed_lanes(p, solved_game.value_)
+    (tilted, x0, switch), lagged = lanes[0], lanes[3][2]
+    cfg = SimConfig(dt=1e-3, t_max=2.0, n_paths=300, seed=5)
+    checkpoints = (0.0, 0.01, 0.05, 0.3)  # step 10 lies inside a block of 3 or 8 steps
+
+    def run():
+        batches = simulate_lanes(p, lanes, beta, cfg)
+        reports = [
+            girsanov_martingale_check(p, tilted, x0, lagged, beta, cfg),
+            increment_bound_study(p, tilted, x0, switch, beta, cfg, [2, 8]),
+            supermartingale_test(p, tilted, x0, solved_game.value_, lagged, beta, cfg, checkpoints, 1e-6),
+        ]
+        return batches, [dataclasses.asdict(r) for r in reports]
+
+    outputs = {}
+    for size in (1, 3, 8):
+        monkeypatch.setattr(sdglab.simulate, "_BLOCK", size)
+        outputs[size] = run()
+    batches, reports = outputs[8]
+    assert reports[0]["exp_psi_integral_mean"] > 0 and min(reports[1]["M_values"]) > 0
+    for size in (1, 3):
+        for a, b in zip(batches, outputs[size][0]):
+            for f in dataclasses.fields(a):
+                assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), (size, f.name)
+        assert outputs[size][1] == reports, size
+
+
+def test_start_of_wrong_dimension_rejected():
+    from pathlib import Path
+
+    from sdglab.config import load_problem
+    from sdglab.simulate import pathwise_comparison
+
+    p = load_problem(Path(__file__).resolve().parent.parent / "sdgbench" / "box2d.cfg")  # d = 2
+    spec = ControlAdaptedSpec.baseline(p)
+    cfg = SimConfig(dt=1e-3, t_max=1.0, n_paths=50)
+    for x0 in ([0.5], [0.5, 0.5, 0.5]):
+        with pytest.raises(ValueError, match=f"dimension {len(x0)}.*d = 2"):
+            simulate_to_exit(p, spec, x0, ConstantPolicy(0), ConstantResponder(0), cfg)
+        with pytest.raises(ValueError, match=f"dimension {len(x0)}.*d = 2"):
+            pathwise_comparison(p, spec, x0, ConstantPolicy(0), ConstantResponder(0), cfg, 1.0,
+                                np.arange(p.n_alpha_ext))
 
 
 def test_start_outside_domain_rejected(analytic_problem):
@@ -331,8 +379,8 @@ def test_stream_counter_guard(analytic_problem):
                             np.zeros(analytic_problem.n_alpha_ext, dtype=int))
     # the path counter, checked without building an ensemble of 2**32 paths
     with pytest.raises(ValueError, match="overflow"):
-        _stream(1.0, SimConfig(dt=1e-3, t_max=1.0, n_paths=1 << 32), 1, 0)
-    assert _stream(1.0, SimConfig(dt=1e-3, t_max=1.0, n_paths=(1 << 32) - 1), 1, 0)[0] == 1000
+        _stream(1.0, SimConfig(dt=1e-3, t_max=1.0, n_paths=1 << 32), 1)
+    assert _stream(1.0, SimConfig(dt=1e-3, t_max=1.0, n_paths=(1 << 32) - 1), 1)[0] == 1000
 
 
 def test_pathwise_comparison_matches_em_step_under_rotated_noise(analytic_problem):
