@@ -30,13 +30,9 @@ from .harness import (
 )
 from .model import (
     ActionSets,
-    BarrierFunction,
     DomainSpec,
     GameProblem,
     ValidationReport,
-    build_barrier,
-    diffusion_matrix,
-    effective_drift,
     validate_problem,
 )
 from .pde import (
@@ -52,8 +48,6 @@ from .pde import (
     h_mono,
 )
 from .policies import (
-    BangBangPolicy,
-    CandidateControlSet,
     ConstantPolicy,
     ConstantResponder,
     FeedbackAlphaPolicy,

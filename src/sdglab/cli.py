@@ -141,7 +141,9 @@ def _stage_increments(cfg, args, out_dir: Path) -> int:
     try:
         lags = sorted(int(v) for v in args.lags.split(",") if v.strip())
     except ValueError:
-        print("error: --lags must be a comma-separated integer list", file=sys.stderr)
+        lags = []
+    if not lags or lags[0] < 1:
+        print("error: --lags must be a comma-separated list of positive integers", file=sys.stderr)
         return 2
     spec = ControlAdaptedSpec.baseline(problem)
     alpha, beta = ConstantPolicy(0), ConstantResponder(0)

@@ -18,13 +18,7 @@ import numpy as np
 from .grids import DomainGrid
 from .model import GameProblem, validate_problem
 from .pde import IsaacsSolver, PucciParams, RateReport, SolveConfig, _penalty_sweep
-from .policies import (
-    CandidateControlSet,
-    ConstantPolicy,
-    FeedbackAlphaPolicy,
-    FeedbackBetaPolicy,
-    _feedback_selectors,
-)
+from .policies import ConstantPolicy, FeedbackAlphaPolicy, FeedbackBetaPolicy, _feedback_selectors
 from .simulate import VARIANTS, ControlAdaptedSpec, SimConfig, simulate_lanes
 
 __all__ = [
@@ -130,10 +124,13 @@ def estimate_value(
     spec: ControlAdaptedSpec,
     x0,
     beta_policy,
-    candidates: CandidateControlSet,
+    candidates,
     cfg: SimConfig,
 ) -> ValueEstimate:
     """Max over leader candidates of the MC mean payoff against ``beta_policy``.
+
+    ``candidates`` is a nonempty sequence of leader policies, the finite
+    stand-in for the sup over all admissible leader controls.
 
     All candidates reuse the same seed, so the Gaussian stream is common
     across them and the maximization is a low-variance paired comparison.
@@ -144,7 +141,9 @@ def estimate_value(
 def _estimate_values(problem, jobs, beta_policy, candidates, cfg) -> list[ValueEstimate]:
     """``estimate_value`` for each (spec, x0) job, with every candidate lane of
     every job simulated in one ensemble."""
-    named = list(zip(candidates.policies, candidates.names()))
+    if not candidates:
+        raise ValueError("candidate set must be nonempty")
+    named = [(p, getattr(p, "name", type(p).__name__)) for p in candidates]
     lanes = [(spec, x0, policy) for spec, x0 in jobs for policy, _ in named]
     batches = iter(simulate_lanes(problem, lanes, beta_policy, cfg))
     out = []
@@ -188,8 +187,12 @@ class ExperimentConfig:
     z_threshold: float = 3.0
     budget_h2: float = 4.0
     budget_sqrt_dt: float = 0.65
+    # the Monte Carlo settings, seeded with the experiment's ``seed``; built
+    # once, so SimConfig's own checks reject a bad seed when the config is made
+    sim_config: SimConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "sim_config", replace(self.sim, seed=self.seed))
         unknown = [v for v in self.variants if v not in VARIANTS]
         if unknown:
             raise ValueError(
@@ -198,11 +201,6 @@ class ExperimentConfig:
         for p in self.points:
             if not self.problem.domain.contains(np.asarray(p, dtype=float)[None, :])[0]:
                 raise ValueError(f"evaluation point {p} is not interior to the domain")
-
-    @property
-    def sim_config(self) -> SimConfig:
-        """The Monte Carlo settings, seeded with the experiment's ``seed``."""
-        return replace(self.sim, seed=self.seed)
 
     @property
     def budget(self) -> float:
@@ -297,7 +295,7 @@ def _feedback_players(config: ExperimentConfig, solver: IsaacsSolver):
     policies = [ConstantPolicy(ia, name=f"const_{problem.actions.a_labels[ia]}")
                 for ia in range(problem.n_alpha)]
     policies.append(FeedbackAlphaPolicy(alpha_sel))
-    return FeedbackBetaPolicy(beta_sel), CandidateControlSet(policies)
+    return FeedbackBetaPolicy(beta_sel), tuple(policies)
 
 
 def run_invariance_suite(config: ExperimentConfig) -> InvarianceReport:

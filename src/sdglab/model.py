@@ -14,23 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import (
-    MatrixField,
-    ScalarField,
-    VectorField,
-    const_scalar,
-)
+from .coefficients import MatrixField, ScalarField, VectorField
 
 __all__ = [
     "ActionSets",
     "DomainSpec",
     "GameProblem",
-    "BarrierFunction",
     "ValidationReport",
     "validate_problem",
-    "diffusion_matrix",
-    "build_barrier",
-    "effective_drift",
 ]
 
 
@@ -164,27 +155,6 @@ class GameProblem:
     def n_beta(self) -> int:
         return self.actions.n_beta
 
-    def is_penalty_action(self, ia: int) -> bool:
-        return ia >= self.actions.n_alpha
-
-
-def diffusion_matrix(problem: GameProblem, ia: int, ib: int, x) -> np.ndarray:
-    """a = (1/2) sigma sigma^T at a single point; symmetric by construction."""
-    s = problem.sigma[ia][ib].at(x)
-    return 0.5 * (s @ s.T)
-
-
-def effective_drift(problem: GameProblem, ia: int, ib: int, x, r: float, pi) -> np.ndarray:
-    """Drift r^2 (b + sigma pi) of the transformed dynamics at one point."""
-    if not (problem.delta1 <= r <= 1.0 / problem.delta1 + 1e-12):
-        raise ValueError(f"time-change rate r={r} outside [delta1, 1/delta1]")
-    pi = np.asarray(pi, dtype=float)
-    if np.linalg.norm(pi) > problem.K1 + 1e-12:
-        raise ValueError(f"|pi|={np.linalg.norm(pi)} exceeds K1={problem.K1}")
-    bv = problem.b[ia][ib].at(x)
-    sv = problem.sigma[ia][ib].at(x)
-    return r * r * (bv + sv @ pi)
-
 
 @dataclass
 class ValidationReport:
@@ -273,63 +243,3 @@ def validate_problem(problem: GameProblem, grid) -> ValidationReport:
     if cmin < 0:
         messages.append("discount rate c is negative somewhere")
     return ValidationReport(ell_lo, ell_hi, bound, lip, cmin, messages)
-
-
-@dataclass(frozen=True)
-class BarrierFunction:
-    """Exponential barrier kappa * (C - exp(lam * x^1)).
-
-    Positive on the part of the closure where x^1 < x1_max, zero on the
-    boundary face where the first coordinate attains its maximum, and
-    verified on a grid to push the generator below -1 for every action
-    pair.
-    """
-
-    lam: float
-    kappa: float
-    offset: float  # C = max over the closure of exp(lam x^1)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self.kappa * (self.offset - np.exp(self.lam * x[:, 0]))
-
-    def generator_value(self, problem: GameProblem, ia: int, ib: int, x: np.ndarray) -> np.ndarray:
-        """L Psi + c Psi with exact closed-form derivatives, vectorized."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        e = np.exp(self.lam * x[:, 0])
-        s = problem.sigma[ia][ib](x)
-        a11 = 0.5 * np.einsum("nj,nj->n", s[:, 0, :], s[:, 0, :])
-        b1 = problem.b[ia][ib](x)[:, 0]
-        # the c Psi terms cancel: L includes -c Psi, then + c Psi is added back
-        return -self.kappa * e * (a11 * self.lam**2 + b1 * self.lam)
-
-    def upper_bound(self, problem: GameProblem) -> float:
-        lo, _ = problem.domain.bounding_box()
-        return self.kappa * (self.offset - math.exp(self.lam * lo[0]))
-
-
-def build_barrier(problem: GameProblem, grid, max_retries: int = 12) -> BarrierFunction:
-    """Find (lam, kappa) with L Psi + c Psi <= -1 on every grid node and pair.
-
-    Starts from lam = 1 and doubles on failure, rescaling kappa so the
-    inequality margin is checked afresh each round.
-    """
-    lo, up = problem.domain.bounding_box()
-    pts = grid.coords
-    lam = 1.0
-    for _ in range(max_retries):
-        offset = math.exp(lam * up[0])
-        worst = -math.inf
-        for ia in range(problem.n_alpha_ext):
-            for ib in range(problem.n_beta):
-                cand = BarrierFunction(lam, 1.0, offset)
-                worst = max(worst, float(cand.generator_value(problem, ia, ib, pts).max()))
-        if worst < 0:
-            # kappa scales the generator linearly; leave 10% slack
-            kappa = 1.1 / (-worst)
-            return BarrierFunction(lam, kappa, offset)
-        lam *= 2.0
-    raise RuntimeError(
-        "no exponential barrier found within the retry budget; "
-        "coefficients are outside the validated regime"
-    )

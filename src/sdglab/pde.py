@@ -329,32 +329,15 @@ def _policy_iteration(disc: Discretization, u: np.ndarray, cfg: SolveConfig):
 class IsaacsSolver:
     """Estimator-style wrapper: fit a game problem, predict interpolated values.
 
-    Parameters follow the scikit-learn convention (``get_params`` /
-    ``set_params``).  After ``fit`` the solved grid function is in
-    ``value_``, the final per-node saddle policy in ``policy_alpha_`` /
-    ``policy_beta_`` (indexed like the interior nodes), the sup-inf
-    residual in ``residual_`` and the operators in ``discretization_``.
+    After ``fit`` the solved grid function is in ``value_``, the final
+    per-node saddle policy in ``policy_alpha_`` / ``policy_beta_``
+    (indexed like the interior nodes), the sup-inf residual in
+    ``residual_`` and the operators in ``discretization_``.
     """
-
-    _param_names = ("h", "cfg")
 
     def __init__(self, h: float = 1 / 128, cfg: SolveConfig = SolveConfig()):
         self.h = h
         self.cfg = cfg
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names}
-
-    def set_params(self, **params):
-        for name, value in params.items():
-            if name not in self._param_names:
-                raise ValueError(f"unknown parameter {name!r}")
-            setattr(self, name, value)
-        return self
-
-    def __repr__(self):
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
 
     def fit(self, problem: GameProblem, g_boundary=None, grid: DomainGrid | None = None):
         if grid is None:

@@ -24,12 +24,10 @@ from .simulate import ControlAdaptedSpec, SimConfig, _run_ensemble
 __all__ = [
     "MarkovSelector",
     "ConstantPolicy",
-    "BangBangPolicy",
     "OccupancyPolicy",
     "ConstantResponder",
     "FeedbackAlphaPolicy",
     "FeedbackBetaPolicy",
-    "CandidateControlSet",
     "build_beta_selector",
     "build_alpha_selector",
     "MartingaleTestReport",
@@ -183,23 +181,6 @@ class ConstantPolicy:
         return np.full(x.shape[0], self.action)
 
 
-class BangBangPolicy:
-    """Switches through a fixed action schedule at fixed times."""
-
-    lag_n = 0
-
-    def __init__(self, switch_times, actions, name: str | None = None):
-        if len(actions) != len(switch_times) + 1:
-            raise ValueError("need one more action than switch times")
-        self.switch_times = list(switch_times)
-        self.actions = [int(a) for a in actions]
-        self.name = name or "bangbang"
-
-    def select(self, k, t, x):
-        idx = int(np.searchsorted(self.switch_times, t, side="right"))
-        return np.full(x.shape[0], self.actions[idx])
-
-
 class OccupancyPolicy:
     """Spends a fixed fraction of each period in a designated action.
 
@@ -268,23 +249,6 @@ class FeedbackBetaPolicy(_FeedbackPolicy):
 
     def respond(self, ia, k, t, x):
         return self.selector.beta_at(ia, x)
-
-
-@dataclass
-class CandidateControlSet:
-    """Finite stand-in for the sup over all admissible leader controls."""
-
-    policies: list
-
-    def __post_init__(self):
-        if not self.policies:
-            raise ValueError("candidate set must be nonempty")
-
-    def __len__(self) -> int:
-        return len(self.policies)
-
-    def names(self) -> list[str]:
-        return [getattr(p, "name", type(p).__name__) for p in self.policies]
 
 
 @dataclass

@@ -618,6 +618,8 @@ def increment_bound_study(
 ) -> BoundReport:
     """Estimate the weighted squared lag increment integral for each lag n."""
     n_list = [int(v) for v in n_list]
+    if not n_list or min(n_list) < 1:
+        raise ValueError("n_list must be a nonempty list of lags n >= 1")
     if sorted(n_list) != n_list:
         raise ValueError("n_list must be increasing")
     if cfg.dt > 1.0 / (4 * max(n_list)):

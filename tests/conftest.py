@@ -1,24 +1,30 @@
 import sys
+from pathlib import Path
 
 import pytest
 
+from sdglab.config import load_experiment
 from sdglab.pde import IsaacsSolver
-from sdglab.presets import analytic_interval_problem, holder_game, two_action_game
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="session")
 def analytic_problem():
-    return analytic_interval_problem()
+    """Singleton actions on (0, 1) with the closed-form value x(1-x)/2."""
+    return load_experiment(CONFIGS / "analytic.cfg").problem
 
 
 @pytest.fixture(scope="session")
 def game_problem():
-    return two_action_game()
+    """The 2x2 drift game whose saddle switches in space for both players."""
+    return load_experiment(CONFIGS / "game2x2.cfg").problem
 
 
 @pytest.fixture(scope="session")
 def holder_problem():
-    return holder_game()
+    """The 2x2 game with a Hoelder cost valley at the center."""
+    return load_experiment(CONFIGS / "holder.cfg").problem
 
 
 @pytest.fixture(scope="session")

@@ -41,20 +41,25 @@ def _write(tmp_path, text, name="p.cfg"):
     return p
 
 
-def test_bundled_analytic_matches_preset(analytic_problem):
+def test_bundled_analytic_matches_preset():
+    # the scheme is exact on the closed-form value x(1 - x)/2
     p = load_problem(CONFIGS / "analytic.cfg")
-    v_cfg = IsaacsSolver(h=1 / 64).fit(p).predict([[0.5]])[0]
-    v_preset = IsaacsSolver(h=1 / 64).fit(analytic_problem).predict([[0.5]])[0]
-    assert v_cfg == pytest.approx(v_preset, abs=1e-12)
+    v = IsaacsSolver(h=1 / 64).fit(p).predict([[0.25], [0.5]])
+    assert v == pytest.approx([0.09375, 0.125], abs=1e-9)
 
 
-def test_bundled_game_matches_preset(game_problem):
+def test_bundled_game_matches_preset():
+    # drifts +-0.3 +-0.1 by action; the leader's cost slopes -+1.2 and the
+    # responder's coupling +-0.35 alternates with the action-pair parity
     p = load_problem(CONFIGS / "game2x2.cfg")
     x = np.linspace(0.1, 0.9, 5)[:, None]
     for ia in range(2):
         for ib in range(2):
-            assert np.allclose(p.f[ia][ib](x), game_problem.f[ia][ib](x))
-            assert np.allclose(p.b[ia][ib](x), game_problem.b[ia][ib](x))
+            drift = (0.3 if ia == 0 else -0.3) + (0.1 if ib == 0 else -0.1)
+            coupling = 0.35 if (ia + ib) % 2 == 0 else -0.35
+            cost = 0.45 + coupling + (-1.2 * x[:, 0] if ia == 0 else 1.2 * x[:, 0] - 1.2)
+            assert np.allclose(p.b[ia][ib](x)[:, 0], drift)
+            assert np.allclose(p.f[ia][ib](x), cost)
 
 
 def test_experiment_fields_from_file():
@@ -180,11 +185,16 @@ def test_cli_usage_errors(tmp_path):
     assert main(["solve", "--config", cfg, "--paths", "5"]) == 2
     assert main(["simulate", "--config", cfg, "--grid-h", "9"]) == 2
     assert main(["simulate", "--config", cfg, "--variant", "basline"]) == 2
-    # a '%' or a misspelt variant in the file is a config error, not a crash
-    # or a failed stage
-    for old, new in (("seed = 7", "seed = 7%"), ("seed = 7", "variants = basline\nseed = 7")):
-        bad = _write(tmp_path, (CONFIGS / "analytic.cfg").read_text().replace(old, new))
-        assert main(["validate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    # a '%', a misspelt variant or a seed outside [0, 2**64) in the file is a
+    # config error, not a crash or a failed stage
+    for new in ("seed = 7%", "variants = basline\nseed = 7", "seed = -1"):
+        bad = _write(tmp_path, (CONFIGS / "analytic.cfg").read_text().replace("seed = 7", new))
+        for stage in ("validate", "simulate"):
+            assert main([stage, "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    # so are a lag below 1, an empty lag list and a seed flag out of range
+    for lags in ("0", ",", "-2,4"):
+        assert main(["increments", "--config", cfg, "--lags", lags, "--out", str(tmp_path / "o")]) == 2
+    assert main(["simulate", "--config", cfg, "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
     assert main(["--help"]) == 0
 
 

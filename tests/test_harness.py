@@ -11,7 +11,7 @@ from sdglab.harness import (
     estimate_value,
     run_invariance_suite,
 )
-from sdglab.policies import CandidateControlSet, ConstantPolicy, ConstantResponder
+from sdglab.policies import ConstantPolicy, ConstantResponder
 from sdglab.simulate import ControlAdaptedSpec, SimConfig, simulate_to_exit
 
 
@@ -66,14 +66,15 @@ def test_variant_noise_orthogonal_2d():
 def test_estimate_value_singleton_equals_plain_mean(analytic_problem):
     spec = ControlAdaptedSpec.baseline(analytic_problem)
     cfg = SimConfig(dt=1e-3, t_max=2.0, n_paths=400, seed=4)
-    cands = CandidateControlSet([ConstantPolicy(0)])
-    est = estimate_value(analytic_problem, spec, [0.5], ConstantResponder(0), cands, cfg)
+    est = estimate_value(analytic_problem, spec, [0.5], ConstantResponder(0), (ConstantPolicy(0),), cfg)
     batch = simulate_to_exit(
         analytic_problem, spec, [0.5], ConstantPolicy(0), ConstantResponder(0), cfg
     )
     assert est.estimate == pytest.approx(float(batch.payoff.mean()), abs=1e-15)
     assert est.best_candidate == "const0"
     assert est.candidate_size == 1
+    with pytest.raises(ValueError, match="nonempty"):
+        estimate_value(analytic_problem, spec, [0.5], ConstantResponder(0), (), cfg)
 
 
 def test_estimate_value_takes_the_max_candidate(game_problem):
@@ -81,9 +82,7 @@ def test_estimate_value_takes_the_max_candidate(game_problem):
     # reported best is the first by iteration order and the max is exact
     spec = ControlAdaptedSpec.baseline(game_problem)
     cfg = SimConfig(dt=1e-3, t_max=2.0, n_paths=300, seed=8)
-    cands = CandidateControlSet(
-        [ConstantPolicy(0, name="a"), ConstantPolicy(1, name="b"), ConstantPolicy(0, name="a2")]
-    )
+    cands = (ConstantPolicy(0, name="a"), ConstantPolicy(1, name="b"), ConstantPolicy(0, name="a2"))
     est = estimate_value(game_problem, spec, [0.5], ConstantResponder(0), cands, cfg)
     assert est.candidate_means["a"] == est.candidate_means["a2"]
     assert est.estimate == max(est.candidate_means.values())

@@ -2,19 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from sdglab.coefficients import const_matrix, const_scalar, const_vector
 from sdglab.grids import DomainGrid
-from sdglab.model import (
-    ActionSets,
-    DomainSpec,
-    GameProblem,
-    build_barrier,
-    diffusion_matrix,
-    effective_drift,
-    validate_problem,
-)
+from sdglab.model import ActionSets, DomainSpec, GameProblem, validate_problem
 
 SQRT2 = math.sqrt(2.0)
 
@@ -106,53 +97,6 @@ def test_noise_dimension_at_least_state_dimension():
         )
 
 
-def test_diffusion_matrix_is_half_sigma_sigma_t():
-    p = _singleton(sigma=SQRT2)
-    a = diffusion_matrix(p, 0, 0, [0.5])
-    assert a.shape == (1, 1)
-    assert a[0, 0] == pytest.approx(1.0)
-
-
-def test_diffusion_matrix_symmetric_psd_2d():
-    sig = const_matrix([[1.0, 0.3], [0.0, 0.8]])
-    p = GameProblem(
-        actions=ActionSets(("a0",), ("b0",)),
-        domain=DomainSpec("box", 2, (0.0, 0.0), (1.0, 1.0)),
-        sigma=((sig,),),
-        b=((const_vector([0.0, 0.0]),),),
-        c=((const_scalar(0.0),),),
-        f=((const_scalar(0.0),),),
-        g=const_scalar(0.0),
-        K0=2.0,
-        delta=0.1,
-        d=2,
-        d1=2,
-    )
-    a = diffusion_matrix(p, 0, 0, [0.5, 0.5])
-    assert np.allclose(a, a.T)
-    assert np.all(np.linalg.eigvalsh(a) >= 0)
-
-
-def test_effective_drift_identity_configuration():
-    p = _singleton(bdrift=0.7)
-    out = effective_drift(p, 0, 0, [0.5], r=1.0, pi=[0.0])
-    assert np.allclose(out, [0.7])
-
-
-def test_effective_drift_scales_and_adds_measure_term():
-    p = _singleton(bdrift=1.0)
-    out = effective_drift(p, 0, 0, [0.5], r=2.0, pi=[0.5])
-    assert np.allclose(out, [4.0 * (1.0 + SQRT2 * 0.5)])
-
-
-def test_effective_drift_rejects_out_of_range_controls():
-    p = _singleton()
-    with pytest.raises(ValueError):
-        effective_drift(p, 0, 0, [0.5], r=3.0, pi=[0.0])
-    with pytest.raises(ValueError):
-        effective_drift(p, 0, 0, [0.5], r=1.0, pi=[2.0])
-
-
 def test_validate_problem_passes_on_good_problem():
     p = _singleton()
     grid = DomainGrid.build(p.domain, 1 / 32)
@@ -176,26 +120,3 @@ def test_validate_problem_flags_negative_discount():
     rep = validate_problem(p, grid)
     assert not rep.passed
     assert rep.discount_margin < 0
-
-
-def test_barrier_nonnegative_and_generator_negative():
-    p = _singleton(bdrift=0.5)
-    grid = DomainGrid.build(p.domain, 1 / 32)
-    psi = build_barrier(p, grid)
-    vals = psi(grid.coords)
-    assert np.all(vals >= -1e-12)
-    gen = psi.generator_value(p, 0, 0, grid.coords)
-    assert np.all(gen <= -1.0 + 1e-9)
-    assert psi.upper_bound(p) >= vals.max() - 1e-12
-
-
-@given(
-    r=st.floats(0.5, 2.0),
-    pi=st.floats(-1.0, 1.0),
-    bdrift=st.floats(-1.0, 1.0),
-)
-def test_effective_drift_formula(r, pi, bdrift):
-    p = _singleton(bdrift=bdrift)
-    out = effective_drift(p, 0, 0, [0.5], r=r, pi=[pi])
-    expect = r * r * (bdrift + SQRT2 * pi)
-    assert out[0] == pytest.approx(expect, rel=1e-12, abs=1e-12)

@@ -19,7 +19,6 @@ from sdglab.pde import (
     extend_problem,
     h_mono,
 )
-from sdglab.presets import holder_game, two_action_game
 
 SQRT2 = math.sqrt(2.0)
 
@@ -120,11 +119,11 @@ def test_discrete_L_rejects_boundary_node():
         discrete_L(p, 0, 0, u, int(grid.boundary_idx[0]))
 
 
-def test_spacing_guard():
-    p = two_action_game()  # K0 = 2.2 -> bound 2*0.5/2.2 = 0.4545
-    assert h_mono(p) == pytest.approx(1.0 / 2.2)
+def test_spacing_guard(game_problem):
+    # K0 = 2.2 -> bound 2*0.5/2.2 = 0.4545
+    assert h_mono(game_problem) == pytest.approx(1.0 / 2.2)
     with pytest.raises(ValueError):
-        IsaacsSolver(h=0.5).fit(p)
+        IsaacsSolver(h=0.5).fit(game_problem)
 
 
 # --- exact frozen-policy solve -------------------------------------------------
@@ -278,7 +277,6 @@ def test_extend_problem_shapes_and_guards(analytic_problem):
     ext = extend_problem(analytic_problem, pucci, 3.0)
     assert ext.n_alpha == 1
     assert ext.n_alpha_ext == 1 + len(pucci.rays)
-    assert ext.is_penalty_action(1)
     assert ext.f[1][0].constant_value == -3.0
     with pytest.raises(ValueError):
         extend_problem(ext, pucci, 3.0)
@@ -308,17 +306,6 @@ def test_convergence_study_rejects_bad_K_list(analytic_problem):
 
 
 # --- estimator interface ------------------------------------------------------
-
-
-def test_estimator_params_roundtrip():
-    s = IsaacsSolver(h=1 / 32)
-    params = s.get_params()
-    assert params["h"] == 1 / 32
-    s.set_params(h=1 / 16)
-    assert s.h == 1 / 16
-    with pytest.raises(ValueError):
-        s.set_params(unknown=1)
-    assert "IsaacsSolver" in repr(s)
 
 
 def test_boundary_data_honored(analytic_problem):

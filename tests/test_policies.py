@@ -7,8 +7,6 @@ from sdglab.coefficients import const_matrix, const_scalar, const_vector
 from sdglab.grids import ValueField
 from sdglab.model import ActionSets, DomainSpec, GameProblem
 from sdglab.policies import (
-    BangBangPolicy,
-    CandidateControlSet,
     ConstantPolicy,
     ConstantResponder,
     FeedbackAlphaPolicy,
@@ -118,12 +116,6 @@ def test_selector_csv_deterministic(tmp_path, solved_game, game_problem):
 
 def test_scripted_policies():
     x = np.zeros((3, 1))
-    bb = BangBangPolicy([0.5, 1.0], [0, 1, 0])
-    assert bb.select(0, 0.2, x)[0] == 0
-    assert bb.select(0, 0.7, x)[0] == 1
-    assert bb.select(0, 1.2, x)[0] == 0
-    with pytest.raises(ValueError):
-        BangBangPolicy([0.5], [0])
     occ = OccupancyPolicy(0, 2, 0.25, period=1.0)
     assert occ.select(0, 0.1, x)[0] == 2
     assert occ.select(0, 0.9, x)[0] == 0
@@ -183,14 +175,6 @@ def test_lagged_policy_sees_frozen_state():
         for x in xs[1:]:
             assert np.array_equal(x, xs[0])
     assert not np.array_equal(by_cell[0][0], by_cell[1][0])
-
-
-def test_candidate_set_validation():
-    with pytest.raises(ValueError):
-        CandidateControlSet([])
-    cs = CandidateControlSet([ConstantPolicy(0, name="hold"), ConstantPolicy(1)])
-    assert len(cs) == 2
-    assert cs.names() == ["hold", "const1"]
 
 
 def test_super_and_submartingale_drift(solved_game, game_problem):

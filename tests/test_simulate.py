@@ -110,10 +110,19 @@ def test_simulate_is_bitwise_deterministic(analytic_problem):
     assert not np.array_equal(a.tau, c.tau)
 
 
+class _SwitchLeader:
+    """Leader that plays action 1 before t = 0.05 and action 0 from then on."""
+
+    lag_n = 0
+    name = "switch"
+
+    def select(self, k, t, x):
+        return np.full(x.shape[0], 1 if t < 0.05 else 0)
+
+
 def _mixed_lanes(p, value):
     """Lanes that differ in spec, start and leader (one lagged), and a lagged responder shared by all."""
     from sdglab.policies import (
-        BangBangPolicy,
         FeedbackAlphaPolicy,
         FeedbackBetaPolicy,
         build_alpha_selector,
@@ -122,7 +131,7 @@ def _mixed_lanes(p, value):
 
     beta = FeedbackBetaPolicy(build_beta_selector(p, value, 1e-9), lag_n=4)
     lagged = FeedbackAlphaPolicy(build_alpha_selector(p, value, 1e-9), lag_n=8)
-    switch = BangBangPolicy([0.05], [1, 0])
+    switch = _SwitchLeader()
     base = ControlAdaptedSpec.baseline(p)
     tilted = _spec(p, r=1.2, pi=0.3, flip=True, variant="combined")
     lanes = [
@@ -270,6 +279,11 @@ def test_increment_bound_guards(analytic_problem):
         increment_bound_study(
             analytic_problem, spec, [0.5], ConstantPolicy(0), ConstantResponder(0), cfg, [2, 100]
         )
+    for lags in ([], [0, 2], [-1, 2]):
+        with pytest.raises(ValueError, match="nonempty list of lags"):
+            increment_bound_study(
+                analytic_problem, spec, [0.5], ConstantPolicy(0), ConstantResponder(0), cfg, lags
+            )
 
 
 def test_increment_bound_scaling(analytic_problem):
