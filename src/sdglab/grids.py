@@ -34,8 +34,8 @@ class DomainGrid:
     @staticmethod
     def build(domain: DomainSpec, h: float) -> "DomainGrid":
         """Uniform lattice with spacing snapped so the box divides evenly."""
-        if h <= 0:
-            raise ValueError("grid spacing must be positive")
+        if not 0 < h < np.inf:
+            raise ValueError(f"grid spacing must be finite and positive, got {h}")
         lo, up = domain.bounding_box()
         d = domain.dimension
         counts = np.maximum(np.round((up - lo) / h).astype(int), 2)

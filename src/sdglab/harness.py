@@ -193,6 +193,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "sim_config", replace(self.sim, seed=self.seed))
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"grid spacing h must be finite and positive, got {self.h}")
         unknown = [v for v in self.variants if v not in VARIANTS]
         if unknown:
             raise ValueError(

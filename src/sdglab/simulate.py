@@ -333,18 +333,23 @@ def _stream(horizon: float, cfg: SimConfig, d1: int):
 
     ``block`` covers steps k .. k + _BLOCK - 1 (fewer at the horizon), of shape
     (steps, rows, d1), and is called at each block start for the rows alive then.
-    Row i is path i % cfg.n_paths of its lane; the rows of one path in several
-    lanes share its normals, which are evaluated once.  Raises before anything
-    is allocated if a counter would reach 2**32, past which streams repeat.
+    ``rows`` ascend.  Row i is path i % cfg.n_paths of its lane; the rows of
+    one path in several lanes share its normals, which are evaluated once.
+    Raises before anything is allocated if a counter would reach 2**32, past
+    which streams repeat.
     """
     n, n_steps = cfg.n_paths, int(round(horizon / cfg.dt))
     if n_steps * d1 >= 1 << 32 or n >= 1 << 32:
         raise ValueError(f"{n_steps} steps of {d1} components or {n} paths overflow the stream's counters")
 
     def block(k: int, rows: np.ndarray) -> np.ndarray:
+        steps = min(_BLOCK, n_steps - k)
+        if not rows.size or rows[-1] < n:  # one lane: the rows are distinct ascending paths
+            dW = _gaussian_increments(cfg.seed, rows, k, steps, d1, cfg.dt)
+            return np.ascontiguousarray(dW.swapaxes(0, 1))
         seen = np.zeros(n, dtype=bool)
         seen[rows % n] = True
-        dW = _gaussian_increments(cfg.seed, np.flatnonzero(seen), k, min(_BLOCK, n_steps - k), d1, cfg.dt)
+        dW = _gaussian_increments(cfg.seed, np.flatnonzero(seen), k, steps, d1, cfg.dt)
         return np.take(dW.swapaxes(0, 1), (np.cumsum(seen) - 1)[rows % n], axis=1)
 
     return n_steps, block

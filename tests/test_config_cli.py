@@ -195,6 +195,11 @@ def test_cli_usage_errors(tmp_path):
     for lags in ("0", ",", "-2,4"):
         assert main(["increments", "--config", cfg, "--lags", lags, "--out", str(tmp_path / "o")]) == 2
     assert main(["simulate", "--config", cfg, "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+    # a grid spacing that is not finite and positive, by flag or in the file
+    for h in ("0", "-1", "nan", "inf"):
+        assert main(["validate", "--config", cfg, "--grid-h", h, "--out", str(tmp_path / "o")]) == 2
+        bad = _write(tmp_path, (CONFIGS / "analytic.cfg").read_text().replace("h = 0.0078125", f"h = {h}"))
+        assert main(["validate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert main(["--help"]) == 0
 
 

@@ -102,5 +102,6 @@ def test_value_csv_is_deterministic(tmp_path):
 
 def test_grid_rejects_nonpositive_spacing():
     dom = DomainSpec("box", 1, (0.0,), (1.0,))
-    with pytest.raises(ValueError):
-        DomainGrid.build(dom, 0.0)
+    for h in (0.0, -0.25, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            DomainGrid.build(dom, h)

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sdglab.coefficients import ScalarField, const_matrix, const_scalar, const_vector
+from sdglab.config import load_problem
 from sdglab.grids import DomainGrid, ValueField
 from sdglab.model import ActionSets, DomainSpec, GameProblem
 from sdglab.pde import (
@@ -162,6 +164,65 @@ def test_residual_below_round_off_floor_fails_loudly(game_problem):
     solver = IsaacsSolver(h=1 / 2048, cfg=SolveConfig(residual_tol=1e-10))
     with pytest.raises(RuntimeError, match=r"iteration \d+.*residual .*floor .* = \d"):
         solver.fit(game_problem)
+
+
+def _dense_solve(disc, pair, u):
+    """The interior values solving L^pi u + f^pi = 0, by a dense matrix assembled entry by entry."""
+    m = len(disc.idx)
+    pos = {int(node): k for k, node in enumerate(disc.idx)}
+    a, rhs = np.zeros((m, m)), -disc.fvals[pair, np.arange(m)]
+    for k in range(m):
+        for wt, node in zip(disc.weights[pair[k], k], disc.cols[k]):
+            if int(node) in pos:
+                a[k, pos[int(node)]] += wt
+            else:
+                rhs[k] -= wt * u[node]
+    return np.linalg.solve(a, rhs)
+
+
+def _check_against_dense(disc, pair, u):
+    ref = _dense_solve(disc, pair, u)
+    disc.solve_policy(pair, u)
+    assert np.max(np.abs(u[disc.idx] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_banded_solve_matches_dense_box2d():
+    p = load_problem(Path(__file__).resolve().parent.parent / "sdgbench" / "box2d.cfg")
+    grid = DomainGrid.build(p.domain, 1 / 16)
+    disc = Discretization.from_problem(p, grid)
+    # a per-node mix of all four pairs: both orientations of the cross-diffusion
+    pair = np.random.default_rng(3).integers(0, 4, len(disc.idx))
+    assert {0, 1, 2, 3} <= set(pair.tolist())
+    assert (disc.kl, disc.ku) == (16, 16)
+    _check_against_dense(disc, pair, ValueField.from_function(grid, p.g).values)
+
+
+def test_banded_solve_matches_dense_1d(game_problem):
+    grid = DomainGrid.build(game_problem.domain, 1 / 64)
+    disc = Discretization.from_problem(game_problem, grid)
+    pair = np.random.default_rng(4).integers(0, 4, len(disc.idx))
+    assert (disc.kl, disc.ku) == (1, 1)
+    _check_against_dense(disc, pair, ValueField.from_function(grid, game_problem.g).values)
+
+
+def test_banded_solve_matches_dense_on_ball():
+    # the interior of a ball is numbered irregularly: rows of the lattice differ in length
+    grid = DomainGrid.build(DomainSpec("ball", 2, center=(0.0, 0.0), radius=1.0), 1 / 16)
+    m = len(grid.interior_idx)
+    a = np.broadcast_to(np.array([[1.0, 0.2], [0.2, 0.7]]), (m, 2, 2))
+    disc = Discretization(grid, [(a, np.broadcast_to([0.3, -0.5], (m, 2)), np.full(m, 0.1), np.ones(m))], n_beta=1)
+    # lattice-wide data, as the diagonal stencil reaches past the closure near the circle
+    u = 1.0 + grid.coords[:, 0] - 0.5 * grid.coords[:, 1]
+    _check_against_dense(disc, np.zeros(m, dtype=int), u)
+
+
+def test_singular_policy_system_fails_loudly(game_problem):
+    grid = DomainGrid.build(game_problem.domain, 1 / 32)
+    disc = Discretization.from_problem(game_problem, grid)
+    disc.weights[:, 5] = 0.0
+    u = ValueField.from_function(grid, game_problem.g).values
+    with pytest.raises(RuntimeError, match=r"singular: zero pivot \d+ at interior node \d+"):
+        disc.solve_policy(np.zeros(len(disc.idx), dtype=int), u)
 
 
 # --- extremal operator --------------------------------------------------------
