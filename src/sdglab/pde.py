@@ -183,6 +183,21 @@ class Discretization:
         self.cols = np.stack(nbrs, axis=1)
         self.weights = np.stack([_stencil_weights(grid, planes, a, b, c) for a, b, c, _ in coefficients])
         self.fvals = np.stack([f for *_, f in coefficients])
+        # near a curved boundary a diagonal neighbor can lie off the closure,
+        # where a grid function holds NaN; with zero weight in every pair the
+        # column reads the node itself instead, a finite value that adds 0
+        off = ~grid.in_closure[self.cols]
+        if off.any():
+            reach = self.weights[:, off] != 0
+            if reach.any():
+                p, j = np.argwhere(reach)[0]
+                k, s = np.argwhere(off)[j]
+                raise ValueError(
+                    f"stencil of interior node {self.idx[k]} at {grid.coords[self.idx[k]].tolist()} reaches "
+                    f"lattice node {self.cols[k, s]} outside the closure with weight {self.weights[p, k, s]:.3g} "
+                    f"(pair {p}), where a grid function holds no value"
+                )
+            self.cols = np.where(off, self.idx[:, None], self.cols)
         # the interior-to-interior block in LAPACK band storage: 2 kl + ku + 1
         # rows, entry (i, j) at row kl + ku + i - j of column j, flattened in
         # Fortran order

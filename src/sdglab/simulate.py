@@ -39,11 +39,21 @@ spec: a constant coefficient from a per-pair table, the 1-D affine family
 from per-row parameters, any other coefficient once per pair present, on
 that pair's rows.  Every element is computed in the operation order of
 ``em_step``, so a row's result does not depend on the rows stepped with it.
+
+That is what lets an ensemble use every CPU.  With at least two parts of
+``_SPLIT_ROWS`` rows, it is cut into one path range per CPU the process
+may run on, the same range of every lane; the caller steps the first and
+a forked child steps each other one and sends its rows' final state back.
+The outputs are bit-identical to stepping all rows in one process, which
+is done without ``fork``, on one CPU, or while other threads run.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -298,6 +308,7 @@ class _StepKernel:
 
 _BLOCK = 8  # steps per evaluation of the Gaussian stream
 _MAX_ROWS = 1 << 19  # paths per ensemble; 45 lanes of 10k paths fit in one
+_SPLIT_ROWS = 1 << 14  # fewest rows per forked part; a fork costs about 16 ms
 
 
 def _gaussian_increments(seed: int, paths, k0: int, n_steps: int, d1: int, dt: float) -> np.ndarray:
@@ -375,6 +386,79 @@ def _start_point(problem: GameProblem, x0) -> np.ndarray:
     return x0
 
 
+def _parts(n_rows: int) -> int:
+    """How many path ranges an ensemble of ``n_rows`` rows is stepped as, in parallel.
+
+    One per CPU this process may run on, each of at least ``_SPLIT_ROWS``
+    rows; 1 without ``fork``, while other threads run, which a forked child
+    would not have, or in a daemonic multiprocessing worker, which may not
+    start children.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    parts = min(cpus, n_rows // _SPLIT_ROWS)
+    if parts < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    mp = sys.modules.get("multiprocessing")  # not imported: not a multiprocessing worker
+    return 1 if mp is not None and mp.current_process().daemon else parts
+
+
+def _step_in_forks(step, parts, arrays) -> None:
+    """``step(part)`` for each part, the first here and each other in a forked child.
+
+    Each child sends its rows of every array of ``arrays`` (rows on axis 0)
+    back through a pipe, and they are written in by global row id.  An
+    exception raised in a child is raised here; a child that dies without
+    sending raises ``RuntimeError`` with its exit code.  Every child is
+    joined before this returns.
+    """
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for part in parts[1:]:
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_child, args=(step, part, arrays, send), daemon=True)
+            child.start()
+            send.close()  # so that recv sees end-of-file if the child dies
+            children.append((child, recv, part))
+        step(parts[0])
+        for child, recv, part in children:
+            try:
+                ok, result = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"ensemble worker for {part.size} rows exited with code {child.exitcode} "
+                    "before sending its rows"
+                ) from None
+            if not ok:
+                raise result
+            for key, a in arrays.items():
+                a[part] = result[key]
+            child.join()
+    finally:
+        for child, recv, _ in children:
+            if child.is_alive():
+                child.terminate()
+            child.join()
+            recv.close()
+
+
+def _child(step, part, arrays, send) -> None:
+    """The body of a forked child of ``_step_in_forks``."""
+    try:
+        step(part)
+        message = True, {key: a[part] for key, a in arrays.items()}
+    except BaseException as exc:  # raised again in the parent
+        message = False, exc
+    try:
+        send.send(message)
+    except Exception:  # an exception that does not pickle
+        send.send((False, RuntimeError(repr(message[1]))))
+    send.close()
+
+
 def _run_ensemble(
     problem: GameProblem,
     lanes,
@@ -394,10 +478,8 @@ def _run_ensemble(
     so a lane's paths are those of a run of that lane alone.  Returns one
     batch per lane and the extras over all stacked rows.
 
-    The working state ``w`` holds the rows alive at the block's start.  A
-    row that exits gets its tau, then is dead in ``live``, frozen at scale 0
-    and seen by the policies, whose answers for it are discarded, until the
-    block ends; the next block start writes it back and compresses ``w``.
+    The rows are stepped as ``_parts`` path ranges (see ``_step_in_forks``);
+    a row's result does not depend on the rows stepped with it.
     """
     starts = [_start_point(problem, x0) for _, x0, _ in lanes]
     n, dt, nb = cfg.n_paths, cfg.dt, problem.n_beta
@@ -409,94 +491,118 @@ def _run_ensemble(
     leader_rows = n * np.cumsum([0] + [leader_of.count(i) for i in range(len(leaders))])
     specs, spec_of = _distinct([lanes[j][0] for j in stack])
     kernel = _StepKernel(problem, specs, dt)
-    X = np.repeat(np.asarray([starts[j] for j in stack]), n, axis=0)
-    tau, censored = np.full(n_rows, cfg.t_max), np.ones(n_rows, dtype=bool)
+    spec_code = np.repeat(np.asarray(spec_of) * kernel.n_pairs, n)
     # policy lags: each requested n keeps a frozen state snapshot
     lag_all = sorted({p.lag_n for p in (*leaders, beta_policy) if getattr(p, "lag_n", 0)} | set(lag_ns))
-    last_cell = {m: 0 for m in lag_all}
-    # the full-size state, and the working state w of the rows alive at the block's start
+    cps = sorted(checkpoint_times)
+    # the full-size state, written back from each part's working state, and the outputs
     keys = ["phi", "psi", "pay"] + [("M", m) for m in lag_ns] + (["exp_psi"] if track_exp_psi_integral else [])
-    full = {"x": X, **{key: np.zeros(n_rows) for key in keys}}
-    w = {key: a.copy() for key, a in full.items()} | {("snap", m): X.copy() for m in lag_all}
-    w.update(dist=problem.domain.boundary_distance(X), code=np.repeat(np.asarray(spec_of) * kernel.n_pairs, n))
-    rows, live = np.arange(n_rows), np.ones(n_rows, dtype=bool)  # live: not yet exited
+    full = {"x": np.repeat(np.asarray([starts[j] for j in stack]), n, axis=0)}
+    full |= {key: np.zeros(n_rows) for key in keys}
+    out = {"tau": np.full(n_rows, cfg.t_max), "censored": np.ones(n_rows, dtype=bool)}
+    out |= {("cp", i): np.zeros(n_rows) for i in range(len(cps))}
 
-    def write_back(sel):
-        for key, a in full.items():
-            a[rows[sel]] = w[key][sel]
+    def step(rows):
+        """Step the ascending global ``rows`` to their exits or the horizon.
 
-    cps, cp_values = sorted(checkpoint_times), []
-    cp_rows = rows  # rows that may have moved since the last checkpoint
+        The working state ``w`` holds the rows alive at the block's start.  A
+        row that exits gets its tau, then is dead in ``live``, frozen at scale
+        0 and seen by the policies, whose answers for it are discarded, until
+        the block ends; the next block start writes it back and compresses ``w``.
+        """
+        X, tau, censored = full["x"], out["tau"], out["censored"]
+        w = {key: a[rows] for key, a in full.items()} | {("snap", m): X[rows] for m in lag_all}
+        w.update(dist=problem.domain.boundary_distance(w["x"]), code=spec_code[rows])
+        live = np.ones(rows.size, dtype=bool)  # not yet exited
+        last_cell = dict.fromkeys(lag_all, 0)
+        part, cp_rows, n_cp = rows, rows, 0  # cp_rows: rows that may have moved since the last checkpoint
 
-    def checkpoint():
-        # an exited row's state is frozen, so its last value is reused
-        nonlocal cp_rows
-        write_back(slice(None))
-        contrib = cp_values[-1].copy() if cp_values else np.zeros(n_rows)
-        if value_field is not None and cp_rows.size:
-            weight = np.exp(-full["phi"][cp_rows] - full["psi"][cp_rows])
-            contrib[cp_rows] = value_field.interpolate(X[cp_rows]) * weight + full["pay"][cp_rows]
-        cp_rows = rows[live]
-        cp_values.append(contrib)
+        def write_back(sel):
+            for key, a in full.items():
+                a[rows[sel]] = w[key][sel]
 
-    for k in range(n_steps):
-        t = k * dt
-        if k % _BLOCK == 0:
-            if not live.all():
-                write_back(~live)
-                rows = rows[live]
-                w = {key: a[live] for key, a in w.items()}
-                live = live[live]
-            bounds = np.searchsorted(rows, leader_rows).tolist()  # each leader's working rows
-            dW = block(k, rows)
-        x, phi, psi = w["x"], w["phi"], w["psi"]
-        for m in lag_all:
-            cell = int(math.floor(m * t + 1e-9))
-            if cell > last_cell[m]:
-                w["snap", m][:] = x
-                last_cell[m] = cell
-        while len(cp_values) < len(cps) and t >= cps[len(cp_values)] - 0.5 * dt:
+        def checkpoint():
+            # an exited row's state is frozen, so its last value is reused
+            nonlocal cp_rows, n_cp
+            write_back(slice(None))
+            contrib = out["cp", n_cp]
+            if n_cp:
+                contrib[part] = out["cp", n_cp - 1][part]
+            if value_field is not None and cp_rows.size:
+                weight = np.exp(-full["phi"][cp_rows] - full["psi"][cp_rows])
+                contrib[cp_rows] = value_field.interpolate(X[cp_rows]) * weight + full["pay"][cp_rows]
+            cp_rows = rows[live]
+            n_cp += 1
+
+        for k in range(n_steps):
+            t = k * dt
+            if k % _BLOCK == 0:
+                if not live.all():
+                    write_back(~live)
+                    rows = rows[live]
+                    w = {key: a[live] for key, a in w.items()}
+                    live = live[live]
+                bounds = np.searchsorted(rows, leader_rows).tolist()  # each leader's working rows
+                dW = block(k, rows)
+            x, phi, psi = w["x"], w["phi"], w["psi"]
+            for m in lag_all:
+                cell = int(math.floor(m * t + 1e-9))
+                if cell > last_cell[m]:
+                    w["snap", m][:] = x
+                    last_cell[m] = cell
+            while n_cp < len(cps) and t >= cps[n_cp] - 0.5 * dt:
+                checkpoint()
+            if not live.any():
+                break
+            ia = np.empty(rows.size, dtype=int)
+            for policy, lo, hi in zip(leaders, bounds[:-1], bounds[1:]):
+                if lo < hi:
+                    lag = getattr(policy, "lag_n", 0)
+                    ia[lo:hi] = policy.select(k, t, w["snap", lag][lo:hi] if lag else x[lo:hi])
+            lag = getattr(beta_policy, "lag_n", 0)
+            ib = beta_policy.respond(ia, k, t, w["snap", lag] if lag else x)
+            pair = ia * nb + ib
+            code = w["code"] + pair if len(specs) > 1 else pair
+            x_new, dw = kernel.move(code, pair, x, dW[k % _BLOCK])
+            weight = np.exp(-phi - psi)
+            dphi, dpsi, dpay = kernel.accrue(code, pair, x, dw, weight)
+            dist_old, dist_new = w["dist"], problem.domain.boundary_distance(x_new)
+            exiting = (dist_new <= 0.0) & live
+            scale = live.astype(float)
+            if exiting.any():
+                scale[exiting] = dist_old[exiting] / (dist_old[exiting] - dist_new[exiting])
+                tau[rows[exiting]] = t + scale[exiting] * dt
+                censored[rows[exiting]] = False
+                live &= ~exiting
+            for m in lag_ns:
+                diff = x - w["snap", m]
+                w["M", m] += weight * np.einsum("ni,ni->n", diff, diff) * scale * dt
+            if track_exp_psi_integral:
+                w["exp_psi"] += np.exp(-psi) * scale * dt
+
+            w["pay"] += dpay * scale
+            phi += dphi * scale
+            psi += dpsi * scale
+            x += (x_new - x) * scale[:, None]
+            w["dist"] = dist_new  # read again only while the row is alive
+        while n_cp < len(cps):
             checkpoint()
-        if not live.any():
-            break
-        ia = np.empty(rows.size, dtype=int)
-        for policy, lo, hi in zip(leaders, bounds[:-1], bounds[1:]):
-            if lo < hi:
-                lag = getattr(policy, "lag_n", 0)
-                ia[lo:hi] = policy.select(k, t, w["snap", lag][lo:hi] if lag else x[lo:hi])
-        lag = getattr(beta_policy, "lag_n", 0)
-        ib = beta_policy.respond(ia, k, t, w["snap", lag] if lag else x)
-        pair = ia * nb + ib
-        code = w["code"] + pair if len(specs) > 1 else pair
-        x_new, dw = kernel.move(code, pair, x, dW[k % _BLOCK])
-        weight = np.exp(-phi - psi)
-        dphi, dpsi, dpay = kernel.accrue(code, pair, x, dw, weight)
-        dist_old, dist_new = w["dist"], problem.domain.boundary_distance(x_new)
-        exiting = (dist_new <= 0.0) & live
-        scale = live.astype(float)
-        if exiting.any():
-            scale[exiting] = dist_old[exiting] / (dist_old[exiting] - dist_new[exiting])
-            tau[rows[exiting]] = t + scale[exiting] * dt
-            censored[rows[exiting]] = False
-            live &= ~exiting
-        for m in lag_ns:
-            diff = x - w["snap", m]
-            w["M", m] += weight * np.einsum("ni,ni->n", diff, diff) * scale * dt
-        if track_exp_psi_integral:
-            w["exp_psi"] += np.exp(-psi) * scale * dt
+        write_back(slice(None))
 
-        w["pay"] += dpay * scale
-        phi += dphi * scale
-        psi += dpsi * scale
-        x += (x_new - x) * scale[:, None]
-        w["dist"] = dist_new  # read again only while the row is alive
-    while len(cp_values) < len(cps):
-        checkpoint()
-    write_back(slice(None))
-    phi, psi, pay = full["phi"], full["psi"], full["pay"]
+    parts = _parts(n_rows)
+    if parts == 1:
+        step(np.arange(n_rows))
+    else:
+        # part j: paths [n j / parts, n (j + 1) / parts) of every lane
+        cuts = [n * j // parts for j in range(parts + 1)]
+        lane_base = n * np.arange(len(lanes))[:, None]
+        ranges = [(lane_base + np.arange(lo, hi)).ravel() for lo, hi in zip(cuts, cuts[1:])]
+        _step_in_forks(step, ranges, full | out)
 
     # an exited row's state stays at its exit; censored paths keep their
     # state at the horizon and a zero terminal term
+    X, phi, psi, pay = full["x"], full["phi"], full["psi"], full["pay"]
+    tau, censored = out["tau"], out["censored"]
     terminal = np.zeros(n_rows)
     hit = ~censored
     if hit.any():
@@ -515,7 +621,7 @@ def _run_ensemble(
         for sl in (slice(p * n, (p + 1) * n) for p in np.argsort(stack))
     ]
     extras = {
-        "checkpoints": np.asarray(cp_values) if cps else None,
+        "checkpoints": np.asarray([out["cp", i] for i in range(len(cps))]) if cps else None,
         "M_acc": {m: full["M", m] for m in lag_ns},
         "exp_psi_integral": full.get("exp_psi"),
     }

@@ -205,15 +205,54 @@ def test_banded_solve_matches_dense_1d(game_problem):
     _check_against_dense(disc, pair, ValueField.from_function(grid, game_problem.g).values)
 
 
-def test_banded_solve_matches_dense_on_ball():
-    # the interior of a ball is numbered irregularly: rows of the lattice differ in length
-    grid = DomainGrid.build(DomainSpec("ball", 2, center=(0.0, 0.0), radius=1.0), 1 / 16)
+def _disc_on_ball(h, a12):
+    """One pair with a = [[1, a12], [a12, 0.7]] per interior node of the unit disc."""
+    grid = DomainGrid.build(DomainSpec("ball", 2, center=(0.0, 0.0), radius=1.0), h)
     m = len(grid.interior_idx)
-    a = np.broadcast_to(np.array([[1.0, 0.2], [0.2, 0.7]]), (m, 2, 2))
-    disc = Discretization(grid, [(a, np.broadcast_to([0.3, -0.5], (m, 2)), np.full(m, 0.1), np.ones(m))], n_beta=1)
-    # lattice-wide data, as the diagonal stencil reaches past the closure near the circle
-    u = 1.0 + grid.coords[:, 0] - 0.5 * grid.coords[:, 1]
-    _check_against_dense(disc, np.zeros(m, dtype=int), u)
+    a = np.zeros((m, 2, 2))
+    a[:, 0, 0], a[:, 1, 1] = 1.0, 0.7
+    a[:, 0, 1] = a[:, 1, 0] = a12
+    return Discretization(grid, [(a, np.broadcast_to([0.3, -0.5], (m, 2)), np.full(m, 0.1), np.ones(m))], n_beta=1)
+
+
+def test_banded_solve_matches_dense_on_ball():
+    # the interior of a ball is numbered irregularly: rows of the lattice differ in length;
+    # the cross-diffusion is switched off near the circle, where diagonal neighbors leave the closure
+    grid = DomainGrid.build(DomainSpec("ball", 2, center=(0.0, 0.0), radius=1.0), 1 / 16)
+    a12 = np.where(np.linalg.norm(grid.coords[grid.interior], axis=1) < 0.75, 0.2, 0.0)
+    disc = _disc_on_ball(1 / 16, a12)
+    u = ValueField.from_function(grid, lambda x: 1.0 + x[:, 0] - 0.5 * x[:, 1]).values
+    _check_against_dense(disc, np.zeros(len(disc.idx), dtype=int), u)
+    assert np.isfinite(u[disc.idx]).all()
+
+
+def test_ball_stencil_reaching_past_the_closure_fails_loudly():
+    # a constant cross-diffusion weights diagonal neighbors that lie outside the disc
+    with pytest.raises(ValueError, match=r"interior node \d+ at \[.*\] reaches lattice node \d+ outside the closure"):
+        _disc_on_ball(1 / 16, 0.2)
+
+
+def test_isotropic_disc_converges():
+    # sigma = I, f = 1, g = 0 on the unit disc: u = (1 - |x|^2) / 2, 0.5 at the center
+    p = GameProblem(
+        actions=ActionSets(("a0",), ("b0",)),
+        domain=DomainSpec("ball", 2, center=(0.0, 0.0), radius=1.0),
+        sigma=((const_matrix(np.eye(2)),),),
+        b=((const_vector([0.0, 0.0]),),),
+        c=((const_scalar(0.0),),),
+        f=((const_scalar(1.0),),),
+        g=const_scalar(0.0),
+        K0=4.0,
+        delta=0.5,
+        d=2,
+        d1=2,
+    )
+    errors = []
+    for h in (1 / 16, 1 / 32):
+        solver = IsaacsSolver(h=h).fit(p)
+        assert math.isfinite(solver.residual_) and solver.residual_ <= solver.cfg.residual_tol
+        errors.append(abs(float(solver.predict([[0.0, 0.0]])[0]) - 0.5))
+    assert errors[1] < 0.6 * errors[0] and errors[0] < 0.05, errors
 
 
 def test_singular_policy_system_fails_loudly(game_problem):

@@ -160,39 +160,116 @@ def test_lanes_match_separate_runs(game_problem, solved_game, monkeypatch, max_r
             assert np.array_equal(getattr(batch, name), getattr(alone, name)), name
 
 
-def test_block_size_does_not_change_outputs(game_problem, solved_game, monkeypatch):
-    # at _BLOCK = 1 the working state is compacted at every step
+def _ops_outputs(p, value, n_paths):
+    """The ``_mixed_lanes`` batches and the reports of the three ops that pass extras, as plain data."""
     import dataclasses
 
-    import sdglab.simulate
     from sdglab.policies import supermartingale_test
 
-    p = game_problem
-    lanes, beta = _mixed_lanes(p, solved_game.value_)
+    lanes, beta = _mixed_lanes(p, value)
     (tilted, x0, switch), lagged = lanes[0], lanes[3][2]
-    cfg = SimConfig(dt=1e-3, t_max=2.0, n_paths=300, seed=5)
+    cfg = SimConfig(dt=1e-3, t_max=2.0, n_paths=n_paths, seed=5)
     checkpoints = (0.0, 0.01, 0.05, 0.3)  # step 10 lies inside a block of 3 or 8 steps
+    reports = [
+        girsanov_martingale_check(p, tilted, x0, lagged, beta, cfg),
+        increment_bound_study(p, tilted, x0, switch, beta, cfg, [2, 8]),
+        supermartingale_test(p, tilted, x0, value, lagged, beta, cfg, checkpoints, 1e-6),
+    ]
+    batches = [dataclasses.asdict(b) for b in simulate_lanes(p, lanes, beta, cfg)]
+    return batches, [dataclasses.asdict(r) for r in reports]
 
-    def run():
-        batches = simulate_lanes(p, lanes, beta, cfg)
-        reports = [
-            girsanov_martingale_check(p, tilted, x0, lagged, beta, cfg),
-            increment_bound_study(p, tilted, x0, switch, beta, cfg, [2, 8]),
-            supermartingale_test(p, tilted, x0, solved_game.value_, lagged, beta, cfg, checkpoints, 1e-6),
-        ]
-        return batches, [dataclasses.asdict(r) for r in reports]
+
+def _assert_same_outputs(got, want, label):
+    (batches, reports), (want_batches, want_reports) = got, want
+    assert want_reports[0]["exp_psi_integral_mean"] > 0 and min(want_reports[1]["M_values"]) > 0
+    for a, b in zip(batches, want_batches, strict=True):
+        for name in b:
+            assert np.array_equal(a[name], b[name]), (label, name)
+    assert reports == want_reports, label
+
+
+def test_block_size_does_not_change_outputs(game_problem, solved_game, monkeypatch):
+    # at _BLOCK = 1 the working state is compacted at every step
+    import sdglab.simulate
 
     outputs = {}
     for size in (1, 3, 8):
         monkeypatch.setattr(sdglab.simulate, "_BLOCK", size)
-        outputs[size] = run()
-    batches, reports = outputs[8]
-    assert reports[0]["exp_psi_integral_mean"] > 0 and min(reports[1]["M_values"]) > 0
+        outputs[size] = _ops_outputs(game_problem, solved_game.value_, 300)
     for size in (1, 3):
-        for a, b in zip(batches, outputs[size][0]):
-            for f in dataclasses.fields(a):
-                assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), (size, f.name)
-        assert outputs[size][1] == reports, size
+        _assert_same_outputs(outputs[size], outputs[8], size)
+
+
+def _split_into(monkeypatch, parts):
+    """Make ensembles of at least 100 rows split into ``parts`` forked parts; returns the parts used."""
+    import os
+
+    import sdglab.simulate
+
+    used = []
+
+    def spy(n_rows, _parts=sdglab.simulate._parts):
+        used.append(_parts(n_rows))
+        return used[-1]
+
+    monkeypatch.setattr(sdglab.simulate, "_SPLIT_ROWS", 100)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
+    monkeypatch.setattr(sdglab.simulate, "_parts", spy)
+    return used
+
+
+def test_split_does_not_change_outputs(game_problem, solved_game, monkeypatch):
+    # 301 paths: the parts of every lane differ in size
+    outputs = {}
+    for parts in (1, 2, 3):
+        with monkeypatch.context() as m:
+            used = _split_into(m, parts)
+            outputs[parts] = _ops_outputs(game_problem, solved_game.value_, 301)
+        assert used == [parts] * 4, used
+    for parts in (2, 3):
+        _assert_same_outputs(outputs[parts], outputs[1], parts)
+
+
+class _FailsInWorker:
+    """Leader that plays action 0 in the process that made it and fails in any other."""
+
+    lag_n = 0
+
+    def __init__(self, exit_code=None):
+        import os
+
+        self.pid, self.exit_code = os.getpid(), exit_code
+
+    def select(self, k, t, x):
+        import os
+
+        if os.getpid() != self.pid:
+            if self.exit_code is not None:
+                os._exit(self.exit_code)
+            raise ValueError(f"leader failed in worker at step {k}")
+        return np.zeros(x.shape[0], dtype=int)
+
+
+def test_worker_failures_raise_in_the_caller(analytic_problem, monkeypatch):
+    import multiprocessing
+
+    used = _split_into(monkeypatch, 2)
+    spec = ControlAdaptedSpec.baseline(analytic_problem)
+    cfg = SimConfig(dt=1e-3, t_max=2.0, n_paths=300, seed=1)
+
+    def run(leader):
+        return simulate_to_exit(analytic_problem, spec, [0.5], leader, ConstantResponder(0), cfg)
+
+    with pytest.raises(ValueError, match="leader failed in worker at step 0"):
+        run(_FailsInWorker())
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        run(_FailsInWorker(exit_code=3))
+    assert used == [2, 2]
+    assert multiprocessing.active_children() == []
+    # a daemonic multiprocessing worker may not start children: it steps every row itself
+    monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+    assert run(_FailsInWorker()).censored.mean() < 0.01
+    assert used == [2, 2, 1]
 
 
 def test_start_of_wrong_dimension_rejected():
