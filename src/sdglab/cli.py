@@ -32,6 +32,18 @@ from .simulate import (
 
 __all__ = ["main", "build_parser"]
 
+
+def _lags(text: str) -> list[int]:
+    """``--lags``: distinct positive integers, comma-separated, in any order."""
+    try:
+        lags = sorted(int(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        lags = []
+    if not lags or lags[0] < 1 or len(set(lags)) < len(lags):
+        raise argparse.ArgumentTypeError("must be a comma-separated list of distinct positive integers")
+    return lags
+
+
 # flag -> (argparse keywords, the ExperimentConfig field it overrides, or
 # None for a flag the stage handler reads); "sim." fields are SimConfig's
 _FLAGS = {
@@ -42,24 +54,19 @@ _FLAGS = {
     "--K": ({"type": float, "help": "penalty constant (default: the largest k_list entry)"}, None),
     "--variant": ({"default": "baseline", "choices": VARIANTS, "help": "variant to simulate"}, None),
     "--dump-paths": ({"action": "store_true", "help": "write per-path CSV"}, None),
-    "--lags": ({"default": "4,8,16,32", "help": "comma-separated lag parameters n"}, None),
+    "--lags": ({"type": _lags, "default": "4,8,16,32", "help": "comma-separated lag parameters n"}, None),
 }
 
 
-def _write(out_dir: Path, name: str, text: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(text if text.endswith("\n") else text + "\n")
-
-
-def _stage_validate(cfg, args, out_dir: Path) -> int:
+# Each stage handler writes its CSVs into the existing output directory and
+# returns the text of summary.txt and whether its criteria pass
+def _stage_validate(cfg, args, out_dir: Path) -> tuple[str, bool]:
     grid = DomainGrid.build(cfg.problem.domain, cfg.h)
     report = validate_problem(cfg.problem, grid)
-    _write(out_dir, "summary.txt", report.summary())
-    print(report.summary())
-    return 0 if report.passed else 1
+    return report.summary(), report.passed
 
 
-def _stage_solve(cfg, args, out_dir: Path) -> int:
+def _stage_solve(cfg, args, out_dir: Path) -> tuple[str, bool]:
     """Solve the game, or for ``penalize`` the game extended by the penalty actions."""
     problem, name, lines = cfg.problem, "value.csv", []
     if args.stage == "penalize":
@@ -67,23 +74,19 @@ def _stage_solve(cfg, args, out_dir: Path) -> int:
         problem = extend_problem(problem, cfg.pucci, K)
         name, lines = f"value_K{K:g}.csv", [f"K: {K:g}"]
     solver = IsaacsSolver(h=cfg.h, cfg=cfg.solve).fit(problem)
-    out_dir.mkdir(parents=True, exist_ok=True)
     solver.value_.to_csv(out_dir / name)
     lines += [f"residual: {solver.residual_:.6e}", f"policy iterations: {solver.n_iter_}"]
     for pt in cfg.points:
         val = float(solver.predict(np.asarray(pt)[None, :])[0])
         lines.append("value(" + ",".join(f"{v:g}" for v in pt) + f") = {val:.10f}")
-    _write(out_dir, "summary.txt", "\n".join(lines))
-    print("\n".join(lines))
-    return 0 if solver.residual_ <= cfg.solve.residual_tol else 1
+    return "\n".join(lines), solver.residual_ <= cfg.solve.residual_tol
 
 
-def _stage_simulate(cfg, args, out_dir: Path) -> int:
+def _stage_simulate(cfg, args, out_dir: Path) -> tuple[str, bool]:
     problem = cfg.problem
     spec = build_variant_spec(problem, args.variant, cfg.variant_params)
     alpha, beta = ConstantPolicy(0), ConstantResponder(0)
     lines = []
-    out_dir.mkdir(parents=True, exist_ok=True)
     for ip, pt in enumerate(cfg.points):
         batch = simulate_to_exit(problem, spec, pt, alpha, beta, cfg.sim_config)
         pay = batch.payoff
@@ -95,34 +98,26 @@ def _stage_simulate(cfg, args, out_dir: Path) -> int:
         )
         if args.dump_paths:
             batch.to_csv(out_dir / f"paths_{ip}.csv")
-    _write(out_dir, "summary.txt", "\n".join(lines))
-    print("\n".join(lines))
-    return 0
+    return "\n".join(lines), True
 
 
-def _stage_invariance(cfg, args, out_dir: Path) -> int:
+def _stage_invariance(cfg, args, out_dir: Path) -> tuple[str, bool]:
     report = run_invariance_suite(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report.to_csv(out_dir / "estimates.csv")
     report.z_to_csv(out_dir / "z_scores.csv")
-    _write(out_dir, "summary.txt", report.summary())
-    print(report.summary())
-    return 0 if report.passed else 1
+    return report.summary(), report.passed
 
 
-def _stage_converge(cfg, args, out_dir: Path) -> int:
+def _stage_converge(cfg, args, out_dir: Path) -> tuple[str, bool]:
     report = run_vk_convergence(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report.rate.to_csv(out_dir / "vk_gaps.csv")
-    _write(out_dir, "summary.txt", report.summary())
-    print(report.summary())
     errs = report.rate.sup_errors
     slack = 10.0 * cfg.solve.residual_tol
     nonincreasing = all(errs[i + 1] <= errs[i] + slack for i in range(len(errs) - 1))
-    return 0 if (nonincreasing and report.monotone and report.mc_pass) else 1
+    return report.summary(), nonincreasing and report.monotone and report.mc_pass
 
 
-def _stage_martingale(cfg, args, out_dir: Path) -> int:
+def _stage_martingale(cfg, args, out_dir: Path) -> tuple[str, bool]:
     problem = cfg.problem
     spec = build_variant_spec(problem, "girsanov", cfg.variant_params)
     alpha, beta = ConstantPolicy(0), ConstantResponder(0)
@@ -130,27 +125,16 @@ def _stage_martingale(cfg, args, out_dir: Path) -> int:
         problem, spec, cfg.points[0], alpha, beta, cfg.sim_config
     )
     ok = abs(report.weight_mean - 1.0) <= 3.0 * report.weight_se + report.censored_weight_mass
-    text = report.summary() + f"\nresult: {'PASS' if ok else 'FAIL'}"
-    _write(out_dir, "summary.txt", text)
-    print(text)
-    return 0 if ok else 1
+    return report.summary() + f"\nresult: {'PASS' if ok else 'FAIL'}", ok
 
 
-def _stage_increments(cfg, args, out_dir: Path) -> int:
+def _stage_increments(cfg, args, out_dir: Path) -> tuple[str, bool]:
     problem = cfg.problem
-    try:
-        lags = sorted(int(v) for v in args.lags.split(",") if v.strip())
-    except ValueError:
-        lags = []
-    if not lags or lags[0] < 1:
-        print("error: --lags must be a comma-separated list of positive integers", file=sys.stderr)
-        return 2
     spec = ControlAdaptedSpec.baseline(problem)
     alpha, beta = ConstantPolicy(0), ConstantResponder(0)
     report = increment_bound_study(
-        problem, spec, cfg.points[0], alpha, beta, cfg.sim_config, lags
+        problem, spec, cfg.points[0], alpha, beta, cfg.sim_config, args.lags
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
     report.to_csv(out_dir / "increments.csv")
     scaled = report.scaled
     ratio = max(scaled) / min(scaled) if min(scaled) > 0 else math.inf
@@ -161,9 +145,7 @@ def _stage_increments(cfg, args, out_dir: Path) -> int:
     ]
     lines.append(f"max/min of M*n: {ratio:.3f}")
     lines.append(f"result: {'PASS' if ok else 'FAIL'}")
-    _write(out_dir, "summary.txt", "\n".join(lines))
-    print("\n".join(lines))
-    return 0 if ok else 1
+    return "\n".join(lines), ok
 
 
 _MC = ("--seed", "--paths", "--dt")
@@ -232,11 +214,15 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        return _STAGES[args.stage][0](cfg, args, out_dir)
+        text, passed = _STAGES[args.stage][0](cfg, args, out_dir)
     except (RuntimeError, ValueError) as exc:
         print(f"stage {args.stage} failed: {exc}", file=sys.stderr)
         return 1
+    (out_dir / "summary.txt").write_text(text + "\n")
+    print(text)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

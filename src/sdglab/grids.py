@@ -16,7 +16,20 @@ import numpy as np
 
 from .model import DomainSpec
 
-__all__ = ["DomainGrid", "ValueField"]
+__all__ = ["DomainGrid", "ValueField", "write_csv"]
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then each row as one comma-joined line.
+
+    A string cell is written as it is and any number as ``%.17g``, so a
+    float reads back to the same double and a run's CSVs are reproducible
+    byte for byte.
+    """
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else "%.17g" % v for v in row) + "\n")
 
 
 @dataclass(frozen=True)
@@ -173,9 +186,5 @@ class ValueField:
     def to_csv(self, path) -> None:
         g = self.grid
         mask = g.in_closure
-        header = ",".join(f"x{i + 1}" for i in range(g.d)) + ",value"
-        rows = np.concatenate([g.coords[mask], self.values[mask, None]], axis=1)
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        header = [f"x{i + 1}" for i in range(g.d)] + ["value"]
+        write_csv(path, header, np.concatenate([g.coords[mask], self.values[mask, None]], axis=1))

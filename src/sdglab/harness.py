@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grids import DomainGrid
+from .grids import DomainGrid, write_csv
 from .model import GameProblem, validate_problem
 from .pde import IsaacsSolver, PucciParams, RateReport, SolveConfig, _penalty_sweep
 from .policies import ConstantPolicy, FeedbackAlphaPolicy, FeedbackBetaPolicy, _feedback_selectors
@@ -67,10 +67,10 @@ def build_variant_spec(
     """Per-action-pair (r, pi, noise) tables for a named variant."""
     if name not in VARIANTS:
         raise ValueError(f"unknown variant {name!r}")
-    na, nb, d1 = problem.n_alpha_ext, problem.n_beta, problem.d1
-    r = np.ones((na, nb))
-    pi = np.zeros((na, nb, d1))
-    q = np.broadcast_to(np.eye(d1), (na, nb, d1, d1)).copy()
+    # the baseline's tables are its own fresh arrays, changed here in place
+    base = ControlAdaptedSpec.baseline(problem)
+    r, pi, q = base.r_table, base.pi_table, base.noise_table
+    na, nb, d1 = pi.shape
     parity = (np.add.outer(np.arange(na), np.arange(nb)) % 2).astype(float)
     sign = 1.0 - 2.0 * parity  # +1 on even (ia+ib), -1 on odd
     if name in ("time_change", "combined"):
@@ -90,14 +90,7 @@ def build_variant_spec(
                     rot[0, 1] = -math.sin(th)
                     rot[1, 0] = math.sin(th)
                     q[ia, ib] = rot
-    return ControlAdaptedSpec(
-        variant=name,
-        r_table=r,
-        pi_table=pi,
-        noise_table=q,
-        delta1=problem.delta1,
-        K1=problem.K1,
-    )
+    return replace(base, variant=name, r_table=r, pi_table=pi, noise_table=q)
 
 
 @dataclass
@@ -260,30 +253,23 @@ class InvarianceReport:
         return "\n".join(lines)
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(
-                "point_index,x0,variant,estimate,se,n_paths,censored_fraction,"
-                "pde_value,best_candidate\n"
-            )
-            for ip, pt in enumerate(self.points):
-                coord = ";".join(f"{v:.17g}" for v in pt)
-                for var in self.variants:
-                    e = self.estimates[(ip, var)]
-                    fh.write(
-                        f"{ip},{coord},{var},{e.estimate:.17g},{e.se:.17g},"
-                        f"{e.n_paths},{e.censored_fraction:.17g},"
-                        f"{self.pde_values[ip]:.17g},{e.best_candidate}\n"
-                    )
+        header = ["point_index", "x0", "variant", "estimate", "se", "n_paths",
+                  "censored_fraction", "pde_value", "best_candidate"]
+        rows = []
+        for ip, pt in enumerate(self.points):
+            coord = ";".join(f"{v:.17g}" for v in pt)
+            for var in self.variants:
+                e = self.estimates[(ip, var)]
+                rows.append((ip, coord, var, e.estimate, e.se, e.n_paths,
+                             e.censored_fraction, self.pde_values[ip], e.best_candidate))
+        write_csv(path, header, rows)
 
     def z_to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("point_index,variant_a,variant_b,z\n")
-            for ip in range(len(self.points)):
-                for i, va in enumerate(self.variants):
-                    for j, vb in enumerate(self.variants):
-                        if j <= i:
-                            continue
-                        fh.write(f"{ip},{va},{vb},{self.z_scores[ip, i, j]:.17g}\n")
+        pairs = [(i, j) for i in range(len(self.variants)) for j in range(i + 1, len(self.variants))]
+        write_csv(path, ["point_index", "variant_a", "variant_b", "z"], (
+            (ip, self.variants[i], self.variants[j], self.z_scores[ip, i, j])
+            for ip in range(len(self.points)) for i, j in pairs
+        ))
 
 
 def _feedback_players(config: ExperimentConfig, solver: IsaacsSolver):
@@ -385,9 +371,7 @@ class VkConvergenceReport:
         return "\n".join(lines)
 
 
-def run_vk_convergence(
-    config: ExperimentConfig, mc_point=None, mc_cross_check: bool = True
-) -> VkConvergenceReport:
+def run_vk_convergence(config: ExperimentConfig) -> VkConvergenceReport:
     """Penalized-solution gap study with an MC cross-check at min and max K."""
     problem = config.problem
     pucci = config.pucci or PucciParams.build(problem.d)
@@ -402,22 +386,16 @@ def run_vk_convergence(
         for earlier, later in zip(penalized, penalized[1:])
     )
 
+    pt = np.asarray(config.points[0], dtype=float)
+    cfg = config.sim_config
+    beta_policy, candidates = _feedback_players(config, plain)
+    est = estimate_value(problem, ControlAdaptedSpec.baseline(problem), pt, beta_policy, candidates, cfg)
     cross = {}
-    v_mc = v_se = 0.0
-    if mc_cross_check:
-        pt = np.asarray(mc_point if mc_point is not None else config.points[0], dtype=float)
-        cfg = config.sim_config
-        beta_policy, candidates = _feedback_players(config, plain)
-        base_spec = ControlAdaptedSpec.baseline(problem)
-        est = estimate_value(problem, base_spec, pt, beta_policy, candidates, cfg)
-        v_mc, v_se = est.estimate, est.se
-        for K, solver in ((K_list[0], penalized[0]), (K_list[-1], penalized[-1])):
-            ext = solver.problem_
-            beta_K, cand_K = _feedback_players(config, solver)
-            spec = ControlAdaptedSpec.baseline(ext)
-            est_K = estimate_value(ext, spec, pt, beta_K, cand_K, cfg)
-            pde_val = float(solver.predict(pt[None, :])[0])
-            cross[float(K)] = (est_K.estimate, est_K.se, pde_val)
+    for K, solver in ((K_list[0], penalized[0]), (K_list[-1], penalized[-1])):
+        ext = solver.problem_
+        beta_K, cand_K = _feedback_players(config, solver)
+        est_K = estimate_value(ext, ControlAdaptedSpec.baseline(ext), pt, beta_K, cand_K, cfg)
+        cross[float(K)] = (est_K.estimate, est_K.se, float(solver.predict(pt[None, :])[0]))
     return VkConvergenceReport(
-        rate=rate, monotone=monotone, cross_checks=cross, v_mc=v_mc, v_mc_se=v_se
+        rate=rate, monotone=monotone, cross_checks=cross, v_mc=est.estimate, v_mc_se=est.se
     )

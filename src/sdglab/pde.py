@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import const_matrix, const_scalar, const_vector
-from .grids import DomainGrid, ValueField
+from .grids import DomainGrid, ValueField, write_csv
 from .model import ActionSets, GameProblem
 
 __all__ = [
@@ -450,11 +450,8 @@ class RateReport:
     fitted_N: float
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("K,sup_error\n")
-            for k, e in zip(self.K_values, self.sup_errors):
-                fh.write(f"{k:.17g},{e:.17g}\n")
-            fh.write(f"# fitted_N,{self.fitted_N:.17g},fitted_chi,{self.fitted_chi:.17g}\n")
+        trailer = ("# fitted_N", self.fitted_N, "fitted_chi", self.fitted_chi)
+        write_csv(path, ["K", "sup_error"], [*zip(self.K_values, self.sup_errors), trailer])
 
 
 def _penalty_sweep(problem: GameProblem, pucci: PucciParams, g_boundary, K_list, cfg: SolveConfig, h: float):

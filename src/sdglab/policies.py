@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import DomainGrid, ValueField
+from .grids import DomainGrid, ValueField, write_csv
 from .model import GameProblem
 from .pde import Discretization
 from .simulate import ControlAdaptedSpec, SimConfig, _run_ensemble
@@ -81,10 +81,7 @@ class MarkovSelector:
             head += [f"beta_for_alpha{a}" for a in range(self.table.shape[0])]
         else:
             head.append("alpha")
-        with open(path, "w") as fh:
-            fh.write(",".join(head) + "\n")
-            for row, acts in zip(coords, np.atleast_2d(self.table)[:, mask].T):
-                fh.write(",".join([f"{v:.17g}" for v in row] + [str(int(a)) for a in acts]) + "\n")
+        write_csv(path, head, np.concatenate([coords, np.atleast_2d(self.table)[:, mask].T], axis=1))
 
 
 def build_beta_selector(problem: GameProblem, u_hat: ValueField, epsilon: float) -> MarkovSelector:

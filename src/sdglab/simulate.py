@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import ScalarField
-from .grids import ValueField
+from .grids import ValueField, write_csv
 from .model import GameProblem
 
 __all__ = [
@@ -112,10 +112,10 @@ class ControlAdaptedSpec:
             raise ValueError("noise transforms must be orthogonal")
 
     @staticmethod
-    def baseline(problem: GameProblem, variant: str = "baseline") -> "ControlAdaptedSpec":
+    def baseline(problem: GameProblem) -> "ControlAdaptedSpec":
         na, nb, d1 = problem.n_alpha_ext, problem.n_beta, problem.d1
         return ControlAdaptedSpec(
-            variant=variant,
+            variant="baseline",
             r_table=np.ones((na, nb)),
             pi_table=np.zeros((na, nb, d1)),
             noise_table=np.broadcast_to(np.eye(d1), (na, nb, d1, d1)).copy(),
@@ -132,10 +132,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_max < 1:
-            raise ValueError("truncation horizon must be at least 1")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not 1 <= self.t_max < math.inf:
+            raise ValueError(f"truncation horizon must be finite and at least 1, got {self.t_max}")
         if self.n_paths < 1:
             raise ValueError("need at least one path")
         if not 0 <= self.seed < 1 << 64:
@@ -181,18 +181,10 @@ class TrajectoryBatch:
         d = self.exit_state.shape[1]
         cols = ["tau", "censored"] + [f"x{i + 1}" for i in range(d)]
         cols += ["phi", "psi", "running_payoff", "terminal_payoff"]
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for i in range(len(self)):
-                row = [f"{self.tau[i]:.17g}", str(int(self.censored[i]))]
-                row += [f"{v:.17g}" for v in self.exit_state[i]]
-                row += [
-                    f"{self.phi[i]:.17g}",
-                    f"{self.psi[i]:.17g}",
-                    f"{self.running_payoff[i]:.17g}",
-                    f"{self.terminal_payoff[i]:.17g}",
-                ]
-                fh.write(",".join(row) + "\n")
+        write_csv(path, cols, np.column_stack([
+            self.tau, self.censored, self.exit_state, self.phi, self.psi,
+            self.running_payoff, self.terminal_payoff,
+        ]))
 
 
 def em_step(
@@ -712,10 +704,9 @@ class BoundReport:
         return [m * n for n, m in zip(self.n_values, self.M_values)]
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("n,M,M_se,M_times_n\n")
-            for n, m, s in zip(self.n_values, self.M_values, self.M_se):
-                fh.write(f"{n},{m:.17g},{s:.17g},{m * n:.17g}\n")
+        write_csv(path, ["n", "M", "M_se", "M_times_n"], (
+            (n, m, s, m * n) for n, m, s in zip(self.n_values, self.M_values, self.M_se)
+        ))
 
 
 def increment_bound_study(
@@ -731,8 +722,8 @@ def increment_bound_study(
     n_list = [int(v) for v in n_list]
     if not n_list or min(n_list) < 1:
         raise ValueError("n_list must be a nonempty list of lags n >= 1")
-    if sorted(n_list) != n_list:
-        raise ValueError("n_list must be increasing")
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError("n_list must be strictly increasing")
     if cfg.dt > 1.0 / (4 * max(n_list)):
         raise ValueError("timestep too coarse for the finest lag")
     _, extras = _run_ensemble(

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdglab.cli import main
+from sdglab.cli import _STAGES, main
 from sdglab.config import ConfigError, load_experiment, load_problem
 from sdglab.pde import IsaacsSolver, extend_problem
 
@@ -191,16 +191,56 @@ def test_cli_usage_errors(tmp_path):
         bad = _write(tmp_path, (CONFIGS / "analytic.cfg").read_text().replace("seed = 7", new))
         for stage in ("validate", "simulate"):
             assert main([stage, "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-    # so are a lag below 1, an empty lag list and a seed flag out of range
-    for lags in ("0", ",", "-2,4"):
+    # so are a lag below 1, a repeated lag, an empty lag list and a seed flag
+    # out of range
+    for lags in ("0", ",", "-2,4", "4,4"):
         assert main(["increments", "--config", cfg, "--lags", lags, "--out", str(tmp_path / "o")]) == 2
     assert main(["simulate", "--config", cfg, "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+    # a dt that is not finite, by flag or in the file, and a horizon that is not
+    for v in ("nan", "inf"):
+        assert main(["simulate", "--config", cfg, "--dt", v, "--out", str(tmp_path / "o")]) == 2
+        for old, new in (("dt = 1e-4", f"dt = {v}"), ("t_max = 4.0", f"t_max = {v}")):
+            bad = _write(tmp_path, (CONFIGS / "analytic.cfg").read_text().replace(old, new))
+            assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     # a grid spacing that is not finite and positive, by flag or in the file
     for h in ("0", "-1", "nan", "inf"):
         assert main(["validate", "--config", cfg, "--grid-h", h, "--out", str(tmp_path / "o")]) == 2
         bad = _write(tmp_path, (CONFIGS / "analytic.cfg").read_text().replace("h = 0.0078125", f"h = {h}"))
         assert main(["validate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert main(["--help"]) == 0
+
+
+_PATHS_HEADER = "tau,censored,x1,phi,psi,running_payoff,terminal_payoff"
+
+# stage, config, flags, and each CSV the stage writes besides summary.txt,
+# with its header line
+_STAGE_RUNS = [
+    ("validate", "game2x2", [], {}),
+    ("solve", "analytic", ["--grid-h", "0.015625"], {"value.csv": "x1,value"}),
+    ("penalize", "holder", ["--K", "4", "--grid-h", "0.03125"], {"value_K4.csv": "x1,value"}),
+    ("simulate", "analytic", ["--paths", "300", "--dt", "1e-3", "--dump-paths", "--variant", "combined"],
+     {f"paths_{i}.csv": _PATHS_HEADER for i in range(3)}),
+    ("invariance", "game2x2", ["--paths", "300", "--dt", "2e-3", "--grid-h", "0.03125"],
+     {"z_scores.csv": "point_index,variant_a,variant_b,z",
+      "estimates.csv": "point_index,x0,variant,estimate,se,n_paths,censored_fraction,pde_value,best_candidate"}),
+    ("converge", "holder", ["--paths", "300", "--dt", "2e-3", "--grid-h", "0.03125"],
+     {"vk_gaps.csv": "K,sup_error"}),
+    ("martingale", "analytic", ["--paths", "2000", "--dt", "5e-4"], {}),
+    ("increments", "wide", ["--paths", "300", "--lags", "4,8,16"], {"increments.csv": "n,M,M_se,M_times_n"}),
+]
+
+
+def test_cli_every_stage_writes_its_files(tmp_path, capsys):
+    assert sorted(run[0] for run in _STAGE_RUNS) == sorted(_STAGES)
+    for stage, name, flags, csvs in _STAGE_RUNS:
+        out = tmp_path / stage
+        argv = [stage, "--config", str(CONFIGS / f"{name}.cfg"), "--out", str(out), *flags]
+        assert main(argv) == 0, stage
+        assert sorted(p.name for p in out.iterdir()) == sorted(["summary.txt", *csvs]), stage
+        # the summary is printed as written
+        assert capsys.readouterr().out == (out / "summary.txt").read_text(), stage
+        for file, header in csvs.items():
+            assert (out / file).read_text().splitlines()[0] == header, (stage, file)
 
 
 def test_cli_validate_and_solve(tmp_path):

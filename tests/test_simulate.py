@@ -90,6 +90,11 @@ def test_sim_config_validation():
         SimConfig(dt=0.0)
     with pytest.raises(ValueError):
         SimConfig(t_max=0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt"):
+            SimConfig(dt=bad)
+        with pytest.raises(ValueError, match="horizon"):
+            SimConfig(t_max=bad)
     with pytest.raises(ValueError):
         SimConfig(n_paths=0)
     for seed in (-1, 1 << 64):
@@ -348,10 +353,11 @@ def test_girsanov_weight_is_unit_mean(analytic_problem):
 def test_increment_bound_guards(analytic_problem):
     spec = ControlAdaptedSpec.baseline(analytic_problem)
     cfg = SimConfig(dt=1e-2, t_max=1.0, n_paths=50)
-    with pytest.raises(ValueError):
-        increment_bound_study(
-            analytic_problem, spec, [0.5], ConstantPolicy(0), ConstantResponder(0), cfg, [4, 2]
-        )
+    for lags in ([4, 2], [4, 4]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            increment_bound_study(
+                analytic_problem, spec, [0.5], ConstantPolicy(0), ConstantResponder(0), cfg, lags
+            )
     with pytest.raises(ValueError):
         increment_bound_study(
             analytic_problem, spec, [0.5], ConstantPolicy(0), ConstantResponder(0), cfg, [2, 100]
