@@ -41,7 +41,6 @@ from .pde import (
     RateReport,
     SolveConfig,
     convergence_study,
-    discrete_L,
     evaluate_H,
     evaluate_P,
     extend_problem,

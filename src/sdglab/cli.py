@@ -214,7 +214,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        print(f"usage error: cannot make output directory {out_dir}: {exc.strerror}", file=sys.stderr)
+        return 2
     try:
         text, passed = _STAGES[args.stage][0](cfg, args, out_dir)
     except (RuntimeError, ValueError) as exc:

@@ -18,7 +18,13 @@ import numpy as np
 from .grids import DomainGrid, write_csv
 from .model import GameProblem, validate_problem
 from .pde import IsaacsSolver, PucciParams, RateReport, SolveConfig, _penalty_sweep
-from .policies import ConstantPolicy, FeedbackAlphaPolicy, FeedbackBetaPolicy, _feedback_selectors
+from .policies import (
+    ConstantPolicy,
+    FeedbackAlphaPolicy,
+    FeedbackBetaPolicy,
+    build_alpha_selector,
+    build_beta_selector,
+)
 from .simulate import VARIANTS, ControlAdaptedSpec, SimConfig, simulate_lanes
 
 __all__ = [
@@ -278,8 +284,9 @@ def _feedback_players(config: ExperimentConfig, solver: IsaacsSolver):
     The leader candidates are each regular constant action and the
     feedback leader.
     """
-    problem = solver.problem_
-    beta_sel, alpha_sel = _feedback_selectors(solver, 10.0 * config.solve.residual_tol)
+    problem, eps = solver.problem_, 10.0 * config.solve.residual_tol
+    beta_sel = build_beta_selector(problem, solver.value_, eps)
+    alpha_sel = build_alpha_selector(problem, solver.value_, eps)
     policies = [ConstantPolicy(ia, name=f"const_{problem.actions.a_labels[ia]}")
                 for ia in range(problem.n_alpha)]
     policies.append(FeedbackAlphaPolicy(alpha_sel))

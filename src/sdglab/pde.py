@@ -19,6 +19,7 @@ set: fit ``IsaacsSolver`` on ``extend_problem(problem, pucci, K)``.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,6 @@ __all__ = [
     "Discretization",
     "RateReport",
     "h_mono",
-    "discrete_L",
     "evaluate_H",
     "evaluate_P",
     "extend_problem",
@@ -153,10 +153,16 @@ def _stencil_weights(grid: DomainGrid, planes, a: np.ndarray, bvec: np.ndarray, 
     return w.T
 
 
+# (id(problem), id(grid)) -> its Discretization, while some holder keeps that alive
+_ASSEMBLED = weakref.WeakValueDictionary()
+
+
 class Discretization:
     """The monotone operators L^{ab} of every action pair on one grid.
 
-    Built once per (problem, grid).  All pairs share one sparsity pattern:
+    ``from_problem`` shares one object per (problem, grid) while anything
+    holds it, so ``cols``, ``weights`` and ``fvals`` are read-only; only
+    ``evaluate_P`` builds unshared ones.  All pairs share one sparsity pattern:
     row k, for interior node ``idx[k]``, couples the node with its 2d axis
     neighbors and the four diagonal neighbors in each coordinate plane,
     whose flat lattice indices are ``cols[k]``.  Pair p = ia * n_beta + ib
@@ -168,9 +174,10 @@ class Discretization:
     diagonal) and ``ku`` (above).
     """
 
-    def __init__(self, grid: DomainGrid, coefficients, n_beta: int):
+    def __init__(self, grid: DomainGrid, coefficients, n_beta: int, problem: GameProblem | None = None):
         """``coefficients``: one (a, b, c, f) per pair, leader-major, on interior nodes."""
         self.grid = grid
+        self.problem = problem
         self.idx = grid.interior_idx
         self.n_beta = n_beta
         d = grid.d
@@ -198,6 +205,8 @@ class Discretization:
                     f"(pair {p}), where a grid function holds no value"
                 )
             self.cols = np.where(off, self.idx[:, None], self.cols)
+        for arr in (self.cols, self.weights, self.fvals):
+            arr.flags.writeable = False
         # the interior-to-interior block in LAPACK band storage: 2 kl + ku + 1
         # rows, entry (i, j) at row kl + ku + i - j of column j, flattened in
         # Fortran order
@@ -212,6 +221,17 @@ class Discretization:
 
     @classmethod
     def from_problem(cls, problem: GameProblem, grid: DomainGrid) -> "Discretization":
+        """The operators of ``problem`` on ``grid``, assembled only if no holder keeps
+        those of an earlier call (a fitted ``IsaacsSolver`` holds its own).
+
+        Raises ``ValueError`` on a grid coarser than ``h_mono``.  The object holds
+        ``problem`` and ``grid``, so neither id is reused while its entry lives.
+        """
+        key = (id(problem), id(grid))
+        disc = _ASSEMBLED.get(key)
+        if disc is not None:
+            return disc
+        _check_spacing(problem, grid)
         pts = grid.coords[grid.interior]
 
         def pair(ia, ib):
@@ -220,7 +240,8 @@ class Discretization:
             return a, problem.b[ia][ib](pts), problem.c[ia][ib](pts), problem.f[ia][ib](pts)
 
         pairs = [pair(ia, ib) for ia in range(problem.n_alpha_ext) for ib in range(problem.n_beta)]
-        return cls(grid, pairs, problem.n_beta)
+        disc = _ASSEMBLED[key] = cls(grid, pairs, problem.n_beta, problem)
+        return disc
 
     def hamiltonians(self, u: np.ndarray) -> np.ndarray:
         """L^{ab} u + f^{ab} on interior nodes for a full-lattice ``u``, shape (nA, nB, m)."""
@@ -279,24 +300,11 @@ def _check_spacing(problem: GameProblem, grid: DomainGrid) -> None:
         )
 
 
-def discrete_L(problem: GameProblem, ia: int, ib: int, u: ValueField, node: int) -> float:
-    """Monotone discretization of the linear operator at one interior node."""
-    grid = u.grid
-    if not grid.interior[node]:
-        raise ValueError(f"node {node} is not interior")
-    _check_spacing(problem, grid)
-    disc = Discretization.from_problem(problem, grid)
-    row = np.searchsorted(disc.idx, node)
-    return float(disc.weights[ia * problem.n_beta + ib, row] @ u.values[disc.cols[row]])
-
-
 def evaluate_H(problem: GameProblem, u: ValueField) -> ValueField:
     """Sup over alpha of the inf over beta of L u + f; zero on the boundary."""
-    grid = u.grid
-    _check_spacing(problem, grid)
-    disc = Discretization.from_problem(problem, grid)
+    disc = Discretization.from_problem(problem, u.grid)
     ham = disc.hamiltonians(u.values)[: problem.n_alpha]
-    out = ValueField.zeros(grid)
+    out = ValueField.zeros(u.grid)
     out.values[disc.idx] = ham.min(axis=1).max(axis=0)
     return out
 
@@ -367,7 +375,8 @@ class IsaacsSolver:
     After ``fit`` the solved grid function is in ``value_``, the final
     per-node saddle policy in ``policy_alpha_`` / ``policy_beta_``
     (indexed like the interior nodes), the sup-inf residual in
-    ``residual_`` and the operators in ``discretization_``.
+    ``residual_`` and the operators in ``discretization_``, which keeps them
+    shared with ``evaluate_H`` and the selector builders on ``value_``.
     """
 
     def __init__(self, h: float = 1 / 128, cfg: SolveConfig = SolveConfig()):
@@ -379,7 +388,6 @@ class IsaacsSolver:
             grid = DomainGrid.build(problem.domain, self.h)
         if g_boundary is None:
             g_boundary = problem.g
-        _check_spacing(problem, grid)
         u = ValueField.from_function(grid, g_boundary)
         disc = Discretization.from_problem(problem, grid)
         ia_pol, ib_pol, residual, iters = _policy_iteration(disc, u.values, self.cfg)

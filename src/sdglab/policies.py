@@ -84,27 +84,19 @@ class MarkovSelector:
         write_csv(path, head, np.concatenate([coords, np.atleast_2d(self.table)[:, mask].T], axis=1))
 
 
-def build_beta_selector(problem: GameProblem, u_hat: ValueField, epsilon: float) -> MarkovSelector:
-    """Least-index responder with L u_hat + f <= epsilon per (alpha, node)."""
-    disc = Discretization.from_problem(problem, u_hat.grid)
-    return _beta_selector(disc, disc.hamiltonians(u_hat.values), epsilon)
-
-
-def build_alpha_selector(problem: GameProblem, u_check: ValueField, epsilon: float) -> MarkovSelector:
-    """Least-index leader with min over beta of L u_check + f >= -epsilon per node."""
-    disc = Discretization.from_problem(problem, u_check.grid)
-    return _alpha_selector(disc, disc.hamiltonians(u_check.values), epsilon)
-
-
-def _feedback_selectors(solver, epsilon: float) -> tuple[MarkovSelector, MarkovSelector]:
-    """Responder and leader selectors for a fitted ``IsaacsSolver``'s value.
-
-    Both reuse the solver's discretization and one evaluation of the
-    Hamiltonians, instead of assembling the operators again.
-    """
-    disc = solver.discretization_
-    ham = disc.hamiltonians(solver.value_.values)
-    return _beta_selector(disc, ham, epsilon), _alpha_selector(disc, ham, epsilon)
+def _hamiltonians(problem: GameProblem, u: ValueField, epsilon: float) -> tuple[Discretization, np.ndarray]:
+    """The operators on ``u``'s grid and L u + f per pair and interior node, (nA_ext, nB, m)."""
+    if epsilon <= 0:
+        raise ValueError("slack epsilon must be positive")
+    disc = Discretization.from_problem(problem, u.grid)
+    ham = disc.hamiltonians(u.values)
+    # a non-finite Hamiltonian would pass every slack comparison
+    if not np.isfinite(ham).all():
+        ia, ib, k = np.argwhere(~np.isfinite(ham))[0]
+        raise ValueError(
+            f"non-finite Hamiltonian {ham[ia, ib, k]} at node {disc.idx[k]} for pair (alpha {ia}, beta {ib})"
+        )
+    return disc, ham
 
 
 def _least_index(
@@ -125,20 +117,9 @@ def _least_index(
     return MarkovSelector(grid=disc.grid, table=table, margins=margins)
 
 
-def _check_finite(disc: Discretization, ham: np.ndarray) -> None:
-    """Raise on a non-finite Hamiltonian, which every slack comparison would pass."""
-    if not np.isfinite(ham).all():
-        ia, ib, k = np.argwhere(~np.isfinite(ham))[0]
-        raise ValueError(
-            f"non-finite Hamiltonian {ham[ia, ib, k]} at node {disc.idx[k]} for pair (alpha {ia}, beta {ib})"
-        )
-
-
-def _beta_selector(disc: Discretization, ham: np.ndarray, epsilon: float) -> MarkovSelector:
-    """``ham``: L u_hat + f per pair and interior node of ``disc``, (nA_ext, nB, m)."""
-    if epsilon <= 0:
-        raise ValueError("slack epsilon must be positive")
-    _check_finite(disc, ham)
+def build_beta_selector(problem: GameProblem, u_hat: ValueField, epsilon: float) -> MarkovSelector:
+    """Least-index responder with L u_hat + f <= epsilon per (alpha, node)."""
+    disc, ham = _hamiltonians(problem, u_hat, epsilon)
     # sup-inf over the full (possibly penalty-extended) leader set
     worst = float(ham.min(axis=1).max(axis=0).max())
     if worst >= epsilon:
@@ -150,10 +131,9 @@ def _beta_selector(disc: Discretization, ham: np.ndarray, epsilon: float) -> Mar
     return _least_index(disc, ham, ham <= epsilon, -epsilon)
 
 
-def _alpha_selector(disc: Discretization, ham: np.ndarray, epsilon: float) -> MarkovSelector:
-    if epsilon <= 0:
-        raise ValueError("slack epsilon must be positive")
-    _check_finite(disc, ham)
+def build_alpha_selector(problem: GameProblem, u_check: ValueField, epsilon: float) -> MarkovSelector:
+    """Least-index leader with min over beta of L u_check + f >= -epsilon per node."""
+    disc, ham = _hamiltonians(problem, u_check, epsilon)
     minvals = ham.min(axis=1)  # (nA_ext, m)
     worst = float(minvals.max(axis=0).min())
     if worst <= -epsilon:

@@ -177,7 +177,7 @@ def test_missing_file_and_bad_points(tmp_path):
         load_experiment(_write(tmp_path, text))
 
 
-def test_cli_usage_errors(tmp_path):
+def test_cli_usage_errors(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert main(["warp", "--config", "x"]) == 2
     # each stage takes only the flags it reads
@@ -207,6 +207,18 @@ def test_cli_usage_errors(tmp_path):
         assert main(["validate", "--config", cfg, "--grid-h", h, "--out", str(tmp_path / "o")]) == 2
         bad = _write(tmp_path, (CONFIGS / "analytic.cfg").read_text().replace("h = 0.0078125", f"h = {h}"))
         assert main(["validate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    # an --out that is a file, or lies under one, is named in one line and
+    # nothing is written
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    capsys.readouterr()
+    for out in (afile, afile / "sub"):
+        assert main(["validate", "--config", str(CONFIGS / "game2x2.cfg"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: cannot make output directory {out}: "
+            f"{'File exists' if out == afile else 'Not a directory'}\n"
+        )
+    assert afile.read_text() == "keep"
     assert main(["--help"]) == 0
 
 

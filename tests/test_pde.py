@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,6 @@ from sdglab.pde import (
     PucciParams,
     SolveConfig,
     convergence_study,
-    discrete_L,
     evaluate_H,
     evaluate_P,
     extend_problem,
@@ -88,7 +89,8 @@ def test_discrete_second_order_exact_on_quadratic_positive_mixed():
     node = grid.interior_idx[len(grid.interior_idx) // 2]
     # D11 = 2, D12 = 1, D22 = 0, no drift, no discount
     expected = a[0, 0] * 2.0 + 2.0 * a[0, 1] * 1.0
-    assert discrete_L(p, 0, 0, u, int(node)) == pytest.approx(expected, abs=1e-9)
+    # one pair and f = 0: H[u] is L u
+    assert evaluate_H(p, u).values[node] == pytest.approx(expected, abs=1e-9)
 
 
 def test_discrete_second_order_exact_on_quadratic_negative_mixed():
@@ -101,7 +103,8 @@ def test_discrete_second_order_exact_on_quadratic_negative_mixed():
     u = ValueField.from_function(grid, lambda x: x[:, 0] ** 2 + x[:, 0] * x[:, 1])
     node = grid.interior_idx[len(grid.interior_idx) // 2]
     expected = a[0, 0] * 2.0 + 2.0 * a[0, 1] * 1.0
-    assert discrete_L(p, 0, 0, u, int(node)) == pytest.approx(expected, abs=1e-9)
+    # one pair and f = 0: H[u] is L u
+    assert evaluate_H(p, u).values[node] == pytest.approx(expected, abs=1e-9)
 
 
 def test_discrete_drift_and_discount_exact_on_linear():
@@ -110,15 +113,8 @@ def test_discrete_drift_and_discount_exact_on_linear():
     u = ValueField.from_function(grid, lambda x: 2.0 * x[:, 0] + 1.0)
     node = grid.nearest_node([[0.5]])[0]
     expected = -0.7 * 2.0 - 0.3 * (2.0 * 0.5 + 1.0)
-    assert discrete_L(p, 0, 0, u, int(node)) == pytest.approx(expected, abs=1e-9)
-
-
-def test_discrete_L_rejects_boundary_node():
-    p = _problem_1d(const_scalar(0.0))
-    grid = DomainGrid.build(p.domain, 1 / 8)
-    u = ValueField.zeros(grid)
-    with pytest.raises(ValueError):
-        discrete_L(p, 0, 0, u, int(grid.boundary_idx[0]))
+    # one pair and f = 0: H[u] is L u
+    assert evaluate_H(p, u).values[node] == pytest.approx(expected, abs=1e-9)
 
 
 def test_spacing_guard(game_problem):
@@ -126,6 +122,34 @@ def test_spacing_guard(game_problem):
     assert h_mono(game_problem) == pytest.approx(1.0 / 2.2)
     with pytest.raises(ValueError):
         IsaacsSolver(h=0.5).fit(game_problem)
+
+
+def test_one_assembly_per_problem_and_grid_while_held(game_problem, monkeypatch):
+    from sdglab import pde
+    from sdglab.policies import build_alpha_selector, build_beta_selector
+
+    monkeypatch.setattr(pde, "_ASSEMBLED", weakref.WeakValueDictionary())
+    assembled = []
+    init = Discretization.__init__
+
+    def spy(self, *args, **kwargs):
+        assembled.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Discretization, "__init__", spy)
+    solver = IsaacsSolver(h=1 / 32).fit(game_problem)
+    value = solver.value_
+    evaluate_H(game_problem, value)
+    build_beta_selector(game_problem, value, 1e-6)
+    build_alpha_selector(game_problem, value, 1e-6)
+    assert len(assembled) == 1
+    with pytest.raises(ValueError, match="read-only"):
+        solver.discretization_.weights[0, 0, 0] = 1.0
+    # the solver was the last holder: its entry dies with it
+    del solver
+    assert len(pde._ASSEMBLED) == 0
+    evaluate_H(game_problem, value)
+    assert len(assembled) == 2
 
 
 # --- exact frozen-policy solve -------------------------------------------------
@@ -257,7 +281,9 @@ def test_isotropic_disc_converges():
 
 def test_singular_policy_system_fails_loudly(game_problem):
     grid = DomainGrid.build(game_problem.domain, 1 / 32)
-    disc = Discretization.from_problem(game_problem, grid)
+    # a private copy: the assembled operators are shared and read-only
+    disc = copy.copy(Discretization.from_problem(game_problem, grid))
+    disc.weights = disc.weights.copy()
     disc.weights[:, 5] = 0.0
     u = ValueField.from_function(grid, game_problem.g).values
     with pytest.raises(RuntimeError, match=r"singular: zero pivot \d+ at interior node \d+"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sdglab.coefficients import const_matrix, const_scalar, const_vector
-from sdglab.grids import ValueField
+from sdglab.grids import DomainGrid, ValueField
 from sdglab.model import ActionSets, DomainSpec, GameProblem
 from sdglab.policies import (
     ConstantPolicy,
@@ -60,15 +60,12 @@ def test_alpha_selector_roundtrip(solved_game, game_problem):
         sel.beta_at(np.array([0]), np.array([[0.5, 0.0]]))
 
 
-def test_solver_selectors_match_the_builders(solved_game, game_problem):
-    from sdglab.policies import _feedback_selectors
-
-    beta, alpha = _feedback_selectors(solved_game, EPS)
-    for got, want in ((beta, build_beta_selector(game_problem, solved_game.value_, EPS)),
-                      (alpha, build_alpha_selector(game_problem, solved_game.value_, EPS))):
-        assert got.role == want.role
-        for name in ("table", "margins"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+def test_selectors_reject_a_grid_coarser_than_h_mono(game_problem):
+    # K0 = 2.2 -> bound 2*0.5/2.2 = 0.4545, as IsaacsSolver.fit and evaluate_H enforce
+    v = ValueField.zeros(DomainGrid.build(game_problem.domain, 0.5))
+    for build in (build_beta_selector, build_alpha_selector):
+        with pytest.raises(ValueError, match="exceeds the monotonicity bound 0.4545"):
+            build(game_problem, v, EPS)
 
 
 def test_selectors_reject_a_nan_value(solved_game, game_problem):
