@@ -148,6 +148,8 @@ class ValueField:
         """Multilinear interpolation; nearest-node fallback at masked cells."""
         g = self.grid
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.shape[1] != g.d:
+            raise ValueError(f"points have {x.shape[1]} coordinates, not the grid's {g.d}")
         t = (x - g.origin) / g.spacing
         base = np.floor(t).astype(int)
         for i in range(g.d):

@@ -199,7 +199,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown variant {unknown[0]!r}; known variants are {', '.join(VARIANTS)}"
             )
+        if not self.points:
+            raise ValueError("need at least one evaluation point")
         for p in self.points:
+            if len(p) != self.problem.d:
+                raise ValueError(f"evaluation point {p} has {len(p)} coordinates, not {self.problem.d}")
             if not self.problem.domain.contains(np.asarray(p, dtype=float)[None, :])[0]:
                 raise ValueError(f"evaluation point {p} is not interior to the domain")
 

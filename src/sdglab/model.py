@@ -4,7 +4,7 @@ A :class:`GameProblem` bundles the coefficient tables sigma/b/c/f over a
 pair of finite ordered action sets, the terminal cost g, a bounded domain,
 and the regularity constants.  :func:`validate_problem` checks the
 uniform-ellipticity, boundedness and Lipschitz assumptions numerically on
-a grid and reports worst-case margins instead of proving anything.
+a grid and reports worst-case margin values instead of proving anything.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ class GameProblem:
 
 @dataclass
 class ValidationReport:
-    """Worst-case margins for the standing assumptions, nonnegative = pass."""
+    """The worst-case margin of each standing assumption, nonnegative = pass."""
 
     ellipticity_lower_margin: float  # min eig(a) - delta over all samples
     ellipticity_upper_margin: float  # 1/delta - max eig(a)
@@ -193,8 +193,8 @@ class ValidationReport:
 def validate_problem(problem: GameProblem, grid) -> ValidationReport:
     """Check the standing assumptions on the nodes of ``grid``.
 
-    Violations are reported through margins, not raised; only structural
-    errors (empty grid) raise.
+    A violation is reported as a negative margin, not raised; only
+    structural errors (empty grid) raise.
     """
     pts = grid.coords
     if len(pts) == 0:

@@ -42,36 +42,21 @@ class MarkovSelector:
 
     ``table`` holds one action per node: shape (N,) for a leader selector,
     (nA, N) for a responder selector, whose row ``ia`` answers the leader
-    action ``ia``.  ``margins`` has the same shape and holds the slack of
-    the chosen action.  Outside the domain the default action 0 is played.
+    action ``ia``.  Nodes off the interior hold action 0.  A feedback policy
+    answers a state with the entry at its nearest node, clipped to the
+    lattice.  On a box a point outside the domain lands on a boundary node,
+    which holds 0.  On a ball it may land on an interior node and get its
+    action; in an ensemble only exited rows give such points, and their
+    answers are discarded.
     """
 
     grid: DomainGrid
     table: np.ndarray
-    margins: np.ndarray
-
-    default_action = 0
 
     @property
     def role(self) -> str:
         """``"beta"`` for a responder table, ``"alpha"`` for a leader table."""
         return "beta" if self.table.ndim == 2 else "alpha"
-
-    def beta_at(self, ia: np.ndarray, x: np.ndarray) -> np.ndarray:
-        if self.role != "beta":
-            raise ValueError("selector does not carry a beta table")
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self._default_outside(x, self.table[np.asarray(ia, dtype=int), self.grid.nearest_node(x)])
-
-    def alpha_at(self, x: np.ndarray) -> np.ndarray:
-        if self.role != "alpha":
-            raise ValueError("selector does not carry an alpha table")
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self._default_outside(x, self.table[self.grid.nearest_node(x)])
-
-    def _default_outside(self, x: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        inside = self.grid.domain.contains(x)
-        return actions if inside.all() else np.where(inside, actions, self.default_action)
 
     def to_csv(self, path) -> None:
         mask = self.grid.in_closure
@@ -99,22 +84,15 @@ def _hamiltonians(problem: GameProblem, u: ValueField, epsilon: float) -> tuple[
     return disc, ham
 
 
-def _least_index(
-    disc: Discretization, values: np.ndarray, feasible: np.ndarray, slack: float
-) -> MarkovSelector:
+def _least_index(disc: Discretization, feasible: np.ndarray) -> MarkovSelector:
     """Selector of the first feasible action along axis -2 at each interior node.
 
-    ``values`` and ``feasible`` have the interior nodes of ``disc`` on
-    their last axis; the margin is the chosen value plus ``slack``.  Nodes
-    off the interior keep action 0 and margin 0.
+    ``feasible`` has the interior nodes of ``disc`` on its last axis; nodes
+    off the interior keep action 0.
     """
-    choice = feasible.argmax(axis=-2)
-    picked = np.take_along_axis(values, choice[..., None, :], axis=-2)[..., 0, :]
-    table = np.zeros(choice.shape[:-1] + (disc.grid.n_nodes,), dtype=int)
-    margins = np.zeros(table.shape)
-    table[..., disc.idx] = choice
-    margins[..., disc.idx] = picked + slack
-    return MarkovSelector(grid=disc.grid, table=table, margins=margins)
+    table = np.zeros(feasible.shape[:-2] + (disc.grid.n_nodes,), dtype=int)
+    table[..., disc.idx] = feasible.argmax(axis=-2)
+    return MarkovSelector(grid=disc.grid, table=table)
 
 
 def build_beta_selector(problem: GameProblem, u_hat: ValueField, epsilon: float) -> MarkovSelector:
@@ -128,7 +106,7 @@ def build_beta_selector(problem: GameProblem, u_hat: ValueField, epsilon: float)
             f"max H = {worst:.3g}"
         )
     # for finite values, the check above leaves a feasible responder for every (alpha, node)
-    return _least_index(disc, ham, ham <= epsilon, -epsilon)
+    return _least_index(disc, ham <= epsilon)
 
 
 def build_alpha_selector(problem: GameProblem, u_check: ValueField, epsilon: float) -> MarkovSelector:
@@ -142,7 +120,7 @@ def build_alpha_selector(problem: GameProblem, u_check: ValueField, epsilon: flo
             f"min H = {worst:.3g}"
         )
     # for finite values, the check above leaves a feasible leader action at every node
-    return _least_index(disc, minvals, minvals >= -epsilon, epsilon)
+    return _least_index(disc, minvals >= -epsilon)
 
 
 class ConstantPolicy:
@@ -170,6 +148,8 @@ class OccupancyPolicy:
     def __init__(self, base_action: int, special_action: int, fraction: float, period: float = 0.1):
         if not (0 <= fraction <= 1):
             raise ValueError("occupation fraction must lie in [0, 1]")
+        if not (0 < period < math.inf):
+            raise ValueError(f"occupation period must be finite and positive, got {period}")
         self.base_action = int(base_action)
         self.special_action = int(special_action)
         self.fraction = fraction
@@ -216,7 +196,7 @@ class FeedbackAlphaPolicy(_FeedbackPolicy):
     role = "alpha"
 
     def select(self, k, t, x):
-        return self.selector.alpha_at(x)
+        return self.selector.table[self.selector.grid.nearest_node(x)]
 
 
 class FeedbackBetaPolicy(_FeedbackPolicy):
@@ -225,7 +205,7 @@ class FeedbackBetaPolicy(_FeedbackPolicy):
     role = "beta"
 
     def respond(self, ia, k, t, x):
-        return self.selector.beta_at(ia, x)
+        return self.selector.table[ia, self.selector.grid.nearest_node(x)]
 
 
 @dataclass

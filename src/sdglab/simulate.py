@@ -487,6 +487,8 @@ def _run_ensemble(
     # policy lags: each requested n keeps a frozen state snapshot
     lag_all = sorted({p.lag_n for p in (*leaders, beta_policy) if getattr(p, "lag_n", 0)} | set(lag_ns))
     cps = sorted(checkpoint_times)
+    if cps and value_field is None:
+        raise ValueError("checkpoint times need a value field")
     # the full-size state, written back from each part's working state, and the outputs
     keys = ["phi", "psi", "pay"] + [("M", m) for m in lag_ns] + (["exp_psi"] if track_exp_psi_integral else [])
     full = {"x": np.repeat(np.asarray([starts[j] for j in stack]), n, axis=0)}
@@ -507,23 +509,18 @@ def _run_ensemble(
         w.update(dist=problem.domain.boundary_distance(w["x"]), code=spec_code[rows])
         live = np.ones(rows.size, dtype=bool)  # not yet exited
         last_cell = dict.fromkeys(lag_all, 0)
-        part, cp_rows, n_cp = rows, rows, 0  # cp_rows: rows that may have moved since the last checkpoint
+        part, n_cp = rows, 0
 
         def write_back(sel):
             for key, a in full.items():
                 a[rows[sel]] = w[key][sel]
 
         def checkpoint():
-            # an exited row's state is frozen, so its last value is reused
-            nonlocal cp_rows, n_cp
+            # an exited row reads its frozen exit state
+            nonlocal n_cp
             write_back(slice(None))
-            contrib = out["cp", n_cp]
-            if n_cp:
-                contrib[part] = out["cp", n_cp - 1][part]
-            if value_field is not None and cp_rows.size:
-                weight = np.exp(-full["phi"][cp_rows] - full["psi"][cp_rows])
-                contrib[cp_rows] = value_field.interpolate(X[cp_rows]) * weight + full["pay"][cp_rows]
-            cp_rows = rows[live]
+            weight = np.exp(-full["phi"][part] - full["psi"][part])
+            out["cp", n_cp][part] = value_field.interpolate(X[part]) * weight + full["pay"][part]
             n_cp += 1
 
         for k in range(n_steps):

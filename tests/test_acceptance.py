@@ -3,8 +3,8 @@
 One test per criterion; each records a single PASS/FAIL line, echoed in
 the terminal summary at the end of the run.  Tolerances and seeds are
 frozen; loosening them to rescue a failure defeats the point of the
-suite.  A full run takes about 105 s on a 2-vCPU Xeon, most of it in
-criteria 5 and 3 (61 s and 20 s).
+suite.  A full run of the whole test suite takes about 115 s on a 2-vCPU
+Xeon, most of it in criteria 5 and 3 (53 s and 18 s).
 """
 
 import math

@@ -175,6 +175,14 @@ def test_missing_file_and_bad_points(tmp_path):
     text = MINIMAL + "\n[experiment]\npoints = 2.5\n"
     with pytest.raises(ConfigError):
         load_experiment(_write(tmp_path, text))
+    # an empty point list, and a point with more coordinates than d
+    for points, why in ((";", "at least one evaluation point"), ("0.5, 0.9", "has 2 coordinates, not 1")):
+        with pytest.raises(ConfigError, match=why):
+            load_experiment(_write(tmp_path, MINIMAL + f"\n[experiment]\npoints = {points}\n"))
+    # nor does a solved field read such a point as its first coordinate
+    solver = IsaacsSolver(h=1 / 8).fit(load_problem(_write(tmp_path, MINIMAL)))
+    with pytest.raises(ValueError, match="2 coordinates"):
+        solver.predict([[0.5, 0.9]])
 
 
 def test_cli_usage_errors(tmp_path, capsys):
@@ -191,7 +199,13 @@ def test_cli_usage_errors(tmp_path, capsys):
         bad = _write(tmp_path, (CONFIGS / "analytic.cfg").read_text().replace("seed = 7", new))
         for stage in ("validate", "simulate"):
             assert main([stage, "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-    # so are a lag below 1, a repeated lag, an empty lag list and a seed flag
+    # so are an empty point list and a point of the wrong dimension
+    game = (CONFIGS / "game2x2.cfg").read_text()
+    for points in (";", "0.5, 0.9"):
+        bad = _write(tmp_path, game.replace("points = 0.25; 0.5; 0.75", f"points = {points}"))
+        for stage in ("solve", "martingale"):
+            assert main([stage, "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    # and a lag below 1, a repeated lag, an empty lag list and a seed flag
     # out of range
     for lags in ("0", ",", "-2,4", "4,4"):
         assert main(["increments", "--config", cfg, "--lags", lags, "--out", str(tmp_path / "o")]) == 2

@@ -1,11 +1,14 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sdglab.coefficients import const_matrix, const_scalar, const_vector
+from sdglab.config import load_problem
 from sdglab.grids import DomainGrid, ValueField
 from sdglab.model import ActionSets, DomainSpec, GameProblem
+from sdglab.pde import IsaacsSolver
 from sdglab.policies import (
     ConstantPolicy,
     ConstantResponder,
@@ -19,6 +22,7 @@ from sdglab.policies import (
 )
 from sdglab.simulate import ControlAdaptedSpec, SimConfig, simulate_to_exit
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SQRT2 = math.sqrt(2.0)
 EPS = 1e-6
 
@@ -39,25 +43,44 @@ def _twin_beta_problem():
     )
 
 
-def test_beta_selector_margins_and_outside_default(solved_analytic, analytic_problem):
+def test_beta_selector_singleton_and_outside_point(solved_analytic, analytic_problem):
     sel = build_beta_selector(analytic_problem, solved_analytic.value_, EPS)
     assert sel.role == "beta"
-    assert np.all(sel.margins <= 1e-12)
     # singleton responder: only action 0 exists
     assert np.all(sel.table == 0)
-    out = sel.beta_at(np.array([0, 0]), np.array([[0.5], [1.7]]))
-    assert out[1] == sel.default_action
-    with pytest.raises(ValueError):
-        sel.alpha_at(np.array([[0.5]]))
+    out = FeedbackBetaPolicy(sel).respond(np.array([0, 0]), 0, 0.0, np.array([[0.5], [1.7]]))
+    assert list(out) == [0, 0]
 
 
 def test_alpha_selector_roundtrip(solved_game, game_problem):
     sel = build_alpha_selector(game_problem, solved_game.value_, EPS)
     assert sel.role == "alpha"
-    acts = sel.alpha_at(solved_game.value_.grid.coords[solved_game.value_.grid.interior])
-    assert set(np.unique(acts)) <= {0, 1}
-    with pytest.raises(ValueError):
-        sel.beta_at(np.array([0]), np.array([[0.5, 0.0]]))
+    grid = solved_game.value_.grid
+    acts = FeedbackAlphaPolicy(sel).select(0, 0.0, grid.coords[grid.interior])
+    assert set(np.unique(acts)) == {0, 1}
+    assert np.array_equal(acts, sel.table[grid.interior])
+
+
+@pytest.mark.parametrize(
+    "path", [CONFIGS / "game2x2.cfg", CONFIGS.parent / "sdgbench" / "box2d.cfg"], ids=["game2x2", "box2d"]
+)
+def test_feedback_policies_read_the_nearest_node(path):
+    # the reference plays the nearest node's entry inside the domain and 0
+    # outside it; on a box the policies' plain table read agrees
+    p = load_problem(path)
+    value = IsaacsSolver(h=1 / 16).fit(p).value_
+    asel = build_alpha_selector(p, value, EPS)
+    bsel = build_beta_selector(p, value, EPS)
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-0.25, 1.25, size=(4000, p.d))
+    ia = rng.integers(p.n_alpha, size=x.shape[0])
+    node, inside = value.grid.nearest_node(x), p.domain.contains(x)
+    assert inside.any() and not inside.all()
+    want_a = np.where(inside, asel.table[node], 0)
+    want_b = np.where(inside, bsel.table[ia, node], 0)
+    assert set(want_a) == set(want_b) == {0, 1}
+    assert np.array_equal(FeedbackAlphaPolicy(asel).select(0, 0.0, x), want_a)
+    assert np.array_equal(FeedbackBetaPolicy(bsel).respond(ia, 0, 0.0, x), want_b)
 
 
 def test_selectors_reject_a_grid_coarser_than_h_mono(game_problem):
@@ -78,8 +101,6 @@ def test_selectors_reject_a_nan_value(solved_game, game_problem):
 
 
 def test_least_index_tie_break():
-    from sdglab.pde import IsaacsSolver
-
     p = _twin_beta_problem()
     solver = IsaacsSolver(h=1 / 32).fit(p)
     sel = build_beta_selector(p, solver.value_, EPS)
@@ -118,6 +139,10 @@ def test_scripted_policies():
     assert occ.select(0, 0.9, x)[0] == 0
     with pytest.raises(ValueError):
         OccupancyPolicy(0, 1, 1.5)
+    # a period that is not finite and positive is rejected before any step
+    for period in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="period must be finite and positive"):
+            OccupancyPolicy(0, 1, 0.2, period=period)
     assert list(ConstantResponder(1).respond(np.array([0, 0]), 0, 0.0, x)) == [1, 1]
     assert list(ConstantPolicy(1).select(0, 0.0, x)) == [1, 1, 1]
 

@@ -277,6 +277,16 @@ def test_worker_failures_raise_in_the_caller(analytic_problem, monkeypatch):
     assert used == [2, 2, 1]
 
 
+def test_checkpoints_need_a_value_field(analytic_problem):
+    from sdglab.simulate import _run_ensemble
+
+    spec = ControlAdaptedSpec.baseline(analytic_problem)
+    cfg = SimConfig(dt=1e-3, t_max=1.0, n_paths=10)
+    with pytest.raises(ValueError, match="checkpoint times need a value field"):
+        _run_ensemble(analytic_problem, [(spec, [0.5], ConstantPolicy(0))], ConstantResponder(0), cfg,
+                      checkpoint_times=(0.5,))
+
+
 def test_start_of_wrong_dimension_rejected():
     from pathlib import Path
 
@@ -544,34 +554,18 @@ def _state_dependent_game():
     )
 
 
-def test_ensemble_matches_em_step_replay():
-    # every variant as one lane, a lagged feedback leader against a lagged
-    # feedback responder: rows mix specs and action pairs at each step, and
-    # sigma and b are evaluated per pair, f from per-row affine parameters
-    from sdglab.harness import build_variant_spec
-    from sdglab.pde import IsaacsSolver
-    from sdglab.policies import (
-        FeedbackAlphaPolicy,
-        FeedbackBetaPolicy,
-        build_alpha_selector,
-        build_beta_selector,
-    )
-    from sdglab.simulate import VARIANTS
+def _assert_matches_em_step_replay(p, specs, batches, leader, beta, cfg, x0):
+    """Replay every path of every lane with ``em_step`` and compare at 1e-12.
 
-    p = _state_dependent_game()
-    value = IsaacsSolver(h=1 / 32).fit(p).value_
-    leader = FeedbackAlphaPolicy(build_alpha_selector(p, value, 1e-6), lag_n=8)
-    beta = FeedbackBetaPolicy(build_beta_selector(p, value, 1e-6), lag_n=4)
-    specs = [build_variant_spec(p, v) for v in VARIANTS]
-    cfg = SimConfig(dt=2e-3, t_max=1.0, n_paths=50, seed=8)
-    batches = simulate_lanes(p, [(spec, [0.5], leader) for spec in specs], beta, cfg)
-
+    The leader and responder are lagged by 8 and 4 cells per unit time.
+    Returns the action pairs seen.
+    """
     n_steps = int(round(cfg.t_max / cfg.dt))
     draws = _draws(cfg.seed, n_steps, cfg.n_paths, p.d1, cfg.dt)
     pairs_seen = set()
     for spec, batch in zip(specs, batches):
         for i in range(cfg.n_paths):
-            s = PathState(0.0, np.array([0.5]))
+            s = PathState(0.0, np.asarray(x0, dtype=float))
             pay, tau, exited = 0.0, cfg.t_max, False
             snap = {m: s.x for m in (4, 8)}  # the state at the start of each lag cell
             cell = {m: 0 for m in snap}
@@ -605,4 +599,59 @@ def test_ensemble_matches_em_step_replay():
                                ("running_payoff", pay), ("terminal_payoff", terminal)):
                 assert getattr(batch, name)[i] == pytest.approx(want, rel=0, abs=1e-12), name
             assert np.allclose(batch.exit_state[i], s.x, rtol=0, atol=1e-12)
+    return pairs_seen
+
+
+def test_ensemble_matches_em_step_replay():
+    # every variant as one lane, a lagged feedback leader against a lagged
+    # feedback responder: rows mix specs and action pairs at each step, and
+    # sigma and b are evaluated per pair, f from per-row affine parameters
+    from sdglab.harness import build_variant_spec
+    from sdglab.pde import IsaacsSolver
+    from sdglab.policies import (
+        FeedbackAlphaPolicy,
+        FeedbackBetaPolicy,
+        build_alpha_selector,
+        build_beta_selector,
+    )
+    from sdglab.simulate import VARIANTS
+
+    p = _state_dependent_game()
+    value = IsaacsSolver(h=1 / 32).fit(p).value_
+    leader = FeedbackAlphaPolicy(build_alpha_selector(p, value, 1e-6), lag_n=8)
+    beta = FeedbackBetaPolicy(build_beta_selector(p, value, 1e-6), lag_n=4)
+    specs = [build_variant_spec(p, v) for v in VARIANTS]
+    cfg = SimConfig(dt=2e-3, t_max=1.0, n_paths=50, seed=8)
+    batches = simulate_lanes(p, [(spec, [0.5], leader) for spec in specs], beta, cfg)
+    pairs_seen = _assert_matches_em_step_replay(p, specs, batches, leader, beta, cfg, [0.5])
     assert len(pairs_seen) == 4
+
+
+def test_ensemble_matches_em_step_replay_2d():
+    # the 1-D replay on the 2-D box game: sigma mixes the two noise
+    # components, and a rotation angle makes each odd pair's noise transform
+    # q a non-symmetric 2x2 matrix, so a kernel that applied q^T would differ
+    from pathlib import Path
+
+    from sdglab.config import load_problem
+    from sdglab.harness import VariantParams, build_variant_spec
+    from sdglab.pde import IsaacsSolver
+    from sdglab.policies import (
+        FeedbackAlphaPolicy,
+        FeedbackBetaPolicy,
+        build_alpha_selector,
+        build_beta_selector,
+    )
+    from sdglab.simulate import VARIANTS
+
+    p = load_problem(Path(__file__).resolve().parent.parent / "sdgbench" / "box2d.cfg")
+    value = IsaacsSolver(h=1 / 16).fit(p).value_
+    leader = FeedbackAlphaPolicy(build_alpha_selector(p, value, 1e-6), lag_n=8)
+    beta = FeedbackBetaPolicy(build_beta_selector(p, value, 1e-6), lag_n=4)
+    specs = [build_variant_spec(p, v, VariantParams(rotation="0.7")) for v in VARIANTS]
+    cfg = SimConfig(dt=2e-3, t_max=1.0, n_paths=30, seed=8)
+    batches = simulate_lanes(p, [(spec, [0.5, 0.5], leader) for spec in specs], beta, cfg)
+    pairs_seen = _assert_matches_em_step_replay(p, specs, batches, leader, beta, cfg, [0.5, 0.5])
+    # both leader actions, and pairs with and without the rotation
+    assert {ia for ia, _ in pairs_seen} == {0, 1}
+    assert {(ia + ib) % 2 for ia, ib in pairs_seen} == {0, 1}
