@@ -44,6 +44,13 @@ def _lags(text: str) -> list[int]:
     return lags
 
 
+def _penalty(text: str) -> float:
+    """``--K``: a finite, nonnegative penalty constant."""
+    if not 0 <= float(text) < math.inf:
+        raise argparse.ArgumentTypeError("must be finite and nonnegative")
+    return float(text)
+
+
 # flag -> (argparse keywords, the ExperimentConfig field it overrides, or
 # None for a flag the stage handler reads); "sim." fields are SimConfig's
 _FLAGS = {
@@ -51,7 +58,7 @@ _FLAGS = {
     "--paths": ({"type": int, "help": "override [sim] n_paths"}, "sim.n_paths"),
     "--dt": ({"type": float, "help": "override [sim] dt"}, "sim.dt"),
     "--grid-h": ({"type": float, "help": "override [experiment] h"}, "h"),
-    "--K": ({"type": float, "help": "penalty constant (default: the largest k_list entry)"}, None),
+    "--K": ({"type": _penalty, "help": "penalty constant (default: the largest k_list entry)"}, None),
     "--variant": ({"default": "baseline", "choices": VARIANTS, "help": "variant to simulate"}, None),
     "--dump-paths": ({"action": "store_true", "help": "write per-path CSV"}, None),
     "--lags": ({"type": _lags, "default": "4,8,16,32", "help": "comma-separated lag parameters n"}, None),

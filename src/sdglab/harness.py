@@ -199,6 +199,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown variant {unknown[0]!r}; known variants are {', '.join(VARIANTS)}"
             )
+        K = list(self.K_list)
+        if not K or not all(1 <= k < math.inf for k in K) or K != sorted(set(K)):
+            raise ValueError(f"k_list must be nonempty, finite, >= 1 and strictly increasing, got {self.K_list}")
         if not self.points:
             raise ValueError("need at least one evaluation point")
         for p in self.points:

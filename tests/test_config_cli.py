@@ -91,6 +91,21 @@ def test_solve_section_keys(tmp_path):
         bad = MINIMAL + f"\n[solve]\nresidual_tol = 1e-9\n{key} = 1.5\n"
         with pytest.raises(ConfigError, match=key):
             load_experiment(_write(tmp_path, bad))
+    # a tolerance that is not finite and positive, and a negative iteration bound
+    for line in ("residual_tol = nan", "residual_tol = inf", "residual_tol = 0", "max_policy_iters = -1"):
+        with pytest.raises(ConfigError, match=line.split()[0]):
+            load_experiment(_write(tmp_path, MINIMAL + f"\n[solve]\n{line}\n"))
+    cfg = load_experiment(_write(tmp_path, MINIMAL + "\n[solve]\nmax_policy_iters = 0\n"))
+    assert cfg.solve.max_policy_iters == 0
+
+
+def test_k_list_entries(tmp_path):
+    cfg = load_experiment(_write(tmp_path, MINIMAL + "\n[experiment]\nk_list = 1, 2.5, 8\n"))
+    assert cfg.K_list == (1.0, 2.5, 8.0)
+    # no entry, or an entry that is not finite, below 1, repeated or out of order
+    for k_list in (",", "1, nan, 8", "1, inf", "0.5, 2", "1, 2, 2", "4, 2"):
+        with pytest.raises(ConfigError, match="k_list must be nonempty, finite, >= 1 and strictly increasing"):
+            load_experiment(_write(tmp_path, MINIMAL + f"\n[experiment]\nk_list = {k_list}\n"))
 
 
 def test_sim_section_keys(tmp_path):
@@ -210,6 +225,19 @@ def test_cli_usage_errors(tmp_path, capsys):
     for lags in ("0", ",", "-2,4", "4,4"):
         assert main(["increments", "--config", cfg, "--lags", lags, "--out", str(tmp_path / "o")]) == 2
     assert main(["simulate", "--config", cfg, "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+    # a penalty constant that is not finite or is negative, by flag, and a k_list
+    # entry or a [solve] setting out of range in the file; nothing is written
+    holder = (CONFIGS / "holder.cfg").read_text()
+    for K in ("nan", "inf", "-1"):
+        argv = ["penalize", "--config", str(CONFIGS / "holder.cfg"), "--K", K, "--out", str(tmp_path / "k")]
+        assert main(argv) == 2
+    for old, new in (("k_list = 1, 2, 4", "k_list = 1, nan, 4"), ("k_list = 1, 2, 4", "k_list = -1, 2, 4"),
+                     ("[experiment]", "[solve]\nresidual_tol = nan\n\n[experiment]"),
+                     ("[experiment]", "[solve]\nmax_policy_iters = -1\n\n[experiment]")):
+        bad = _write(tmp_path, holder.replace(old, new))
+        for stage in ("validate", "penalize", "converge"):
+            assert main([stage, "--config", str(bad), "--out", str(tmp_path / "k")]) == 2
+    assert not (tmp_path / "k").exists()
     # a dt that is not finite, by flag or in the file, and a horizon that is not
     for v in ("nan", "inf"):
         assert main(["simulate", "--config", cfg, "--dt", v, "--out", str(tmp_path / "o")]) == 2

@@ -13,6 +13,8 @@ from sdglab.grids import DomainGrid, ValueField
 from sdglab.model import ActionSets, DomainSpec, GameProblem
 from sdglab.pde import (
     Discretization,
+    _half_sst,
+    _policy_iteration,
     IsaacsSolver,
     PucciParams,
     SolveConfig,
@@ -24,6 +26,7 @@ from sdglab.pde import (
 )
 
 SQRT2 = math.sqrt(2.0)
+BOX2D = Path(__file__).resolve().parent.parent / "sdgbench" / "box2d.cfg"
 
 
 def _problem_1d(f_field, sigma=SQRT2, bdrift=0.0, c=0.0, K0=4.0):
@@ -124,19 +127,26 @@ def test_spacing_guard(game_problem):
         IsaacsSolver(h=0.5).fit(game_problem)
 
 
+def _spy_assemblies(monkeypatch):
+    """A fresh assembly table and the list that each Discretization.__init__ appends to."""
+    from sdglab import pde
+
+    monkeypatch.setattr(pde, "_ASSEMBLED", weakref.WeakValueDictionary())
+    assembled, init = [], Discretization.__init__
+
+    def spy(self, grid, *args, **kwargs):
+        assembled.append(grid)
+        init(self, grid, *args, **kwargs)
+
+    monkeypatch.setattr(Discretization, "__init__", spy)
+    return assembled
+
+
 def test_one_assembly_per_problem_and_grid_while_held(game_problem, monkeypatch):
     from sdglab import pde
     from sdglab.policies import build_alpha_selector, build_beta_selector
 
-    monkeypatch.setattr(pde, "_ASSEMBLED", weakref.WeakValueDictionary())
-    assembled = []
-    init = Discretization.__init__
-
-    def spy(self, *args, **kwargs):
-        assembled.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Discretization, "__init__", spy)
+    assembled = _spy_assemblies(monkeypatch)
     solver = IsaacsSolver(h=1 / 32).fit(game_problem)
     value = solver.value_
     evaluate_H(game_problem, value)
@@ -183,6 +193,98 @@ def test_exact_solve_mixed_derivative_2d():
     assert solver.n_iter_ == 1
 
 
+def _cold_start(solver):
+    """Howard's algorithm from u = g on the solver's own operators: (values, iterations)."""
+    u = ValueField.from_function(solver.grid_, solver.problem_.g).values
+    *_, iters = _policy_iteration(solver.discretization_, u, solver.cfg)
+    return u, iters
+
+
+@pytest.mark.parametrize("inv_h, cold_iters", [(32, 4), (64, 5)])
+def test_2d_fit_starts_from_the_coarse_solve(inv_h, cold_iters, monkeypatch):
+    from sdglab import pde
+
+    p = load_problem(BOX2D)
+    assembled = _spy_assemblies(monkeypatch)
+    solver = IsaacsSolver(h=1 / inv_h).fit(p)
+    # one cold solve at twice the spacing, whose operators die with the fit
+    assert [float(g.spacing[0]) for g in assembled] == [1 / inv_h, 2 / inv_h]
+    assert len(pde._ASSEMBLED) == 1
+    u, iters = _cold_start(solver)
+    assert (iters, solver.n_iter_) == (cold_iters, 2)
+    idx = solver.discretization_.idx
+    assert np.array_equal(solver.value_.values[idx], u[idx])
+
+
+def test_1d_fit_starts_cold(game_problem, monkeypatch):
+    # a tridiagonal policy system costs less to solve than a coarse grid to assemble
+    assembled = _spy_assemblies(monkeypatch)
+    solver = IsaacsSolver(h=1 / 128).fit(game_problem)
+    assert len(assembled) == 1 and solver.discretization_.kl == 1
+    assert solver.n_iter_ == 2
+
+
+def _small_disc_problem():
+    """sigma = I, f = 1 on the disc of radius 0.3, h_mono = 0.25."""
+    return dataclasses.replace(
+        _problem_2d(np.eye(2).tolist()),
+        domain=DomainSpec("ball", 2, center=(0.0, 0.0), radius=0.3),
+        f=((const_scalar(1.0),),),
+        delta=0.5,
+    )
+
+
+@pytest.mark.parametrize(
+    "case, h",
+    [("box2d", 0.25), ("disc", 0.1)],
+    ids=["twice_the_spacing_passes_h_mono", "no_interior_node_at_twice_the_spacing"],
+)
+def test_2d_fit_starts_cold_without_an_admissible_coarse_grid(case, h, monkeypatch):
+    p = load_problem(BOX2D) if case == "box2d" else _small_disc_problem()
+    coarse = DomainGrid.build(p.domain, 2 * h)
+    if case == "box2d":
+        assert h <= h_mono(p) < 2 * h
+    else:
+        assert 2 * h <= h_mono(p) and not coarse.interior.any()
+    assembled = _spy_assemblies(monkeypatch)
+    solver = IsaacsSolver(h=h).fit(p)
+    assert len(assembled) == 1 and solver.discretization_.kl > 1
+    u, iters = _cold_start(solver)
+    assert solver.n_iter_ == iters and solver.residual_ <= solver.cfg.residual_tol
+    assert np.array_equal(solver.value_.values[solver.discretization_.idx], u[solver.discretization_.idx])
+
+
+def test_half_sst_matches_einsum():
+    rng = np.random.default_rng(5)
+    for d, d1 in ((1, 1), (2, 1), (1, 2), (2, 2), (2, 3), (3, 3)):
+        s = rng.normal(size=(2000, d, d1))
+        ref = 0.5 * np.einsum("nij,nkj->nik", s, s)
+        if d1 <= 2:
+            assert np.array_equal(_half_sst(s), ref), (d, d1)
+        else:
+            # einsum sums three terms in another order: a few ulp of the terms' size
+            size = 0.5 * np.einsum("nij,nkj->nik", np.abs(s), np.abs(s))
+            assert np.all(np.abs(_half_sst(s) - ref) <= 4 * np.spacing(size)), (d, d1)
+
+
+def test_non_finite_residual_fails_at_once(game_problem):
+    grid = DomainGrid.build(game_problem.domain, 1 / 32)
+    disc = Discretization.from_problem(game_problem, grid)
+    u = ValueField.from_function(grid, game_problem.g).values
+    u[disc.idx[5]] = np.nan
+    # rows 4, 5 and 6 read the NaN; the first of them is interior node 5
+    message = r"^residual nan at policy iteration 0, first at interior node 5$"
+    with pytest.raises(RuntimeError, match=message):
+        _policy_iteration(disc, u, SolveConfig())
+
+
+def test_solve_config_validation():
+    for bad in (dict(residual_tol=math.nan), dict(residual_tol=math.inf), dict(residual_tol=0.0),
+                dict(max_policy_iters=-1)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            SolveConfig(**bad)
+
+
 def test_residual_below_round_off_floor_fails_loudly(game_problem):
     # at h = 1/2048 the exact solve bottoms out near 2e-9, and the policy repeats
     solver = IsaacsSolver(h=1 / 2048, cfg=SolveConfig(residual_tol=1e-10))
@@ -211,7 +313,7 @@ def _check_against_dense(disc, pair, u):
 
 
 def test_banded_solve_matches_dense_box2d():
-    p = load_problem(Path(__file__).resolve().parent.parent / "sdgbench" / "box2d.cfg")
+    p = load_problem(BOX2D)
     grid = DomainGrid.build(p.domain, 1 / 16)
     disc = Discretization.from_problem(p, grid)
     # a per-node mix of all four pairs: both orientations of the cross-diffusion
@@ -406,8 +508,9 @@ def test_extend_problem_shapes_and_guards(analytic_problem):
     assert ext.f[1][0].constant_value == -3.0
     with pytest.raises(ValueError):
         extend_problem(ext, pucci, 3.0)
-    with pytest.raises(ValueError):
-        extend_problem(analytic_problem, pucci, -1.0)
+    for K in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            extend_problem(analytic_problem, pucci, K)
 
 
 def test_convergence_study_on_rough_cost(holder_problem):
@@ -427,8 +530,9 @@ def test_convergence_study_rejects_bad_K_list(analytic_problem):
     pucci = PucciParams.build(1, delta_hat=0.5)
     with pytest.raises(ValueError):
         convergence_study(analytic_problem, pucci, analytic_problem.g, [4, 2])
-    with pytest.raises(ValueError):
-        convergence_study(analytic_problem, pucci, analytic_problem.g, [0.5, 2])
+    for K_list in ([0.5, 2], [1, math.nan, 8], [1, math.inf], [2, 2]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            convergence_study(analytic_problem, pucci, analytic_problem.g, K_list)
 
 
 # --- estimator interface ------------------------------------------------------

@@ -1,6 +1,9 @@
 """The README's Python blocks run as written, so they cannot name deleted code."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -13,3 +16,11 @@ def test_readme_quick_start_runs(monkeypatch):
     monkeypatch.chdir(ROOT)
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported on the first PDE solve and the first simulation, as the README says
+    code = "import sys, sdglab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
