@@ -62,10 +62,8 @@ from .simulate import (
     VARIANTS,
     ControlAdaptedSpec,
     MartingaleReport,
-    PathState,
     SimConfig,
     TrajectoryBatch,
-    em_step,
     girsanov_martingale_check,
     increment_bound_study,
     pathwise_comparison,

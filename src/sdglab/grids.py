@@ -61,19 +61,14 @@ class DomainGrid:
         dist = domain.boundary_distance(coords)
         in_closure = dist >= -tol
         strides = tuple(int(s) for s in np.cumprod((1,) + shape[:0:-1])[::-1])
-        n = coords.shape[0]
-        inside = dist > tol
-        interior = inside.copy()
-        lattice = np.stack([m.ravel() for m in np.meshgrid(*[np.arange(s) for s in shape], indexing="ij")], axis=1)
+        # interior: inside, off the lattice's faces, with both neighbors along each axis in the closure
+        core, closure = (slice(1, -1),) * d, in_closure.reshape(shape)
+        interior = np.zeros(shape, dtype=bool)
+        interior[core] = (dist > tol).reshape(shape)[core]
         for i in range(d):
-            at_lo = lattice[:, i] == 0
-            at_hi = lattice[:, i] == shape[i] - 1
-            interior &= ~at_lo & ~at_hi
-            nb_ok = np.zeros(n, dtype=bool)
-            idx = np.arange(n)
-            safe = ~at_lo & ~at_hi
-            nb_ok[safe] = in_closure[idx[safe] + strides[i]] & in_closure[idx[safe] - strides[i]]
-            interior &= nb_ok
+            interior[core] &= closure[core[:i] + (slice(2, None),) + core[i + 1:]]
+            interior[core] &= closure[core[:i] + (slice(None, -2),) + core[i + 1:]]
+        interior = interior.ravel()
         boundary = in_closure & ~interior
         return DomainGrid(
             domain=domain,
@@ -115,10 +110,10 @@ class DomainGrid:
     def nearest_node(self, x: np.ndarray) -> np.ndarray:
         """Flat index of the nearest lattice node, clipped to the lattice."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        k = np.rint((x - self.origin) / self.spacing).astype(int)
-        np.maximum(k, 0, out=k)
-        np.minimum(k, np.subtract(self.lattice_shape, 1), out=k)
-        return (k * self.strides).sum(axis=1)
+        k = np.rint((x - self.origin) / self.spacing)
+        # clipped in float, where a NaN coordinate reads node 0
+        k = np.fmin(np.fmax(k, 0.0, out=k), np.subtract(self.lattice_shape, 1), out=k).astype(int)
+        return k[:, 0] if self.d == 1 else (k * self.strides).sum(axis=1)
 
 
 @dataclass
@@ -151,11 +146,8 @@ class ValueField:
         if x.shape[1] != g.d:
             raise ValueError(f"points have {x.shape[1]} coordinates, not the grid's {g.d}")
         t = (x - g.origin) / g.spacing
-        base = np.floor(t).astype(int)
-        for i in range(g.d):
-            base[:, i] = np.clip(base[:, i], 0, g.lattice_shape[i] - 2)
-        frac = t - base
-        frac = np.clip(frac, 0.0, 1.0)
+        base = np.clip(np.floor(t).astype(int), 0, np.subtract(g.lattice_shape, 2))
+        frac = np.clip(t - base, 0.0, 1.0)
         out = np.zeros(x.shape[0])
         bad = np.zeros(x.shape[0], dtype=bool)
         best_w = np.full(x.shape[0], -1.0)  # heaviest unmasked corner, for fallback

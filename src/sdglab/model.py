@@ -94,7 +94,8 @@ class DomainSpec:
         """Signed distance to the boundary: positive inside, negative outside."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.shape == "box":
-            return np.minimum(x - self.lower, np.subtract(self.upper, x)).min(axis=1)
+            dist = np.minimum(x - self.lower, np.subtract(self.upper, x))
+            return dist[:, 0] if self.dimension == 1 else dist.min(axis=1)
         c = np.asarray(self.center)
         return self.radius - np.sqrt(np.sum((x - c) ** 2, axis=1))
 

@@ -7,11 +7,17 @@ for the responder.  Wrapping it with a grid-time lag gives the causal
 feedback strategies whose discounted value processes are super- or
 submartingales up to an epsilon compensator.  That drift property is what
 the Monte Carlo test at the bottom estimates.
+
+An ensemble answers a player without a call if its class sets
+``_ensemble_reads`` to ``"action"`` (it plays ``self.action``) or ``"table"``
+(``self.selector.table`` at the nearest node of its ``lag_n``-lagged state);
+a subclass whose ``select`` or ``respond`` answers otherwise sets it to None.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,13 +129,20 @@ def build_alpha_selector(problem: GameProblem, u_check: ValueField, epsilon: flo
     return _least_index(disc, minvals >= -epsilon)
 
 
+def _index(value, what: str) -> int:
+    if not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{what} must be a non-negative integer, not {value!r}")
+    return int(value)
+
+
 class ConstantPolicy:
     """Always plays the same action."""
 
     lag_n = 0
+    _ensemble_reads = "action"
 
     def __init__(self, action: int, name: str | None = None):
-        self.action = int(action)
+        self.action = _index(action, "an action")
         self.name = name or f"const{action}"
 
     def select(self, k, t, x):
@@ -150,8 +163,8 @@ class OccupancyPolicy:
             raise ValueError("occupation fraction must lie in [0, 1]")
         if not (0 < period < math.inf):
             raise ValueError(f"occupation period must be finite and positive, got {period}")
-        self.base_action = int(base_action)
-        self.special_action = int(special_action)
+        self.base_action = _index(base_action, "an action")
+        self.special_action = _index(special_action, "an action")
         self.fraction = fraction
         self.period = period
         self.name = f"occupancy{fraction}"
@@ -166,9 +179,10 @@ class ConstantResponder:
     """Beta side that ignores the opponent and the state."""
 
     lag_n = 0
+    _ensemble_reads = "action"
 
     def __init__(self, action: int):
-        self.action = int(action)
+        self.action = _index(action, "an action")
 
     def respond(self, ia, k, t, x):
         return np.full(np.shape(ia), self.action)
@@ -179,14 +193,13 @@ class _FeedbackPolicy:
     freezes the state argument at the last lag-grid time."""
 
     role = ""
+    _ensemble_reads = "table"
 
     def __init__(self, selector: MarkovSelector, lag_n: int = 0):
         if selector.role != self.role:
             raise ValueError(f"needs a selector of role {self.role!r}, not {selector.role!r}")
-        if lag_n < 0:
-            raise ValueError("lag must be nonnegative")
         self.selector = selector
-        self.lag_n = int(lag_n)
+        self.lag_n = _index(lag_n, "a lag")
         self.name = f"feedback_{self.role}"
 
 

@@ -28,17 +28,21 @@ numbers.  Such runs can be stepped together as lanes of one ensemble.
 
 An ensemble holds the state of the rows alive at the start of each
 ``_BLOCK``-step block in compacted arrays and steps them in place, with
-one set of array expressions whatever mix of specs and action pairs they
+one kernel call per step whatever mix of specs and action pairs they
 hold.  A row that leaves the domain is stopped at the linearly
 interpolated crossing and stays frozen there; until its block ends it is
-stepped at zero scale, and the policies' answers for it are discarded.
-Each row's code (spec, ia, ib) indexes per-code tables of r, r^2, pi, the
-noise transform and the constant 0.5 r^2 |pi|^2 dt, built once per
-ensemble.  The coefficients are evaluated per action pair, never per
-spec: a constant coefficient from a per-pair table, the 1-D affine family
-from per-row parameters, any other coefficient once per pair present, on
-that pair's rows.  Every element is computed in the operation order of
-``em_step``, so a row's result does not depend on the rows stepped with it.
+stepped at zero scale, and the players' answers for it are discarded.
+Constant players are filled in once per block, feedback players read
+their tables at one nearest-node lookup per step for each grid and lag,
+and any other player is called.  Each row's code (spec, ia, ib) indexes
+per-code tables of r, r^2, pi, the noise transform and the constant
+0.5 r^2 |pi|^2 dt, built once per ensemble.  The coefficients are
+evaluated per action pair, never per spec: a constant coefficient from a
+per-pair table, the 1-D affine family from per-row parameters, any other
+coefficient once per pair present, on that pair's rows.  Every element
+is computed in the operation order of the single-path reference step in
+``tests/test_simulate.py``, so a row's result does not depend on the
+rows stepped with it.
 
 That is what lets an ensemble use every CPU.  With at least two parts of
 ``_SPLIT_ROWS`` rows, it is cut into one path range per CPU the process
@@ -65,12 +69,10 @@ from .model import GameProblem
 __all__ = [
     "ControlAdaptedSpec",
     "SimConfig",
-    "PathState",
     "TrajectoryBatch",
     "MartingaleReport",
     "BoundReport",
     "ComparisonReport",
-    "em_step",
     "simulate_to_exit",
     "simulate_lanes",
     "girsanov_martingale_check",
@@ -143,14 +145,6 @@ class SimConfig:
 
 
 @dataclass
-class PathState:
-    t: float
-    x: np.ndarray
-    phi: float = 0.0
-    psi: float = 0.0
-
-
-@dataclass
 class TrajectoryBatch:
     """Struct-of-arrays over simulated paths."""
 
@@ -187,38 +181,12 @@ class TrajectoryBatch:
         ]))
 
 
-def em_step(
-    problem: GameProblem,
-    spec: ControlAdaptedSpec,
-    state: PathState,
-    ia: int,
-    ib: int,
-    dW: np.ndarray,
-    dt: float,
-) -> PathState:
-    """One explicit Euler step for a single path; coefficients at the pre-step x."""
-    dW = np.asarray(dW, dtype=float)
-    if not np.all(np.isfinite(dW)):
-        raise ValueError("non-finite Gaussian increment")
-    r = float(spec.r_table[ia, ib])
-    pi = spec.pi_table[ia, ib]
-    q = spec.noise_table[ia, ib]
-    dw = q @ dW
-    sig = problem.sigma[ia][ib].at(state.x)
-    bv = problem.b[ia][ib].at(state.x)
-    cv = problem.c[ia][ib].at(state.x)
-    x_new = state.x + r * (sig @ dw) + r * r * (bv + sig @ pi) * dt
-    phi_new = state.phi + r * r * cv * dt
-    psi_new = state.psi + 0.5 * r * r * float(pi @ pi) * dt + r * float(pi @ dw)
-    return PathState(t=state.t + dt, x=x_new, phi=phi_new, psi=psi_new)
-
-
 def _per_code(table):
     """Row gather from a per-code table, or its one entry if every code shares it."""
     table = np.asarray(table, dtype=float)
     if (table == table[:1]).all():
         return lambda code, first=table[0]: first
-    return table.__getitem__
+    return lambda code: table.take(code, axis=0)
 
 
 class _PairField:
@@ -245,7 +213,7 @@ class _PairField:
             return self.const(pair)
         if self.affine is not None:
             c0, c1 = self.affine
-            return c0[pair] + x[:, 0] * c1[pair]
+            return c0.take(pair) + x[:, 0] * c1.take(pair)
         present = np.flatnonzero(np.bincount(pair, minlength=len(self.fields)))
         if present.size == 1:
             return self.fields[present[0]](x)
@@ -257,11 +225,22 @@ class _PairField:
         return out
 
 
+def _dot(a, b):
+    """The sum over the last axis of a b, as explicit products summed in einsum's order."""
+    out = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        out = out + a[..., j] * b[..., j]
+    return out
+
+
 class _StepKernel:
-    """The Euler-Maruyama step of rows of any (spec, action pair) codes.
+    """The Euler-Maruyama step of rows of any (spec, action pair) codes, in one call.
 
     A row's code is spec * n_pairs + ia * n_beta + ib, and its pair
-    ia * n_beta + ib; see the module docstring.
+    ia * n_beta + ib; see the module docstring.  Each per-code value is
+    gathered once per call.  For d1 <= 2 the products q dW, sigma dw,
+    sigma pi and dw . pi equal einsum's but for the sign of a zero sum,
+    which no output reads; for d1 >= 3 einsum sums in another order.
     """
 
     def __init__(self, problem: GameProblem, specs, dt: float):
@@ -276,26 +255,21 @@ class _StepKernel:
         pi = np.array([s.pi_table[ia, ib] for s in specs for ia, ib in pairs])
         q = np.array([s.noise_table[ia, ib] for s in specs for ia, ib in pairs])
         self.r = _per_code(r)
-        self.r2 = _per_code(r * r)
         self.pi = _per_code(pi)
         self.q = None if (q == np.eye(problem.d1)).all() else _per_code(q)
         self.psi0 = _per_code([0.5 * ri * ri * float(p @ p) * dt for ri, p in zip(r.tolist(), pi)])
 
-    def move(self, code, pair, x, dW):
-        """New states of the rows at ``x`` on the increments ``dW``, and the rotated noise."""
-        dw = dW if self.q is None else np.einsum("...kj,...j->...k", self.q(code), dW)
+    def __call__(self, code, pair, x, dW, weight):
+        """The rows' new states from ``x`` on the increments ``dW``, and their increments of
+        phi, psi and the running payoff at weight exp(-phi - psi)."""
+        dt, r, pi = self.dt, self.r(code), self.pi(code)
+        r2 = r * r
+        dw = dW if self.q is None else _dot(self.q(code), dW[..., None, :])
         sig = self.sigma(pair, x)
-        sig_pi = np.einsum("...ij,...j->...i", sig, self.pi(code))
-        drift_dt = self.r2(code)[..., None] * (self.b(pair, x) + sig_pi) * self.dt
-        return x + self.r(code)[..., None] * np.einsum("...ij,...j->...i", sig, dw) + drift_dt, dw
-
-    def accrue(self, code, pair, x, dw, weight):
-        """Increments of phi, psi and the running payoff at weight exp(-phi - psi)."""
-        dt = self.dt
-        r2 = self.r2(code)
-        dphi = r2 * self.c(pair, x) * dt
-        dpsi = self.psi0(code) + self.r(code) * np.einsum("...j,...j->...", dw, self.pi(code))
-        return dphi, dpsi, r2 * self.f(pair, x) * weight * dt
+        drift_dt = r2[..., None] * (self.b(pair, x) + _dot(sig, pi[..., None, :])) * dt
+        x_new = x + r[..., None] * _dot(sig, dw[..., None, :]) + drift_dt
+        dpsi = self.psi0(code) + r * _dot(dw, pi)
+        return x_new, r2 * self.c(pair, x) * dt, dpsi, r2 * self.f(pair, x) * weight * dt
 
 
 _BLOCK = 8  # steps per evaluation of the Gaussian stream
@@ -451,6 +425,19 @@ def _child(step, part, arrays, send) -> None:
     send.close()
 
 
+def _reads(player, how: str) -> bool:
+    """Whether an ensemble answers ``player`` by ``how`` instead of calling it; see ``policies``."""
+    return getattr(player, "_ensemble_reads", None) == how
+
+
+def _check_actions(problem: GameProblem, leaders, responder) -> None:
+    """Raise, before any step, if a constant player's action is outside the problem's range."""
+    sides = [(p, problem.n_alpha_ext, "leader") for p in leaders] + [(responder, problem.n_beta, "responder")]
+    for p, n, side in sides:
+        if _reads(p, "action") and not 0 <= p.action < n:
+            raise ValueError(f"{side} action {p.action} is outside the problem's actions 0 .. {n - 1}")
+
+
 def _run_ensemble(
     problem: GameProblem,
     lanes,
@@ -479,6 +466,7 @@ def _run_ensemble(
     n_steps, block = _stream(cfg.t_max, cfg, problem.d1)
     # lanes are stacked leader by leader, so each leader owns one block of rows
     leaders, leader_of = _distinct([lane[2] for lane in lanes])
+    _check_actions(problem, leaders, beta_policy)
     stack = sorted(range(len(lanes)), key=leader_of.__getitem__)
     leader_rows = n * np.cumsum([0] + [leader_of.count(i) for i in range(len(leaders))])
     specs, spec_of = _distinct([lanes[j][0] for j in stack])
@@ -486,6 +474,10 @@ def _run_ensemble(
     spec_code = np.repeat(np.asarray(spec_of) * kernel.n_pairs, n)
     # policy lags: each requested n keeps a frozen state snapshot
     lag_all = sorted({p.lag_n for p in (*leaders, beta_policy) if getattr(p, "lag_n", 0)} | set(lag_ns))
+    # one nearest-node lookup per step for each (grid, lag) of the players that read a table
+    lookups = {(id(p.selector.grid), p.lag_n): (p.selector.grid, p.lag_n)
+               for p in (*leaders, beta_policy) if _reads(p, "table")}
+    fixed = all(_reads(p, "action") for p in (*leaders, beta_policy))  # each block's pairs are fixed
     cps = sorted(checkpoint_times)
     if cps and value_field is None:
         raise ValueError("checkpoint times need a value field")
@@ -500,14 +492,14 @@ def _run_ensemble(
         """Step the ascending global ``rows`` to their exits or the horizon.
 
         The working state ``w`` holds the rows alive at the block's start.  A
-        row that exits gets its tau, then is dead in ``live``, frozen at scale
-        0 and seen by the policies, whose answers for it are discarded, until
-        the block ends; the next block start writes it back and compresses ``w``.
+        row that exits gets its tau, then is stepped at scale 0 and seen by
+        the players, whose answers for it are discarded, until the block
+        ends; the next block start writes it back and compresses ``w``.
         """
         X, tau, censored = full["x"], out["tau"], out["censored"]
         w = {key: a[rows] for key, a in full.items()} | {("snap", m): X[rows] for m in lag_all}
         w.update(dist=problem.domain.boundary_distance(w["x"]), code=spec_code[rows])
-        live = np.ones(rows.size, dtype=bool)  # not yet exited
+        n_live = rows.size  # rows not yet exited
         last_cell = dict.fromkeys(lag_all, 0)
         part, n_cp = rows, 0
 
@@ -523,16 +515,31 @@ def _run_ensemble(
             out["cp", n_cp][part] = value_field.interpolate(X[part]) * weight + full["pay"][part]
             n_cp += 1
 
+        def answer(player, sl, ia=None):
+            """A leader's actions for the working rows ``sl``, or the responder's to the leaders' ``ia``."""
+            lag = getattr(player, "lag_n", 0)
+            if _reads(player, "action"):
+                return player.action
+            if _reads(player, "table"):  # a responder's (nA, N) table is read flat at ia * N + node
+                table, at = player.selector.table, node[id(player.selector.grid), lag][sl]
+                return table.take(at if ia is None else ia * table.shape[1] + at)
+            state = (w["snap", lag] if lag else w["x"])[sl]
+            return player.select(k, t, state) if ia is None else player.respond(ia, k, t, state)
+
         for k in range(n_steps):
-            t = k * dt
-            if k % _BLOCK == 0:
-                if not live.all():
+            t, new_block = k * dt, k % _BLOCK == 0
+            if new_block:
+                if n_live < rows.size:
+                    live = scale > 0.0
                     write_back(~live)
                     rows = rows[live]
                     w = {key: a[live] for key, a in w.items()}
-                    live = live[live]
                 bounds = np.searchsorted(rows, leader_rows).tolist()  # each leader's working rows
                 dW = block(k, rows)
+                # a row's scale: 1 while alive, its crossing fraction at its exit step, then 0;
+                # exit_at is 0 while alive, then NaN, so that dist_new <= exit_at is the exit test
+                scale, exit_at = np.ones(rows.size), np.zeros(rows.size)
+                ia = np.empty(rows.size, dtype=int)
             x, phi, psi = w["x"], w["phi"], w["psi"]
             for m in lag_all:
                 cell = int(math.floor(m * t + 1e-9))
@@ -541,28 +548,26 @@ def _run_ensemble(
                     last_cell[m] = cell
             while n_cp < len(cps) and t >= cps[n_cp] - 0.5 * dt:
                 checkpoint()
-            if not live.any():
+            if not n_live:
                 break
-            ia = np.empty(rows.size, dtype=int)
-            for policy, lo, hi in zip(leaders, bounds[:-1], bounds[1:]):
-                if lo < hi:
-                    lag = getattr(policy, "lag_n", 0)
-                    ia[lo:hi] = policy.select(k, t, w["snap", lag][lo:hi] if lag else x[lo:hi])
-            lag = getattr(beta_policy, "lag_n", 0)
-            ib = beta_policy.respond(ia, k, t, w["snap", lag] if lag else x)
-            pair = ia * nb + ib
-            code = w["code"] + pair if len(specs) > 1 else pair
-            x_new, dw = kernel.move(code, pair, x, dW[k % _BLOCK])
+            node = {key: grid.nearest_node(w["snap", m] if m else x) for key, (grid, m) in lookups.items()}
+            for p, lo, hi in zip(leaders, bounds[:-1], bounds[1:]):
+                if lo < hi and (new_block or not _reads(p, "action")):  # a constant is filled per block
+                    ia[lo:hi] = answer(p, slice(lo, hi))
+            if new_block or not fixed:
+                pair = ia * nb + answer(beta_policy, slice(None), ia)
+                code = w["code"] + pair if len(specs) > 1 else pair
             weight = np.exp(-phi - psi)
-            dphi, dpsi, dpay = kernel.accrue(code, pair, x, dw, weight)
-            dist_old, dist_new = w["dist"], problem.domain.boundary_distance(x_new)
-            exiting = (dist_new <= 0.0) & live
-            scale = live.astype(float)
-            if exiting.any():
-                scale[exiting] = dist_old[exiting] / (dist_old[exiting] - dist_new[exiting])
+            x_new, dphi, dpsi, dpay = kernel(code, pair, x, dW[k % _BLOCK], weight)
+            dist_new = problem.domain.boundary_distance(x_new)
+            exiting = np.flatnonzero(dist_new <= exit_at)
+            if exiting.size:
+                dist_old = w["dist"][exiting]
+                scale[exiting] = dist_old / (dist_old - dist_new[exiting])
                 tau[rows[exiting]] = t + scale[exiting] * dt
                 censored[rows[exiting]] = False
-                live &= ~exiting
+                exit_at[exiting] = np.nan
+                n_live -= exiting.size
             for m in lag_ns:
                 diff = x - w["snap", m]
                 w["M", m] += weight * np.einsum("ni,ni->n", diff, diff) * scale * dt
@@ -574,6 +579,7 @@ def _run_ensemble(
             psi += dpsi * scale
             x += (x_new - x) * scale[:, None]
             w["dist"] = dist_new  # read again only while the row is alive
+            scale[exiting] = 0.0
         while n_cp < len(cps):
             checkpoint()
         write_back(slice(None))
@@ -767,6 +773,7 @@ def pathwise_comparison(
     n_steps, block = _stream(T, cfg, problem.d1)
     kernel = _StepKernel(problem, [spec], dt)
     projection = np.asarray(projection, dtype=int)
+    _check_actions(problem, [mixed_alpha_policy], beta_policy)
     X = np.tile(x0, (n, 1))
     Y = X.copy()
     supdiff = np.zeros(n)
@@ -783,7 +790,7 @@ def pathwise_comparison(
         for arr, actions in ((X, ia), (Y, projection[ia])):
             xs = arr[act]
             pair = actions * nb + beta_policy.respond(actions, k, t, xs)
-            arr[act] = kernel.move(pair, pair, xs, dWk)[0]
+            arr[act] = kernel(pair, pair, xs, dWk, 1.0)[0]
         occ[act] += np.where(ia >= problem.n_alpha, dt, 0.0)
         supdiff[act] = np.maximum(supdiff[act], np.linalg.norm(X[act] - Y[act], axis=1))
         inside = problem.domain.contains(X[act]) & problem.domain.contains(Y[act])

@@ -220,3 +220,21 @@ def test_super_and_submartingale_drift(solved_game, game_problem):
         supermartingale_test(
             game_problem, spec, [0.5], v, ConstantPolicy(0), FeedbackBetaPolicy(bsel), cfg, (), EPS
         )
+
+
+def test_actions_and_lags_must_be_non_negative_integers(solved_game, game_problem):
+    asel = build_alpha_selector(game_problem, solved_game.value_, EPS)
+    for bad in (1.7, 1.0, -1, "1", None):
+        with pytest.raises(ValueError, match="action must be a non-negative integer"):
+            ConstantPolicy(bad)
+        with pytest.raises(ValueError, match="action must be a non-negative integer"):
+            ConstantResponder(bad)
+        with pytest.raises(ValueError, match="action must be a non-negative integer"):
+            OccupancyPolicy(0, bad, 0.5)
+        with pytest.raises(ValueError, match="action must be a non-negative integer"):
+            OccupancyPolicy(bad, 1, 0.5)
+    for bad in (2.5, 2.0, -1, "2"):
+        with pytest.raises(ValueError, match="lag must be a non-negative integer"):
+            FeedbackAlphaPolicy(asel, lag_n=bad)
+    assert ConstantPolicy(np.int64(1)).action == 1 and type(ConstantPolicy(np.int64(1)).action) is int
+    assert FeedbackAlphaPolicy(asel, lag_n=np.int64(3)).lag_n == 3

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,10 +7,8 @@ import pytest
 from sdglab.policies import ConstantPolicy, ConstantResponder
 from sdglab.simulate import (
     ControlAdaptedSpec,
-    PathState,
     SimConfig,
     _gaussian_increments,
-    em_step,
     girsanov_martingale_check,
     increment_bound_study,
     simulate_lanes,
@@ -554,6 +553,36 @@ def _state_dependent_game():
     )
 
 
+@dataclass
+class PathState:
+    t: float
+    x: np.ndarray
+    phi: float = 0.0
+    psi: float = 0.0
+
+
+def em_step(problem, spec, state: PathState, ia: int, ib: int, dW, dt: float) -> PathState:
+    """One explicit Euler step for a single path; coefficients at the pre-step x.
+
+    The single-path reference whose operation order the ensemble's kernel
+    follows; the replay tests below compare every path against it.
+    """
+    dW = np.asarray(dW, dtype=float)
+    if not np.all(np.isfinite(dW)):
+        raise ValueError("non-finite Gaussian increment")
+    r = float(spec.r_table[ia, ib])
+    pi = spec.pi_table[ia, ib]
+    q = spec.noise_table[ia, ib]
+    dw = q @ dW
+    sig = problem.sigma[ia][ib].at(state.x)
+    bv = problem.b[ia][ib].at(state.x)
+    cv = problem.c[ia][ib].at(state.x)
+    x_new = state.x + r * (sig @ dw) + r * r * (bv + sig @ pi) * dt
+    phi_new = state.phi + r * r * cv * dt
+    psi_new = state.psi + 0.5 * r * r * float(pi @ pi) * dt + r * float(pi @ dw)
+    return PathState(t=state.t + dt, x=x_new, phi=phi_new, psi=psi_new)
+
+
 def _assert_matches_em_step_replay(p, specs, batches, leader, beta, cfg, x0):
     """Replay every path of every lane with ``em_step`` and compare at 1e-12.
 
@@ -655,3 +684,94 @@ def test_ensemble_matches_em_step_replay_2d():
     # both leader actions, and pairs with and without the rotation
     assert {ia for ia, _ in pairs_seen} == {0, 1}
     assert {(ia + ib) % 2 for ia, ib in pairs_seen} == {0, 1}
+
+
+class _Called:
+    """A player that exposes only ``select`` / ``respond`` and its lag, so an ensemble must call it."""
+
+    def __init__(self, player):
+        self.player, self.lag_n = player, player.lag_n
+
+    def select(self, k, t, x):
+        return self.player.select(k, t, x)
+
+    def respond(self, ia, k, t, x):
+        return self.player.respond(ia, k, t, x)
+
+
+def _assert_called_players_match(p, lanes, beta, value, cfg):
+    """The batches and checkpoints of ``lanes`` equal those with every player wrapped in ``_Called``."""
+    import dataclasses
+
+    from sdglab.simulate import _run_ensemble
+
+    def run(lanes, beta):
+        batches, extras = _run_ensemble(p, lanes, beta, cfg, value_field=value, checkpoint_times=(0.0, 0.05, 0.3))
+        return [dataclasses.asdict(b) for b in batches], extras["checkpoints"]
+
+    wrapped = {}  # one wrapper per player, so that lanes keep sharing their leader
+    called = [(spec, x0, wrapped.setdefault(id(a), _Called(a))) for spec, x0, a in lanes]
+    (got, got_cp), (want, want_cp) = run(called, _Called(beta)), run(lanes, beta)
+    assert np.array_equal(got_cp, want_cp)
+    for a, b in zip(got, want, strict=True):
+        for name in b:
+            assert np.array_equal(a[name], b[name]), name
+    assert min(b["censored"].mean() for b in want) < 1.0  # some paths exit
+
+
+def _feedback(p, value, leader_lag=0, beta_lag=0):
+    from sdglab.policies import FeedbackAlphaPolicy, FeedbackBetaPolicy, build_alpha_selector, build_beta_selector
+
+    return (FeedbackAlphaPolicy(build_alpha_selector(p, value, 1e-6), lag_n=leader_lag),
+            FeedbackBetaPolicy(build_beta_selector(p, value, 1e-6), lag_n=beta_lag))
+
+
+def test_players_answered_without_calls_match_called_players(game_problem, solved_game):
+    # game2x2's suite lanes: every variant against two constant leaders and
+    # a feedback leader, and a feedback responder; then a lagged feedback pair
+    from sdglab.harness import build_variant_spec
+    from sdglab.simulate import VARIANTS
+
+    p, value = game_problem, solved_game.value_
+    cfg = SimConfig(dt=1e-3, t_max=2.0, n_paths=200, seed=5)
+    specs = [build_variant_spec(p, v) for v in VARIANTS]
+    leader, beta = _feedback(p, value)
+    leaders = [ConstantPolicy(0), ConstantPolicy(1), leader]
+    _assert_called_players_match(p, [(s, [0.5], a) for s in specs for a in leaders], beta, value, cfg)
+    leader, beta = _feedback(p, value, leader_lag=8, beta_lag=4)
+    lanes = [(specs[4], [0.3], leader), (specs[0], [0.6], ConstantPolicy(1)), (specs[2], [0.5], leader)]
+    _assert_called_players_match(p, lanes, beta, value, cfg)
+
+
+def test_players_answered_without_calls_match_called_players_2d():
+    from pathlib import Path
+
+    from sdglab.config import load_problem
+    from sdglab.harness import VariantParams, build_variant_spec
+    from sdglab.pde import IsaacsSolver
+    from sdglab.simulate import VARIANTS
+
+    p = load_problem(Path(__file__).resolve().parent.parent / "sdgbench" / "box2d.cfg")
+    value = IsaacsSolver(h=1 / 16).fit(p).value_
+    specs = [build_variant_spec(p, v, VariantParams(rotation="0.7")) for v in VARIANTS]
+    leader, beta = _feedback(p, value)
+    lanes = [(s, [0.5, 0.5], a) for s in specs for a in (ConstantPolicy(1), leader)]
+    _assert_called_players_match(p, lanes, beta, value, SimConfig(dt=2e-3, t_max=1.0, n_paths=200, seed=8))
+
+
+def test_constant_actions_outside_the_problem_rejected(analytic_problem, game_problem):
+    from sdglab.simulate import pathwise_comparison
+
+    cfg = SimConfig(dt=1e-3, t_max=1.0, n_paths=10)
+    cases = [
+        (analytic_problem, ConstantPolicy(5), ConstantResponder(0), "leader action 5 .* 0 .. 0"),
+        (analytic_problem, ConstantPolicy(0), ConstantResponder(3), "responder action 3 .* 0 .. 0"),
+        (game_problem, ConstantPolicy(2), ConstantResponder(0), "leader action 2 .* 0 .. 1"),
+        (game_problem, ConstantPolicy(0), ConstantResponder(2), "responder action 2 .* 0 .. 1"),
+    ]
+    for p, leader, beta, match in cases:
+        spec = ControlAdaptedSpec.baseline(p)
+        with pytest.raises(ValueError, match=match):
+            simulate_to_exit(p, spec, [0.5], leader, beta, cfg)
+        with pytest.raises(ValueError, match=match):
+            pathwise_comparison(p, spec, [0.5], leader, beta, cfg, 1.0, np.arange(p.n_alpha_ext))
