@@ -10,7 +10,7 @@ within one spacing of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +43,10 @@ class DomainGrid:
     interior: np.ndarray  # (N,) bool
     boundary: np.ndarray  # (N,) bool
     strides: tuple[int, ...]
+    _lookup: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)  # last nodes, strides
+
+    def __post_init__(self):
+        object.__setattr__(self, "_lookup", (np.subtract(self.lattice_shape, 1.0), np.asarray(self.strides)))
 
     @staticmethod
     def build(domain: DomainSpec, h: float) -> "DomainGrid":
@@ -110,10 +114,11 @@ class DomainGrid:
     def nearest_node(self, x: np.ndarray) -> np.ndarray:
         """Flat index of the nearest lattice node, clipped to the lattice."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        last, strides = self._lookup
         k = np.rint((x - self.origin) / self.spacing)
         # clipped in float, where a NaN coordinate reads node 0
-        k = np.fmin(np.fmax(k, 0.0, out=k), np.subtract(self.lattice_shape, 1), out=k).astype(int)
-        return k[:, 0] if self.d == 1 else (k * self.strides).sum(axis=1)
+        k = np.fmin(np.fmax(k, 0.0, out=k), last, out=k).astype(int)
+        return k[:, 0] if strides.size == 1 else k @ strides
 
 
 @dataclass

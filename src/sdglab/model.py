@@ -68,19 +68,22 @@ class DomainSpec:
     upper: tuple[float, ...] = ()
     center: tuple[float, ...] = ()
     radius: float = 0.0
+    _bounds: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)  # corners or center
 
     def __post_init__(self):
         if self.shape not in ("box", "ball"):
             raise ValueError(f"unknown domain shape {self.shape!r}")
         if self.shape == "box":
-            lo, up = np.asarray(self.lower), np.asarray(self.upper)
+            lo, up = np.asarray(self.lower, float), np.asarray(self.upper, float)
             if lo.shape != (self.dimension,) or up.shape != (self.dimension,):
                 raise ValueError("box corners must match the dimension")
             if not np.all(up > lo):
                 raise ValueError("box must have nonempty interior")
+            object.__setattr__(self, "_bounds", (lo, up))
         else:
             if len(self.center) != self.dimension or self.radius <= 0:
                 raise ValueError("ball needs a center of matching dimension and radius > 0")
+            object.__setattr__(self, "_bounds", (np.asarray(self.center, float),))
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         """Strict interior membership, vectorized over rows of ``x``."""
@@ -94,9 +97,10 @@ class DomainSpec:
         """Signed distance to the boundary: positive inside, negative outside."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.shape == "box":
-            dist = np.minimum(x - self.lower, np.subtract(self.upper, x))
+            lo, up = self._bounds
+            dist = np.minimum(x - lo, up - x)
             return dist[:, 0] if self.dimension == 1 else dist.min(axis=1)
-        c = np.asarray(self.center)
+        (c,) = self._bounds
         return self.radius - np.sqrt(np.sum((x - c) ** 2, axis=1))
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:

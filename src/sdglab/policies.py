@@ -8,10 +8,10 @@ feedback strategies whose discounted value processes are super- or
 submartingales up to an epsilon compensator.  That drift property is what
 the Monte Carlo test at the bottom estimates.
 
-An ensemble answers a player without a call if its class sets
-``_ensemble_reads`` to ``"action"`` (it plays ``self.action``) or ``"table"``
-(``self.selector.table`` at the nearest node of its ``lag_n``-lagged state);
-a subclass whose ``select`` or ``respond`` answers otherwise sets it to None.
+An ensemble answers a player without a call, reading these once as it starts,
+if its class sets ``_ensemble_reads`` to ``"action"`` (it plays ``self.action``)
+or ``"table"`` (``self.selector.table`` at the nearest node of its ``lag_n``-lagged
+state); a subclass whose ``select`` or ``respond`` answers otherwise sets it to None.
 """
 
 from __future__ import annotations

@@ -32,10 +32,12 @@ one kernel call per step whatever mix of specs and action pairs they
 hold.  A row that leaves the domain is stopped at the linearly
 interpolated crossing and stays frozen there; until its block ends it is
 stepped at zero scale, and the players' answers for it are discarded.
-Constant players are filled in once per block, feedback players read
-their tables at one nearest-node lookup per step for each grid and lag,
-and any other player is called.  Each row's code (spec, ia, ib) indexes
-per-code tables of r, r^2, pi, the noise transform and the constant
+Each player is resolved once per ensemble (see ``policies``): constant
+players are filled in once per block, feedback players read their tables
+at one nearest-node lookup per step for each grid and lag, and any other
+player is called.  A run whose caller reads only checkpoints stops at the
+step that reads the last one.  Each row's code (spec, ia, ib) indexes
+per-code tables of r, pi, the noise transform and the constant
 0.5 r^2 |pi|^2 dt, built once per ensemble.  The coefficients are
 evaluated per action pair, never per spec: a constant coefficient from a
 per-pair table, the 1-D affine family from per-row parameters, any other
@@ -55,6 +57,7 @@ is done without ``fork``, on one CPU, or while other threads run.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import sys
 import threading
@@ -134,6 +137,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in (("n_paths", self.n_paths), ("seed", self.seed)):  # a bool or float passes below
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            object.__setattr__(self, name, int(value))
         if not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if not 1 <= self.t_max < math.inf:
@@ -182,47 +189,38 @@ class TrajectoryBatch:
 
 
 def _per_code(table):
-    """Row gather from a per-code table, or its one entry if every code shares it."""
+    """Row gather from a per-code table, or its one entry if every code shares it; ``x`` is unread."""
     table = np.asarray(table, dtype=float)
     if (table == table[:1]).all():
-        return lambda code, first=table[0]: first
-    return lambda code: table.take(code, axis=0)
+        return lambda code, *_, first=table[0]: first
+    return lambda code, *_: table.take(code, axis=0)
 
 
-class _PairField:
-    """One coefficient (sigma, b, c or f) of every action pair, evaluated per row.
+def _pair_field(fields, d: int):
+    """One coefficient (sigma, b, c or f) of every action pair, as ``field(pair, x)`` per row.
 
     Constant fields are gathered from a table, 1-D affine scalar fields
     from per-row parameters as c0 + x c1 (bit-exact with the family), any
     other field once per pair present, on that pair's rows.
     """
+    if all(f.is_constant for f in fields):
+        return _per_code(np.concatenate([f(np.zeros((1, d))) for f in fields]))
+    if all(isinstance(f, ScalarField) and f.kind == "affine" and min(len(f.params) - 1, d) == 1 for f in fields):
+        c0, c1 = (np.array([f.params[i] for f in fields]) for i in (0, 1))
+        return lambda pair, x: c0.take(pair) + x[:, 0] * c1.take(pair)
 
-    def __init__(self, fields, d: int):
-        self.fields = fields
-        self.const = self.affine = None
-        if all(f.is_constant for f in fields):
-            self.const = _per_code(np.concatenate([f(np.zeros((1, d))) for f in fields]))
-        elif all(
-            isinstance(f, ScalarField) and f.kind == "affine" and min(len(f.params) - 1, d) == 1
-            for f in fields
-        ):
-            self.affine = tuple(np.array([f.params[i] for f in fields]) for i in (0, 1))
-
-    def __call__(self, pair: np.ndarray, x: np.ndarray) -> np.ndarray:
-        if self.const is not None:
-            return self.const(pair)
-        if self.affine is not None:
-            c0, c1 = self.affine
-            return c0.take(pair) + x[:, 0] * c1.take(pair)
-        present = np.flatnonzero(np.bincount(pair, minlength=len(self.fields)))
+    def per_pair(pair, x):
+        present = np.flatnonzero(np.bincount(pair, minlength=len(fields)))
         if present.size == 1:
-            return self.fields[present[0]](x)
+            return fields[present[0]](x)
         rows = [np.flatnonzero(pair == p) for p in present]
-        vals = [self.fields[p](x[r]) for p, r in zip(present, rows)]
+        vals = [fields[p](x[r]) for p, r in zip(present, rows)]
         out = np.empty((len(x),) + vals[0].shape[1:])
         for r, v in zip(rows, vals):
             out[r] = v
         return out
+
+    return per_pair
 
 
 def _dot(a, b):
@@ -237,27 +235,33 @@ class _StepKernel:
     """The Euler-Maruyama step of rows of any (spec, action pair) codes, in one call.
 
     A row's code is spec * n_pairs + ia * n_beta + ib, and its pair
-    ia * n_beta + ib; see the module docstring.  Each per-code value is
-    gathered once per call.  For d1 <= 2 the products q dW, sigma dw,
-    sigma pi and dw . pi equal einsum's but for the sign of a zero sum,
-    which no output reads; for d1 >= 3 einsum sums in another order.
+    ia * n_beta + ib; see the module docstring.  Each per-code value, and
+    with sigma and b constant the drift step, is gathered once per call.
+    For d1 <= 2 the products q dW, sigma dw, sigma pi and dw . pi equal
+    einsum's but for the sign of a zero sum, which no output reads; for
+    d1 >= 3 einsum sums in another order.
     """
 
     def __init__(self, problem: GameProblem, specs, dt: float):
         pairs = [(ia, ib) for ia in range(problem.n_alpha_ext) for ib in range(problem.n_beta)]
-        self.n_pairs = len(pairs)
-        self.dt = dt
+        self.n_pairs, self.dt = len(pairs), dt
         self.sigma, self.b, self.c, self.f = (
-            _PairField([table[ia][ib] for ia, ib in pairs], problem.d)
+            _pair_field([table[ia][ib] for ia, ib in pairs], problem.d)
             for table in (problem.sigma, problem.b, problem.c, problem.f)
         )
         r = np.array([s.r_table[ia, ib] for s in specs for ia, ib in pairs])
         pi = np.array([s.pi_table[ia, ib] for s in specs for ia, ib in pairs])
         q = np.array([s.noise_table[ia, ib] for s in specs for ia, ib in pairs])
-        self.r = _per_code(r)
-        self.pi = _per_code(pi)
+        self.r, self.pi = _per_code(r), _per_code(pi)
         self.q = None if (q == np.eye(problem.d1)).all() else _per_code(q)
         self.psi0 = _per_code([0.5 * ri * ri * float(p @ p) * dt for ri, p in zip(r.tolist(), pi)])
+        if all(f.is_constant for table in (problem.sigma, problem.b) for row in table for f in row):
+            pair, x0 = np.arange(len(r)) % self.n_pairs, np.zeros((len(r), problem.d))
+            self.drift = _per_code(self.drift(None, pair, x0, r * r, pi, self.sigma(pair, x0)))
+
+    def drift(self, code, pair, x, r2, pi, sig):
+        """The rows' drift steps r^2 (b + sigma pi) dt; only a tabulated drift reads ``code``."""
+        return r2[..., None] * (self.b(pair, x) + _dot(sig, pi[..., None, :])) * self.dt
 
     def __call__(self, code, pair, x, dW, weight):
         """The rows' new states from ``x`` on the increments ``dW``, and their increments of
@@ -266,8 +270,7 @@ class _StepKernel:
         r2 = r * r
         dw = dW if self.q is None else _dot(self.q(code), dW[..., None, :])
         sig = self.sigma(pair, x)
-        drift_dt = r2[..., None] * (self.b(pair, x) + _dot(sig, pi[..., None, :])) * dt
-        x_new = x + r[..., None] * _dot(sig, dw[..., None, :]) + drift_dt
+        x_new = x + r[..., None] * _dot(sig, dw[..., None, :]) + self.drift(code, pair, x, r2, pi, sig)
         dpsi = self.psi0(code) + r * _dot(dw, pi)
         return x_new, r2 * self.c(pair, x) * dt, dpsi, r2 * self.f(pair, x) * weight * dt
 
@@ -278,10 +281,10 @@ _SPLIT_ROWS = 1 << 14  # fewest rows per forked part; a fork costs about 16 ms
 
 
 def _gaussian_increments(seed: int, paths, k0: int, n_steps: int, d1: int, dt: float) -> np.ndarray:
-    """dW[p, k, j] of ``paths`` at steps k0 .. k0 + n_steps - 1, of shape (paths, steps, d1).
+    """dW[k, p, j] of ``paths`` at steps k0 .. k0 + n_steps - 1, of shape (steps, paths, d1).
 
     In wrapping uint64, with mix64 SplitMix64's finalizer and G = 0x9E3779B97F4A7C15,
-    dW[p, k, j] = sqrt(dt) ndtri(((mix64(mix64(seed) + ((p << 32) | (k d1 + j)) G) >> 12) + 0.5) 2**-52).
+    dW[k, p, j] = sqrt(dt) ndtri(((mix64(mix64(seed) + ((p << 32) | (k d1 + j)) G) >> 12) + 0.5) 2**-52).
     The uniform lies in [2**-53, 1 - 2**-53], so every normal is finite.
     """
     from scipy.special import ndtri
@@ -297,12 +300,12 @@ def _gaussian_increments(seed: int, paths, k0: int, n_steps: int, d1: int, dt: f
     # (p << 32 | c) G = (p << 32) G + c G, as the counter's low part c < 2**32
     row = (np.asarray(paths, dtype=np.uint64) << 32) * golden + mix64(np.array([seed], dtype=np.uint64))
     col = np.arange(k0 * d1, (k0 + n_steps) * d1, dtype=np.uint64) * golden
-    u = (mix64(row[:, None] + col) >> 12).astype(float)
+    u = (mix64(col.reshape(n_steps, 1, d1) + row[:, None]) >> 12).astype(float)
     u += 0.5
     u *= 2.0**-52
     ndtri(u, out=u)
     u *= math.sqrt(dt)
-    return u.reshape(len(row), n_steps, d1)
+    return u
 
 
 def _stream(horizon: float, cfg: SimConfig, d1: int):
@@ -322,12 +325,11 @@ def _stream(horizon: float, cfg: SimConfig, d1: int):
     def block(k: int, rows: np.ndarray) -> np.ndarray:
         steps = min(_BLOCK, n_steps - k)
         if not rows.size or rows[-1] < n:  # one lane: the rows are distinct ascending paths
-            dW = _gaussian_increments(cfg.seed, rows, k, steps, d1, cfg.dt)
-            return np.ascontiguousarray(dW.swapaxes(0, 1))
+            return _gaussian_increments(cfg.seed, rows, k, steps, d1, cfg.dt)
         seen = np.zeros(n, dtype=bool)
         seen[rows % n] = True
         dW = _gaussian_increments(cfg.seed, np.flatnonzero(seen), k, steps, d1, cfg.dt)
-        return np.take(dW.swapaxes(0, 1), (np.cumsum(seen) - 1)[rows % n], axis=1)
+        return np.take(dW, (np.cumsum(seen) - 1)[rows % n], axis=1)
 
     return n_steps, block
 
@@ -425,16 +427,11 @@ def _child(step, part, arrays, send) -> None:
     send.close()
 
 
-def _reads(player, how: str) -> bool:
-    """Whether an ensemble answers ``player`` by ``how`` instead of calling it; see ``policies``."""
-    return getattr(player, "_ensemble_reads", None) == how
-
-
 def _check_actions(problem: GameProblem, leaders, responder) -> None:
     """Raise, before any step, if a constant player's action is outside the problem's range."""
     sides = [(p, problem.n_alpha_ext, "leader") for p in leaders] + [(responder, problem.n_beta, "responder")]
     for p, n, side in sides:
-        if _reads(p, "action") and not 0 <= p.action < n:
+        if getattr(p, "_ensemble_reads", None) == "action" and not 0 <= p.action < n:
             raise ValueError(f"{side} action {p.action} is outside the problem's actions 0 .. {n - 1}")
 
 
@@ -455,7 +452,9 @@ def _run_ensemble(
     cfg.n_paths paths, stacked lane after lane.  A normal depends only on
     the seed, the path's index within its lane, the step and the component,
     so a lane's paths are those of a run of that lane alone.  Returns one
-    batch per lane and the extras over all stacked rows.
+    batch per lane and the extras over all stacked rows.  A caller that
+    passes ``checkpoint_times`` reads only the checkpoints: the run stops
+    at the step that reads the last one, and returns None for the batches.
 
     The rows are stepped as ``_parts`` path ranges (see ``_step_in_forks``);
     a row's result does not depend on the rows stepped with it.
@@ -464,23 +463,37 @@ def _run_ensemble(
     n, dt, nb = cfg.n_paths, cfg.dt, problem.n_beta
     n_rows = len(lanes) * n
     n_steps, block = _stream(cfg.t_max, cfg, problem.d1)
+    cps = sorted(checkpoint_times)
+    if cps and value_field is None:
+        raise ValueError("checkpoint times need a value field")
+    for c, before in zip(cps, [None] + cps):
+        if c == before or not 0 <= c <= cfg.t_max:
+            raise ValueError(f"checkpoint time {c} is {'repeated' if c == before else 'outside [0, t_max]'}")
+    # checkpoint c is read before step ceil(c / dt - 1/2), the step nearest c; the run stops at the last
+    cp_steps = [min(math.ceil(c / dt - 0.5), n_steps) for c in cps]
+    n_steps = cp_steps[-1] if cps else n_steps
     # lanes are stacked leader by leader, so each leader owns one block of rows
     leaders, leader_of = _distinct([lane[2] for lane in lanes])
     _check_actions(problem, leaders, beta_policy)
     stack = sorted(range(len(lanes)), key=leader_of.__getitem__)
     leader_rows = n * np.cumsum([0] + [leader_of.count(i) for i in range(len(leaders))])
     specs, spec_of = _distinct([lanes[j][0] for j in stack])
-    kernel = _StepKernel(problem, specs, dt)
+    kernel, distance, multi = _StepKernel(problem, specs, dt), problem.domain.boundary_distance, len(specs) > 1
     spec_code = np.repeat(np.asarray(spec_of) * kernel.n_pairs, n)
-    # policy lags: each requested n keeps a frozen state snapshot
-    lag_all = sorted({p.lag_n for p in (*leaders, beta_policy) if getattr(p, "lag_n", 0)} | set(lag_ns))
-    # one nearest-node lookup per step for each (grid, lag) of the players that read a table
-    lookups = {(id(p.selector.grid), p.lag_n): (p.selector.grid, p.lag_n)
-               for p in (*leaders, beta_policy) if _reads(p, "table")}
-    fixed = all(_reads(p, "action") for p in (*leaders, beta_policy))  # each block's pairs are fixed
-    cps = sorted(checkpoint_times)
-    if cps and value_field is None:
-        raise ValueError("checkpoint times need a value field")
+    lookups = {}  # one nearest-node lookup per step for each (grid, lag) of the tables read
+
+    def resolve(p):
+        """A player, resolved once: (how, what, lag), with a constant action, a (table, lookup) or itself."""
+        how, lag = getattr(p, "_ensemble_reads", None), getattr(p, "lag_n", 0)
+        if how == "table":
+            grid = p.selector.grid
+            return how, (p.selector.table, lookups.setdefault((id(grid), lag), (len(lookups), grid, lag))[0]), lag
+        return ("action", p.action, lag) if how == "action" else ("call", p, lag)
+
+    plans, beta = [resolve(p) for p in leaders], resolve(beta_policy)
+    lookups = list(lookups.values())
+    lag_all = sorted({lag for *_, lag in (*plans, beta)} - {0} | set(lag_ns))
+    fixed = all(how == "action" for how, *_ in (*plans, beta))  # each block's pairs are fixed
     # the full-size state, written back from each part's working state, and the outputs
     keys = ["phi", "psi", "pay"] + [("M", m) for m in lag_ns] + (["exp_psi"] if track_exp_psi_integral else [])
     full = {"x": np.repeat(np.asarray([starts[j] for j in stack]), n, axis=0)}
@@ -489,7 +502,7 @@ def _run_ensemble(
     out |= {("cp", i): np.zeros(n_rows) for i in range(len(cps))}
 
     def step(rows):
-        """Step the ascending global ``rows`` to their exits or the horizon.
+        """Step the ascending global ``rows`` to their exits, the horizon or the last checkpoint.
 
         The working state ``w`` holds the rows alive at the block's start.  A
         row that exits gets its tau, then is stepped at scale 0 and seen by
@@ -498,7 +511,7 @@ def _run_ensemble(
         """
         X, tau, censored = full["x"], out["tau"], out["censored"]
         w = {key: a[rows] for key, a in full.items()} | {("snap", m): X[rows] for m in lag_all}
-        w.update(dist=problem.domain.boundary_distance(w["x"]), code=spec_code[rows])
+        w.update(dist=distance(w["x"]), code=spec_code[rows])
         n_live = rows.size  # rows not yet exited
         last_cell = dict.fromkeys(lag_all, 0)
         part, n_cp = rows, 0
@@ -515,26 +528,30 @@ def _run_ensemble(
             out["cp", n_cp][part] = value_field.interpolate(X[part]) * weight + full["pay"][part]
             n_cp += 1
 
-        def answer(player, sl, ia=None):
+        def answer(plan, sl, ia=None):
             """A leader's actions for the working rows ``sl``, or the responder's to the leaders' ``ia``."""
-            lag = getattr(player, "lag_n", 0)
-            if _reads(player, "action"):
-                return player.action
-            if _reads(player, "table"):  # a responder's (nA, N) table is read flat at ia * N + node
-                table, at = player.selector.table, node[id(player.selector.grid), lag][sl]
+            how, what, lag = plan
+            if how == "action":
+                return what
+            if how == "table":  # a responder's (nA, N) table is read flat at ia * N + node
+                table, at = what[0], node[what[1]][sl]
                 return table.take(at if ia is None else ia * table.shape[1] + at)
             state = (w["snap", lag] if lag else w["x"])[sl]
-            return player.select(k, t, state) if ia is None else player.respond(ia, k, t, state)
+            return what.select(k, t, state) if ia is None else what.respond(ia, k, t, state)
 
         for k in range(n_steps):
+            while n_cp < len(cps) and k >= cp_steps[n_cp]:
+                checkpoint()
+            if not n_live:
+                break
             t, new_block = k * dt, k % _BLOCK == 0
             if new_block:
                 if n_live < rows.size:
-                    live = scale > 0.0
-                    write_back(~live)
-                    rows = rows[live]
-                    w = {key: a[live] for key, a in w.items()}
+                    write_back((scale == 0.0).nonzero()[0])
+                    keep = scale.nonzero()[0]
+                    rows, w = rows[keep], {key: a[keep] for key, a in w.items()}
                 bounds = np.searchsorted(rows, leader_rows).tolist()  # each leader's working rows
+                leader_slices = [(plan, slice(lo, hi)) for plan, lo, hi in zip(plans, bounds, bounds[1:]) if lo < hi]
                 dW = block(k, rows)
                 # a row's scale: 1 while alive, its crossing fraction at its exit step, then 0;
                 # exit_at is 0 while alive, then NaN, so that dist_new <= exit_at is the exit test
@@ -546,21 +563,17 @@ def _run_ensemble(
                 if cell > last_cell[m]:
                     w["snap", m][:] = x
                     last_cell[m] = cell
-            while n_cp < len(cps) and t >= cps[n_cp] - 0.5 * dt:
-                checkpoint()
-            if not n_live:
-                break
-            node = {key: grid.nearest_node(w["snap", m] if m else x) for key, (grid, m) in lookups.items()}
-            for p, lo, hi in zip(leaders, bounds[:-1], bounds[1:]):
-                if lo < hi and (new_block or not _reads(p, "action")):  # a constant is filled per block
-                    ia[lo:hi] = answer(p, slice(lo, hi))
+            node = [grid.nearest_node(w["snap", m] if m else x) for _, grid, m in lookups]
+            for plan, sl in leader_slices:
+                if new_block or plan[0] != "action":  # a constant is filled per block
+                    ia[sl] = answer(plan, sl)
             if new_block or not fixed:
-                pair = ia * nb + answer(beta_policy, slice(None), ia)
-                code = w["code"] + pair if len(specs) > 1 else pair
+                pair = ia * nb + answer(beta, slice(None), ia)
+                code = w["code"] + pair if multi else pair
             weight = np.exp(-phi - psi)
             x_new, dphi, dpsi, dpay = kernel(code, pair, x, dW[k % _BLOCK], weight)
-            dist_new = problem.domain.boundary_distance(x_new)
-            exiting = np.flatnonzero(dist_new <= exit_at)
+            dist_new = distance(x_new)
+            exiting = (dist_new <= exit_at).nonzero()[0]
             if exiting.size:
                 dist_old = w["dist"][exiting]
                 scale[exiting] = dist_old / (dist_old - dist_new[exiting])
@@ -579,7 +592,8 @@ def _run_ensemble(
             psi += dpsi * scale
             x += (x_new - x) * scale[:, None]
             w["dist"] = dist_new  # read again only while the row is alive
-            scale[exiting] = 0.0
+            if exiting.size:
+                scale[exiting] = 0.0
         while n_cp < len(cps):
             checkpoint()
         write_back(slice(None))
@@ -594,6 +608,13 @@ def _run_ensemble(
         ranges = [(lane_base + np.arange(lo, hi)).ravel() for lo, hi in zip(cuts, cuts[1:])]
         _step_in_forks(step, ranges, full | out)
 
+    extras = {
+        "checkpoints": np.asarray([out["cp", i] for i in range(len(cps))]) if cps else None,
+        "M_acc": {m: full["M", m] for m in lag_ns},
+        "exp_psi_integral": full.get("exp_psi"),
+    }
+    if cps:  # stopped at the last checkpoint: no path's exit is known
+        return None, extras
     # an exited row's state stays at its exit; censored paths keep their
     # state at the horizon and a zero terminal term
     X, phi, psi, pay = full["x"], full["phi"], full["psi"], full["pay"]
@@ -615,11 +636,6 @@ def _run_ensemble(
         )
         for sl in (slice(p * n, (p + 1) * n) for p in np.argsort(stack))
     ]
-    extras = {
-        "checkpoints": np.asarray([out["cp", i] for i in range(len(cps))]) if cps else None,
-        "M_acc": {m: full["M", m] for m in lag_ns},
-        "exp_psi_integral": full.get("exp_psi"),
-    }
     return batches, extras
 
 

@@ -3,8 +3,8 @@
 One test per criterion; each records a single PASS/FAIL line, echoed in
 the terminal summary at the end of the run.  Tolerances and seeds are
 frozen; loosening them to rescue a failure defeats the point of the
-suite.  A full run of the whole test suite takes about 92 s on a 2-vCPU
-Xeon, most of it in criteria 5 and 3 (38 s and 16 s).
+suite.  A full run of the whole test suite takes about 64 s on a 2-vCPU
+Xeon, most of it in criteria 5 and 3 (30 s and 11 s); criterion 8 takes 4 s.
 """
 
 import math

@@ -222,6 +222,34 @@ def test_super_and_submartingale_drift(solved_game, game_problem):
         )
 
 
+def test_drift_checkpoints_outside_the_horizon_or_repeated_rejected(solved_game, game_problem):
+    # at t_max = 1, a checkpoint at 5 read m(1) and one at -1 the starting value; a repeat always passed
+    v = solved_game.value_
+    spec = ControlAdaptedSpec.baseline(game_problem)
+    cfg = SimConfig(dt=1e-3, t_max=1.0, n_paths=50, seed=11)
+    bsel, asel = build_beta_selector(game_problem, v, EPS), build_alpha_selector(game_problem, v, EPS)
+    cases = [
+        ((0.25, 0.5, 1.0, 5.0), "checkpoint time 5.0 is outside"),
+        ((-1.0, 0.5), "checkpoint time -1.0 is outside"),
+        ((0.5, float("nan")), "checkpoint time nan is outside"),
+        ((0.25, 0.5, 0.5), "checkpoint time 0.5 is repeated"),
+    ]
+    for cps, match in cases:
+        with pytest.raises(ValueError, match=match):
+            supermartingale_test(
+                game_problem, spec, [0.5], v, ConstantPolicy(0), FeedbackBetaPolicy(bsel), cfg, cps, EPS
+            )
+        with pytest.raises(ValueError, match=match):
+            submartingale_test(
+                game_problem, spec, [0.5], v, FeedbackAlphaPolicy(asel), ConstantResponder(0), cfg, cps, EPS
+            )
+    # both ends of [0, t_max] are kept
+    rep = supermartingale_test(
+        game_problem, spec, [0.5], v, ConstantPolicy(0), FeedbackBetaPolicy(bsel), cfg, (0.0, 1.0), EPS
+    )
+    assert rep.times == [0.0, 1.0] and rep.ses[0] < 1e-15 < rep.ses[1]
+
+
 def test_actions_and_lags_must_be_non_negative_integers(solved_game, game_problem):
     asel = build_alpha_selector(game_problem, solved_game.value_, EPS)
     for bad in (1.7, 1.0, -1, "1", None):

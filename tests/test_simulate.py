@@ -99,6 +99,14 @@ def test_sim_config_validation():
     for seed in (-1, 1 << 64):
         with pytest.raises(ValueError, match="seed"):
             SimConfig(seed=seed)
+    # seed 1.5 and 1.9 ran seed 1's stream, n_paths=True one path, n_paths=100.0 a TypeError deep in a run
+    for bad in (1.5, 1.9, 2.0, True, np.bool_(True), "3", None):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SimConfig(seed=bad)
+        with pytest.raises(ValueError, match="n_paths must be an integer"):
+            SimConfig(n_paths=bad)
+    cfg = SimConfig(n_paths=np.int64(100), seed=np.uint64((1 << 64) - 1))
+    assert (cfg.n_paths, cfg.seed) == (100, (1 << 64) - 1) and type(cfg.n_paths) is type(cfg.seed) is int
 
 
 def test_simulate_is_bitwise_deterministic(analytic_problem):
@@ -286,6 +294,66 @@ def test_checkpoints_need_a_value_field(analytic_problem):
                       checkpoint_times=(0.5,))
 
 
+def test_checkpoints_outside_the_horizon_or_repeated_rejected(analytic_problem):
+    from sdglab.grids import DomainGrid, ValueField
+    from sdglab.simulate import _run_ensemble
+
+    spec = ControlAdaptedSpec.baseline(analytic_problem)
+    cfg = SimConfig(dt=1e-3, t_max=1.0, n_paths=10)
+    value = ValueField.zeros(DomainGrid.build(analytic_problem.domain, 1 / 16))
+    for cps, match in (((0.5, 1.0 + 1e-9), "1.000000001 is outside"), ((-1e-9, 0.5), "-1e-09 is outside"),
+                       ((float("inf"),), "inf is outside"), ((0.3, 0.7, 0.3), "0.3 is repeated")):
+        with pytest.raises(ValueError, match=f"checkpoint time {match}"):
+            _run_ensemble(analytic_problem, [(spec, [0.5], ConstantPolicy(0))], ConstantResponder(0), cfg,
+                          value_field=value, checkpoint_times=cps)
+
+
+def test_drift_runs_stop_at_their_last_checkpoint(game_problem, solved_game, monkeypatch):
+    # the reports equal those of a run to t_max, which reads one more checkpoint there and drops
+    # it; the last checkpoint lies off the step grid (step 300), then on a block boundary (296 = 37 x 8)
+    import sdglab.policies
+    import sdglab.simulate
+    from sdglab.policies import (
+        FeedbackAlphaPolicy,
+        FeedbackBetaPolicy,
+        build_alpha_selector,
+        build_beta_selector,
+        submartingale_test,
+        supermartingale_test,
+    )
+
+    steps, kernel_call = [], sdglab.simulate._StepKernel.__call__
+
+    def counted(self, *args):
+        steps[-1] += 1
+        return kernel_call(self, *args)
+
+    def to_t_max(problem, lanes, beta, cfg, *, checkpoint_times, **kwargs):
+        _, extras = sdglab.simulate._run_ensemble(
+            problem, lanes, beta, cfg, checkpoint_times=checkpoint_times + (cfg.t_max,), **kwargs
+        )
+        return None, extras | {"checkpoints": extras["checkpoints"][:-1]}
+
+    monkeypatch.setattr(sdglab.simulate._StepKernel, "__call__", counted)
+    p, value = game_problem, solved_game.value_
+    spec = ControlAdaptedSpec.baseline(p)
+    cfg = SimConfig(dt=1e-3, t_max=2.0, n_paths=300, seed=11)
+    leader = FeedbackAlphaPolicy(build_alpha_selector(p, value, 1e-6), lag_n=8)
+    beta = FeedbackBetaPolicy(build_beta_selector(p, value, 1e-6))
+    for checkpoints, last_step in (((0.05, 0.3004), 300), ((0.05, 0.296), 296)):
+        for test, alpha, b in ((supermartingale_test, ConstantPolicy(0), beta),
+                               (submartingale_test, leader, ConstantResponder(0))):
+            reports = []
+            for run_to in (None, to_t_max):
+                with monkeypatch.context() as m:
+                    if run_to:
+                        m.setattr(sdglab.policies, "_run_ensemble", run_to)
+                    steps.append(0)
+                    reports.append(test(p, spec, [0.5], value, alpha, b, cfg, checkpoints, 1e-6))
+            assert reports[0] == reports[1]
+            assert steps[-2] == last_step < steps[-1]
+
+
 def test_start_of_wrong_dimension_rejected():
     from pathlib import Path
 
@@ -408,7 +476,7 @@ def test_trajectory_batch_fields_and_csv(tmp_path, analytic_problem):
 
 def _draws(seed, n_steps, n, d1, dt):
     """The stream's increments of paths 0 .. n - 1, one (n, d1) array per step."""
-    return _gaussian_increments(seed, np.arange(n), 0, n_steps, d1, dt).swapaxes(0, 1)
+    return _gaussian_increments(seed, np.arange(n), 0, n_steps, d1, dt)
 
 
 def _stream_value(seed, p, k, j, d1, dt):
@@ -431,13 +499,13 @@ def test_normals_depend_only_on_seed_path_step_and_component():
     full = _gaussian_increments(7, np.arange(1000), 0, 1000, 1, 1.0)  # 1M normals
     paths = np.array([0, 3, 17, 640, 999])
     # a subset of paths, and a block that starts at another step, read the same values
-    assert np.array_equal(_gaussian_increments(7, paths, 0, 1000, 1, 1.0), full[paths])
-    assert np.array_equal(_gaussian_increments(7, paths[::-1], 5, 11, 1, 1.0), full[paths[::-1], 5:16])
+    assert np.array_equal(_gaussian_increments(7, paths, 0, 1000, 1, 1.0), full[:, paths])
+    assert np.array_equal(_gaussian_increments(7, paths[::-1], 5, 11, 1, 1.0), full[5:16, paths[::-1]])
     two = _gaussian_increments(7, paths, 3, 4, 2, 0.25)
-    assert np.array_equal(two, 0.5 * _gaussian_increments(7, paths, 0, 11, 2, 1.0)[:, 3:7])
+    assert np.array_equal(two, 0.5 * _gaussian_increments(7, paths, 0, 11, 2, 1.0)[3:7])
     assert not np.isin(_gaussian_increments(8, paths, 0, 1000, 1, 1.0), full).any()
 
-    z = full[..., 0]  # (path, step)
+    z = full[..., 0].T  # (path, step)
     assert abs(z.mean()) <= 5e-3
     assert abs(z.var() - 1.0) <= 1e-2
     assert abs(np.mean((z - z.mean()) ** 4) / z.var() ** 2 - 3.0) <= 0.05
@@ -706,7 +774,8 @@ def _assert_called_players_match(p, lanes, beta, value, cfg):
     from sdglab.simulate import _run_ensemble
 
     def run(lanes, beta):
-        batches, extras = _run_ensemble(p, lanes, beta, cfg, value_field=value, checkpoint_times=(0.0, 0.05, 0.3))
+        batches, _ = _run_ensemble(p, lanes, beta, cfg)
+        _, extras = _run_ensemble(p, lanes, beta, cfg, value_field=value, checkpoint_times=(0.0, 0.05, 0.3))
         return [dataclasses.asdict(b) for b in batches], extras["checkpoints"]
 
     wrapped = {}  # one wrapper per player, so that lanes keep sharing their leader
