@@ -15,7 +15,7 @@ from .coefficients import (
     parse_scalar,
     parse_vector,
 )
-from .config import ConfigError, load_experiment, load_problem
+from .config import ConfigError, load_experiment
 from .grids import DomainGrid, ValueField
 from .harness import (
     ExperimentConfig,
@@ -42,7 +42,6 @@ from .pde import (
     SolveConfig,
     convergence_study,
     evaluate_H,
-    evaluate_P,
     extend_problem,
     h_mono,
 )

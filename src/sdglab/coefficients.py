@@ -65,19 +65,9 @@ class ScalarField:
             return c0 + amp * np.abs(x[:, 0] - center) ** expo
         raise ValueError(f"unknown coefficient family {self.kind!r}")
 
-    def at(self, x) -> float:
-        """Evaluate at a single point."""
-        return float(self(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
     @property
     def is_constant(self) -> bool:
         return self.kind == "const"
-
-    @property
-    def constant_value(self) -> float:
-        if not self.is_constant:
-            raise ValueError("field is not constant")
-        return float(self.params[0])
 
 
 @dataclass(frozen=True)
@@ -92,16 +82,9 @@ class SumField:
             out = out + p(x)
         return out
 
-    def at(self, x) -> float:
-        return float(self(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
     @property
     def is_constant(self) -> bool:
         return all(p.is_constant for p in self.parts)
-
-    @property
-    def constant_value(self) -> float:
-        return float(sum(p.constant_value for p in self.parts))
 
 
 @dataclass(frozen=True)
@@ -114,13 +97,6 @@ class VectorField:
         """Shape (n, d)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return np.stack([e(x) for e in self.entries], axis=1)
-
-    def at(self, x) -> np.ndarray:
-        return self(np.atleast_2d(np.asarray(x, dtype=float)))[0]
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
 
     @property
     def is_constant(self) -> bool:
@@ -138,13 +114,6 @@ class MatrixField:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         rows = [np.stack([e(x) for e in row], axis=1) for row in self.entries]
         return np.stack(rows, axis=1)
-
-    def at(self, x) -> np.ndarray:
-        return self(np.atleast_2d(np.asarray(x, dtype=float)))[0]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.entries), len(self.entries[0]))
 
     @property
     def is_constant(self) -> bool:

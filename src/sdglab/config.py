@@ -27,7 +27,7 @@ from .model import ActionSets, DomainSpec, GameProblem
 from .pde import PucciParams, SolveConfig
 from .simulate import SimConfig
 
-__all__ = ["ConfigError", "load_problem", "load_experiment"]
+__all__ = ["ConfigError", "load_experiment"]
 
 
 class ConfigError(ValueError):
@@ -188,12 +188,6 @@ def _coefficients(sec, actions: ActionSets) -> dict:
         raise ConfigError("missing coefficient 'g'")
     out["g"] = _parse(sec, "g", parse_scalar)
     return out
-
-
-def load_problem(path) -> GameProblem:
-    """Build a validated-shape GameProblem from an INI file."""
-    parser = _read(path)
-    return _problem_from_parser(parser)
 
 
 def _problem_from_parser(parser) -> GameProblem:

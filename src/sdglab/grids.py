@@ -141,9 +141,6 @@ class ValueField:
         v[mask] = fn(grid.coords[mask])
         return ValueField(grid, v)
 
-    def copy(self) -> "ValueField":
-        return ValueField(self.grid, self.values.copy())
-
     def interpolate(self, x: np.ndarray) -> np.ndarray:
         """Multilinear interpolation; nearest-node fallback at masked cells."""
         g = self.grid

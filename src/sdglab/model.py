@@ -77,20 +77,24 @@ class DomainSpec:
             lo, up = np.asarray(self.lower, float), np.asarray(self.upper, float)
             if lo.shape != (self.dimension,) or up.shape != (self.dimension,):
                 raise ValueError("box corners must match the dimension")
+            if not np.all(np.isfinite(lo) & np.isfinite(up)):
+                raise ValueError(f"box corners must be finite, got {self.lower} and {self.upper}")
             if not np.all(up > lo):
                 raise ValueError("box must have nonempty interior")
             object.__setattr__(self, "_bounds", (lo, up))
         else:
-            if len(self.center) != self.dimension or self.radius <= 0:
-                raise ValueError("ball needs a center of matching dimension and radius > 0")
-            object.__setattr__(self, "_bounds", (np.asarray(self.center, float),))
+            c = np.asarray(self.center, float)
+            if c.shape != (self.dimension,) or not (np.all(np.isfinite(c)) and 0 < self.radius < math.inf):
+                raise ValueError("ball needs a finite center of matching dimension and a finite radius > 0")
+            object.__setattr__(self, "_bounds", (c,))
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         """Strict interior membership, vectorized over rows of ``x``."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.shape == "box":
-            return ((x > self.lower) & (x < self.upper)).all(axis=1)
-        c = np.asarray(self.center)
+            lo, up = self._bounds
+            return ((x > lo) & (x < up)).all(axis=1)
+        (c,) = self._bounds
         return np.sum((x - c) ** 2, axis=1) < self.radius**2
 
     def boundary_distance(self, x: np.ndarray) -> np.ndarray:

@@ -35,7 +35,6 @@ __all__ = [
     "RateReport",
     "h_mono",
     "evaluate_H",
-    "evaluate_P",
     "extend_problem",
     "convergence_study",
     "IsaacsSolver",
@@ -64,8 +63,6 @@ class PucciParams:
     """
 
     delta_hat: float
-    gradient_bound: float
-    zero_order: float
     rays: tuple[tuple[np.ndarray, np.ndarray, float], ...]
 
     @staticmethod
@@ -103,7 +100,7 @@ class PucciParams:
                     th = 2 * math.pi * k / (2 * max(n_rotations // 2, 2))
                     dirs.append(gradient_bound * np.array([math.cos(th), math.sin(th)]))
         rays = tuple((a.copy(), bd.copy(), float(zero_order)) for a in mats for bd in dirs)
-        return PucciParams(delta_hat, gradient_bound, zero_order, rays)
+        return PucciParams(delta_hat, rays)
 
 
 def h_mono(problem: GameProblem) -> float:
@@ -169,16 +166,15 @@ class Discretization:
     """The monotone operators L^{ab} of every action pair on one grid.
 
     ``from_problem`` shares one object per (problem, grid) while anything
-    holds it, so ``cols``, ``weights`` and ``fvals`` are read-only; only
-    ``evaluate_P`` builds unshared ones.  All pairs share one sparsity pattern:
-    row k, for interior node ``idx[k]``, couples the node with its 2d axis
-    neighbors and the four diagonal neighbors in each coordinate plane,
-    whose flat lattice indices are ``cols[k]``.  Pair p = ia * n_beta + ib
-    keeps its weights in ``weights[p]`` (m, s) and its running cost in
-    ``fvals[p]`` (m,), so ``(weights[p], cols)`` is the matrix of L^{ab}
-    over the lattice, s entries per row.  Columns that are not interior
-    nodes carry the Dirichlet data: the boundary contribution.  The
-    interior-to-interior block has half-bandwidths ``kl`` (below the
+    holds it, so ``cols``, ``weights`` and ``fvals`` are read-only.  All pairs
+    share one sparsity pattern: row k, for interior node ``idx[k]``, couples
+    the node with its 2d axis neighbors and the four diagonal neighbors in
+    each coordinate plane, whose flat lattice indices are ``cols[k]``.  Pair
+    p = ia * n_beta + ib keeps its weights in ``weights[p]`` (m, s) and its
+    running cost in ``fvals[p]`` (m,), so ``(weights[p], cols)`` is the
+    matrix of L^{ab} over the lattice, s entries per row.  Columns that are
+    not interior nodes carry the Dirichlet data: the boundary contribution.
+    The interior-to-interior block has half-bandwidths ``kl`` (below the
     diagonal) and ``ku`` (above).
     """
 
@@ -324,20 +320,6 @@ def _matrix_sqrt(m: np.ndarray, d1: int) -> np.ndarray:
     d = m.shape[0]
     out = np.zeros((d, d1))
     out[:, :d] = root
-    return out
-
-
-def evaluate_P(pucci: PucciParams, u: ValueField) -> ValueField:
-    """Max over the ray set of the constant-coefficient operators applied to u."""
-    grid = u.grid
-    m = int(grid.interior.sum())
-    rays = [
-        (np.broadcast_to(a, (m, grid.d, grid.d)), np.broadcast_to(bd, (m, grid.d)), np.full(m, c0), np.zeros(m))
-        for a, bd, c0 in pucci.rays
-    ]
-    disc = Discretization(grid, rays, n_beta=1)
-    out = ValueField.zeros(grid)
-    out.values[disc.idx] = disc.hamiltonians(u.values)[:, 0].max(axis=0)
     return out
 
 

@@ -171,10 +171,6 @@ class TrajectoryBatch:
         return self.running_payoff + self.terminal_payoff
 
     @property
-    def girsanov_weight(self) -> np.ndarray:
-        return np.exp(-self.psi)
-
-    @property
     def censored_fraction(self) -> float:
         return float(self.censored.mean())
 

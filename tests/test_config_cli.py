@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sdglab.cli import _STAGES, main
-from sdglab.config import ConfigError, load_experiment, load_problem
+from sdglab.config import ConfigError, load_experiment
 from sdglab.pde import IsaacsSolver, extend_problem
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -43,7 +43,7 @@ def _write(tmp_path, text, name="p.cfg"):
 
 def test_bundled_analytic_matches_preset():
     # the scheme is exact on the closed-form value x(1 - x)/2
-    p = load_problem(CONFIGS / "analytic.cfg")
+    p = load_experiment(CONFIGS / "analytic.cfg").problem
     v = IsaacsSolver(h=1 / 64).fit(p).predict([[0.25], [0.5]])
     assert v == pytest.approx([0.09375, 0.125], abs=1e-9)
 
@@ -51,7 +51,7 @@ def test_bundled_analytic_matches_preset():
 def test_bundled_game_matches_preset():
     # drifts +-0.3 +-0.1 by action; the leader's cost slopes -+1.2 and the
     # responder's coupling +-0.35 alternates with the action-pair parity
-    p = load_problem(CONFIGS / "game2x2.cfg")
+    p = load_experiment(CONFIGS / "game2x2.cfg").problem
     x = np.linspace(0.1, 0.9, 5)[:, None]
     for ia in range(2):
         for ib in range(2):
@@ -129,8 +129,8 @@ def test_coefficient_override_precedence(tmp_path):
         "f = 1.0",
         "f = 1.0\nf.b1 = 2.0\nf.a1 = 3.0\nf.a1.b1 = 4.0",
     )
-    p = load_problem(_write(tmp_path, text))
-    at = lambda ia, ib: p.f[ia][ib].at([0.5])
+    p = load_experiment(_write(tmp_path, text)).problem
+    at = lambda ia, ib: p.f[ia][ib](np.array([[0.5]]))[0]
     assert at(0, 0) == 1.0  # generic key
     assert at(0, 1) == 2.0  # responder override
     assert at(1, 0) == 3.0  # leader override beats responder default
@@ -158,7 +158,7 @@ def test_coefficient_override_precedence(tmp_path):
 )
 def test_malformed_problem_raises(tmp_path, mutate):
     with pytest.raises(ConfigError):
-        load_problem(_write(tmp_path, mutate(MINIMAL)))
+        load_experiment(_write(tmp_path, mutate(MINIMAL)))
 
 
 @pytest.mark.parametrize(
@@ -186,7 +186,7 @@ def test_bundled_config_loads(path):
 
 def test_missing_file_and_bad_points(tmp_path):
     with pytest.raises(ConfigError):
-        load_problem(tmp_path / "nope.cfg")
+        load_experiment(tmp_path / "nope.cfg")
     text = MINIMAL + "\n[experiment]\npoints = 2.5\n"
     with pytest.raises(ConfigError):
         load_experiment(_write(tmp_path, text))
@@ -195,9 +195,16 @@ def test_missing_file_and_bad_points(tmp_path):
         with pytest.raises(ConfigError, match=why):
             load_experiment(_write(tmp_path, MINIMAL + f"\n[experiment]\npoints = {points}\n"))
     # nor does a solved field read such a point as its first coordinate
-    solver = IsaacsSolver(h=1 / 8).fit(load_problem(_write(tmp_path, MINIMAL)))
+    solver = IsaacsSolver(h=1 / 8).fit(load_experiment(_write(tmp_path, MINIMAL)).problem)
     with pytest.raises(ValueError, match="2 coordinates"):
         solver.predict([[0.5, 0.9]])
+
+
+def test_cli_rejects_a_non_finite_domain(tmp_path, capsys):
+    bad = _write(tmp_path, (CONFIGS / "game2x2.cfg").read_text().replace("upper = 1.0", "upper = inf"))
+    assert main(["validate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_usage_errors(tmp_path, capsys):

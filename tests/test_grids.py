@@ -83,7 +83,7 @@ def test_sup_diff_and_copy():
     dom = DomainSpec("box", 1, (0.0,), (1.0,))
     g = DomainGrid.build(dom, 1 / 8)
     a = ValueField.from_function(g, lambda x: x[:, 0])
-    b = a.copy()
+    b = ValueField(g, a.values.copy())
     b.values[g.interior_idx[0]] += 0.25
     assert a.sup_diff(b) == pytest.approx(0.25)
 

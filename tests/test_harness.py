@@ -35,6 +35,11 @@ def test_variant_tables(game_problem):
         build_variant_spec(game_problem, "antipodal", params)
 
 
+def test_unknown_variant_name_raises(game_problem):
+    with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+        build_variant_spec(game_problem, "bogus")
+
+
 def test_variant_noise_orthogonal_2d():
     from sdglab.coefficients import const_matrix, const_scalar, const_vector
     from sdglab.model import ActionSets, DomainSpec, GameProblem

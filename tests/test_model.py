@@ -47,6 +47,24 @@ def test_domain_rejects_bad_specs():
         DomainSpec("pentagon", 2)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(shape="box", dimension=1, lower=(0.0,), upper=(math.inf,)),
+        dict(shape="box", dimension=1, lower=(-math.inf,), upper=(1.0,)),
+        dict(shape="box", dimension=2, lower=(0.0, math.nan), upper=(1.0, 1.0)),
+        dict(shape="ball", dimension=1, center=(0.5,), radius=math.inf),
+        dict(shape="ball", dimension=1, center=(0.5,), radius=math.nan),
+        dict(shape="ball", dimension=2, center=(math.inf, 0.0), radius=1.0),
+        dict(shape="ball", dimension=2, center=(0.0, math.nan), radius=1.0),
+    ],
+    ids=["upper_inf", "lower_inf", "lower_nan", "radius_inf", "radius_nan", "center_inf", "center_nan"],
+)
+def test_domain_rejects_non_finite_bounds(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        DomainSpec(**kwargs)
+
+
 def _singleton(sigma=SQRT2, bdrift=0.0, c=0.0, f=1.0, delta=0.5, d1=1):
     return GameProblem(
         actions=ActionSets(("a0",), ("b0",)),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sdglab.coefficients import ScalarField, const_matrix, const_scalar, const_vector
-from sdglab.config import load_problem
+from sdglab.config import load_experiment
 from sdglab.grids import DomainGrid, ValueField
 from sdglab.model import ActionSets, DomainSpec, GameProblem
 from sdglab.pde import (
@@ -20,7 +20,6 @@ from sdglab.pde import (
     SolveConfig,
     convergence_study,
     evaluate_H,
-    evaluate_P,
     extend_problem,
     h_mono,
 )
@@ -204,7 +203,7 @@ def _cold_start(solver):
 def test_2d_fit_starts_from_the_coarse_solve(inv_h, cold_iters, monkeypatch):
     from sdglab import pde
 
-    p = load_problem(BOX2D)
+    p = load_experiment(BOX2D).problem
     assembled = _spy_assemblies(monkeypatch)
     solver = IsaacsSolver(h=1 / inv_h).fit(p)
     # one cold solve at twice the spacing, whose operators die with the fit
@@ -240,7 +239,7 @@ def _small_disc_problem():
     ids=["twice_the_spacing_passes_h_mono", "no_interior_node_at_twice_the_spacing"],
 )
 def test_2d_fit_starts_cold_without_an_admissible_coarse_grid(case, h, monkeypatch):
-    p = load_problem(BOX2D) if case == "box2d" else _small_disc_problem()
+    p = load_experiment(BOX2D).problem if case == "box2d" else _small_disc_problem()
     coarse = DomainGrid.build(p.domain, 2 * h)
     if case == "box2d":
         assert h <= h_mono(p) < 2 * h
@@ -313,7 +312,7 @@ def _check_against_dense(disc, pair, u):
 
 
 def test_banded_solve_matches_dense_box2d():
-    p = load_problem(BOX2D)
+    p = load_experiment(BOX2D).problem
     grid = DomainGrid.build(p.domain, 1 / 16)
     disc = Discretization.from_problem(p, grid)
     # a per-node mix of all four pairs: both orientations of the cross-diffusion
@@ -393,6 +392,20 @@ def test_singular_policy_system_fails_loudly(game_problem):
 
 
 # --- extremal operator --------------------------------------------------------
+
+
+def evaluate_P(pucci, u):
+    """Max over the ray set of the constant-coefficient operators applied to u."""
+    grid = u.grid
+    m = int(grid.interior.sum())
+    rays = [
+        (np.broadcast_to(a, (m, grid.d, grid.d)), np.broadcast_to(bd, (m, grid.d)), np.full(m, c0), np.zeros(m))
+        for a, bd, c0 in pucci.rays
+    ]
+    disc = Discretization(grid, rays, n_beta=1)
+    out = ValueField.zeros(grid)
+    out.values[disc.idx] = disc.hamiltonians(u.values)[:, 0].max(axis=0)
+    return out
 
 
 def test_extremal_operator_1d_oracle():
@@ -505,7 +518,7 @@ def test_extend_problem_shapes_and_guards(analytic_problem):
     ext = extend_problem(analytic_problem, pucci, 3.0)
     assert ext.n_alpha == 1
     assert ext.n_alpha_ext == 1 + len(pucci.rays)
-    assert ext.f[1][0].constant_value == -3.0
+    assert ext.f[1][0] == const_scalar(-3.0)
     with pytest.raises(ValueError):
         extend_problem(ext, pucci, 3.0)
     for K in (-1.0, math.nan, math.inf):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sdglab.coefficients import const_matrix, const_scalar, const_vector
-from sdglab.config import load_problem
+from sdglab.config import load_experiment
 from sdglab.grids import DomainGrid, ValueField
 from sdglab.model import ActionSets, DomainSpec, GameProblem
 from sdglab.pde import IsaacsSolver
@@ -67,7 +67,7 @@ def test_alpha_selector_roundtrip(solved_game, game_problem):
 def test_feedback_policies_read_the_nearest_node(path):
     # the reference plays the nearest node's entry inside the domain and 0
     # outside it; on a box the policies' plain table read agrees
-    p = load_problem(path)
+    p = load_experiment(path).problem
     value = IsaacsSolver(h=1 / 16).fit(p).value_
     asel = build_alpha_selector(p, value, EPS)
     bsel = build_beta_selector(p, value, EPS)
@@ -92,7 +92,7 @@ def test_selectors_reject_a_grid_coarser_than_h_mono(game_problem):
 
 
 def test_selectors_reject_a_nan_value(solved_game, game_problem):
-    v = solved_game.value_.copy()
+    v = ValueField(solved_game.value_.grid, solved_game.value_.values.copy())
     node = np.flatnonzero(v.grid.interior)[40]
     v.values[node] = np.nan
     for build in (build_beta_selector, build_alpha_selector):
@@ -113,8 +113,7 @@ def test_selector_preconditions_reject_bad_inputs(solved_analytic, analytic_prob
     zero = ValueField.zeros(v.grid)
     with pytest.raises(ValueError, match="supersolution"):
         build_beta_selector(analytic_problem, zero, EPS)
-    doubled = v.copy()
-    doubled.values *= 2.0
+    doubled = ValueField(v.grid, 2.0 * v.values)
     with pytest.raises(ValueError, match="subsolution"):
         build_alpha_selector(analytic_problem, doubled, EPS)
     with pytest.raises(ValueError):

@@ -357,10 +357,10 @@ def test_drift_runs_stop_at_their_last_checkpoint(game_problem, solved_game, mon
 def test_start_of_wrong_dimension_rejected():
     from pathlib import Path
 
-    from sdglab.config import load_problem
+    from sdglab.config import load_experiment
     from sdglab.simulate import pathwise_comparison
 
-    p = load_problem(Path(__file__).resolve().parent.parent / "sdgbench" / "box2d.cfg")  # d = 2
+    p = load_experiment(Path(__file__).resolve().parent.parent / "sdgbench" / "box2d.cfg").problem  # d = 2
     spec = ControlAdaptedSpec.baseline(p)
     cfg = SimConfig(dt=1e-3, t_max=1.0, n_paths=50)
     for x0 in ([0.5], [0.5, 0.5, 0.5]):
@@ -466,7 +466,6 @@ def test_trajectory_batch_fields_and_csv(tmp_path, analytic_problem):
     b = simulate_to_exit(analytic_problem, spec, [0.5], ConstantPolicy(0), ConstantResponder(0), cfg)
     assert len(b) == 20
     assert np.array_equal(b.payoff, b.running_payoff + b.terminal_payoff)
-    assert np.array_equal(b.girsanov_weight, np.exp(-b.psi))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     b.to_csv(p1)
     b.to_csv(p2)
@@ -629,6 +628,11 @@ class PathState:
     psi: float = 0.0
 
 
+def _at(field, x):
+    """A coefficient field at the single point ``x``."""
+    return field(np.atleast_2d(np.asarray(x, dtype=float)))[0]
+
+
 def em_step(problem, spec, state: PathState, ia: int, ib: int, dW, dt: float) -> PathState:
     """One explicit Euler step for a single path; coefficients at the pre-step x.
 
@@ -642,9 +646,9 @@ def em_step(problem, spec, state: PathState, ia: int, ib: int, dW, dt: float) ->
     pi = spec.pi_table[ia, ib]
     q = spec.noise_table[ia, ib]
     dw = q @ dW
-    sig = problem.sigma[ia][ib].at(state.x)
-    bv = problem.b[ia][ib].at(state.x)
-    cv = problem.c[ia][ib].at(state.x)
+    sig = _at(problem.sigma[ia][ib], state.x)
+    bv = _at(problem.b[ia][ib], state.x)
+    cv = _at(problem.c[ia][ib], state.x)
     x_new = state.x + r * (sig @ dw) + r * r * (bv + sig @ pi) * dt
     phi_new = state.phi + r * r * cv * dt
     psi_new = state.psi + 0.5 * r * r * float(pi @ pi) * dt + r * float(pi @ dw)
@@ -675,7 +679,7 @@ def _assert_matches_em_step_replay(p, specs, batches, leader, beta, cfg, x0):
                 ib = int(beta.respond(np.array([ia]), k, t, snap[4][None])[0])
                 pairs_seen.add((ia, ib))
                 r = spec.r_table[ia, ib]
-                dpay = r * r * p.f[ia][ib].at(s.x) * math.exp(-s.phi - s.psi) * cfg.dt
+                dpay = r * r * _at(p.f[ia][ib], s.x) * math.exp(-s.phi - s.psi) * cfg.dt
                 new = em_step(p, spec, s, ia, ib, draws[k][i], cfg.dt)
                 d_old = p.domain.boundary_distance(s.x[None])[0]
                 d_new = p.domain.boundary_distance(new.x[None])[0]
@@ -690,7 +694,7 @@ def _assert_matches_em_step_replay(p, specs, batches, leader, beta, cfg, x0):
                     pay, tau, exited = pay + dpay * theta, s.t, True
                     break
                 s, pay = new, pay + dpay
-            terminal = p.g.at(s.x) * math.exp(-s.phi - s.psi) if exited else 0.0
+            terminal = _at(p.g, s.x) * math.exp(-s.phi - s.psi) if exited else 0.0
             assert batch.censored[i] == (not exited)
             for name, want in (("tau", tau), ("phi", s.phi), ("psi", s.psi),
                                ("running_payoff", pay), ("terminal_payoff", terminal)):
@@ -730,7 +734,7 @@ def test_ensemble_matches_em_step_replay_2d():
     # q a non-symmetric 2x2 matrix, so a kernel that applied q^T would differ
     from pathlib import Path
 
-    from sdglab.config import load_problem
+    from sdglab.config import load_experiment
     from sdglab.harness import VariantParams, build_variant_spec
     from sdglab.pde import IsaacsSolver
     from sdglab.policies import (
@@ -741,7 +745,7 @@ def test_ensemble_matches_em_step_replay_2d():
     )
     from sdglab.simulate import VARIANTS
 
-    p = load_problem(Path(__file__).resolve().parent.parent / "sdgbench" / "box2d.cfg")
+    p = load_experiment(Path(__file__).resolve().parent.parent / "sdgbench" / "box2d.cfg").problem
     value = IsaacsSolver(h=1 / 16).fit(p).value_
     leader = FeedbackAlphaPolicy(build_alpha_selector(p, value, 1e-6), lag_n=8)
     beta = FeedbackBetaPolicy(build_beta_selector(p, value, 1e-6), lag_n=4)
@@ -815,12 +819,12 @@ def test_players_answered_without_calls_match_called_players(game_problem, solve
 def test_players_answered_without_calls_match_called_players_2d():
     from pathlib import Path
 
-    from sdglab.config import load_problem
+    from sdglab.config import load_experiment
     from sdglab.harness import VariantParams, build_variant_spec
     from sdglab.pde import IsaacsSolver
     from sdglab.simulate import VARIANTS
 
-    p = load_problem(Path(__file__).resolve().parent.parent / "sdgbench" / "box2d.cfg")
+    p = load_experiment(Path(__file__).resolve().parent.parent / "sdgbench" / "box2d.cfg").problem
     value = IsaacsSolver(h=1 / 16).fit(p).value_
     specs = [build_variant_spec(p, v, VariantParams(rotation="0.7")) for v in VARIANTS]
     leader, beta = _feedback(p, value)
