@@ -11,6 +11,7 @@ within one spacing of it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +47,8 @@ class DomainGrid:
     _lookup: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)  # last nodes, strides
 
     def __post_init__(self):
+        for arr in (self.origin, self.spacing, self.coords, self.in_closure, self.interior, self.boundary):
+            arr.flags.writeable = False  # so that neither _lookup nor the stencil layout goes stale
         object.__setattr__(self, "_lookup", (np.subtract(self.lattice_shape, 1.0), np.asarray(self.strides)))
 
     @staticmethod
@@ -110,6 +113,32 @@ class DomainGrid:
         """The four diagonal neighbors (++, --, +-, -+) in the (i, j) plane."""
         si, sj = self.strides[ax_i], self.strides[ax_j]
         return idx + si + sj, idx - si - sj, idx + si - sj, idx - si + sj
+
+    @cached_property
+    def stencil(self) -> tuple:
+        """The monotone stencil on the interior nodes, laid out at the first assembly on this grid and
+        kept, read-only: ``(idx, cols, off, off_nodes, inner, kl, ku, band_flat)``.  Row k of ``cols`` is
+        node ``idx[k]``, its 2d axis neighbors, then the (++, --, +-, -+) neighbors of each coordinate
+        plane; a slot in ``off`` reaches a node of ``off_nodes`` off the closure, where a grid function is
+        NaN, and reads ``idx[k]`` instead.  ``inner`` marks interior columns; ``band_flat`` places them in
+        LAPACK band storage of half-bandwidths ``kl`` (below the diagonal) and ``ku``: 2 kl + ku + 1 rows,
+        entry (i, j) at row kl + ku + i - j of column j, flattened in Fortran order.
+        """
+        idx = self.interior_idx
+        axes = [n for i in range(self.d) for n in self.axis_neighbors(idx, i)]
+        planes = [n for i in range(self.d) for j in range(i + 1, self.d) for n in self.diagonal_neighbors(idx, i, j)]
+        cols = np.stack([idx, *axes, *planes], axis=1)
+        off = ~self.in_closure[cols]
+        off_nodes, cols = cols[off], np.where(off, idx[:, None], cols)
+        pos = np.full(self.n_nodes, -1)
+        pos[idx] = np.arange(len(idx))
+        inner = pos[cols]
+        i, j = np.nonzero(inner >= 0)[0], inner[inner >= 0]
+        kl, ku = int(np.max(i - j, initial=0)), int(np.max(j - i, initial=0))
+        layout = (idx, cols, off, off_nodes, inner >= 0, kl, ku, kl + ku + i - j + (2 * kl + ku + 1) * j)
+        for arr in layout[:5] + layout[7:]:
+            arr.flags.writeable = False
+        return layout
 
     def nearest_node(self, x: np.ndarray) -> np.ndarray:
         """Flat index of the nearest lattice node, clipped to the lattice."""

@@ -5,11 +5,12 @@ second differences on the diagonal, Kushner-style splitting of the mixed
 terms by the sign of a_ij, and first differences upwinded by the sign of
 b_i, which makes every off-center stencil weight nonnegative (positive
 type).  One ``Discretization`` per (problem, grid) holds the operators of
-all action pairs.  The sup-inf equation is solved by Howard's algorithm:
-freeze the per-node argmax/argmin pair, solve the resulting M-matrix
-system exactly by a banded LU (the interior nodes are numbered in
-lattice order, so every policy matrix is banded), repeat until the
-sup-inf residual is small.
+all action pairs, on the stencil layout that the grid keeps for every
+problem assembled on it; a constant coefficient is evaluated at one node.
+The sup-inf equation is solved by Howard's algorithm: freeze the per-node
+argmax/argmin pair, solve the resulting M-matrix system exactly by a
+banded LU (the interior nodes are numbered in lattice order, so every
+policy matrix is banded), repeat until the sup-inf residual is small.
 
 ``IsaacsSolver`` is the one solve path.  The curvature-penalized equation
 max(H[u], P[u] - K) = 0 is the same sup-inf equation over a larger leader
@@ -19,6 +20,7 @@ set: fit ``IsaacsSolver`` on ``extend_problem(problem, pucci, K)``.
 from __future__ import annotations
 
 import math
+import numbers
 import weakref
 from dataclasses import dataclass
 
@@ -47,10 +49,11 @@ class SolveConfig:
     residual_tol: float = 1e-8
 
     def __post_init__(self):
-        if not 0 < self.residual_tol < math.inf:
-            raise ValueError(f"residual_tol must be finite and positive, got {self.residual_tol}")
-        if self.max_policy_iters < 0:
-            raise ValueError(f"max_policy_iters must be at least 0, got {self.max_policy_iters}")
+        if isinstance(self.residual_tol, bool) or not 0 < self.residual_tol < math.inf:
+            raise ValueError(f"residual_tol must be finite and positive, got {self.residual_tol!r}")
+        n = self.max_policy_iters  # a bool is an int, and a float would fail later in range()
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+            raise ValueError(f"max_policy_iters must be an integer of at least 0, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -116,22 +119,21 @@ def _half_sst(s: np.ndarray) -> np.ndarray:
     return 0.5 * sum(s[:, :, None, j] * s[:, None, :, j] for j in range(s.shape[2]))
 
 
-def _stencil_weights(grid: DomainGrid, planes, a: np.ndarray, bvec: np.ndarray, cvec: np.ndarray) -> np.ndarray:
-    """Positive-type weights for per-node coefficients, in stencil-slot order.
+def _stencil_weights(h: np.ndarray, a: np.ndarray, bvec: np.ndarray, cvec: np.ndarray) -> np.ndarray:
+    """Positive-type weights of every pair, in stencil-slot order.
 
-    a: (m, d, d), bvec: (m, d), cvec: (m,).  Returns (m, s): the center,
-    then the (+, -) neighbors of each axis, then the (++, --, +-, -+)
-    neighbors of each coordinate plane.  Raises if any off-center weight
-    would be negative.
+    a: (P, n, d, d), bvec: (P, n, d), cvec: (P, n), for P pairs on n = m interior nodes or on one
+    node, broadcast against each other.  Returns (P, n, s): the center, then the (+, -) neighbors of
+    each axis, then the (++, --, +-, -+) neighbors of each coordinate plane.  Raises if an off-center
+    weight of a pair falls below -1e-12 (max |center| over that pair's nodes + 1).
     """
-    h = grid.spacing
-    d = grid.d
-    m = a.shape[0]
-    w = np.zeros((1 + 2 * d + 4 * len(planes), m))
+    d = len(h)
+    planes = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    w = np.zeros((1 + 2 * d + 4 * len(planes),) + np.broadcast_shapes(a.shape[:2], bvec.shape[:2], cvec.shape))
     center = w[0]
-    cross_drain = np.zeros((d, m))  # sum_j |a_ij|/(h_i h_j), removed from axis weights
+    cross_drain = np.zeros((d,) + center.shape)  # sum_j |a_ij|/(h_i h_j), removed from axis weights
     for k, (i, j) in enumerate(planes):
-        aij = a[:, i, j]
+        aij = a[..., i, j]
         wij = np.abs(aij) / (h[i] * h[j])
         pos = aij >= 0
         slot = 1 + 2 * d + 4 * k
@@ -141,21 +143,21 @@ def _stencil_weights(grid: DomainGrid, planes, a: np.ndarray, bvec: np.ndarray, 
         cross_drain[i] += wij
         cross_drain[j] += wij
     for i in range(d):
-        aii = a[:, i, i]
-        bp = np.maximum(bvec[:, i], 0.0)
-        bm = np.maximum(-bvec[:, i], 0.0)
+        aii = a[..., i, i]
+        bp = np.maximum(bvec[..., i], 0.0)
+        bm = np.maximum(-bvec[..., i], 0.0)
         w[1 + 2 * i] = aii / h[i] ** 2 + bp / h[i] - cross_drain[i]
         w[2 + 2 * i] = aii / h[i] ** 2 + bm / h[i] - cross_drain[i]
         center -= 2.0 * aii / h[i] ** 2 + (bp + bm) / h[i]
     center -= cvec
     axis = w[1 : 1 + 2 * d]
-    if (axis < -1e-12 * float(np.max(np.abs(center)) + 1.0)).any():
+    if (axis < -1e-12 * (np.max(np.abs(center), axis=1, initial=0.0) + 1.0)[:, None]).any():
         raise ValueError(
             "stencil loses positive type: mixed second-derivative terms "
             "dominate a diagonal entry; refine the coefficients or delta_hat"
         )
     np.maximum(axis, 0.0, out=axis)
-    return w.T
+    return np.moveaxis(w, 0, -1)
 
 
 # (id(problem), id(grid)) -> its Discretization, while some holder keeps that alive
@@ -167,61 +169,40 @@ class Discretization:
 
     ``from_problem`` shares one object per (problem, grid) while anything
     holds it, so ``cols``, ``weights`` and ``fvals`` are read-only.  All pairs
-    share one sparsity pattern: row k, for interior node ``idx[k]``, couples
-    the node with its 2d axis neighbors and the four diagonal neighbors in
-    each coordinate plane, whose flat lattice indices are ``cols[k]``.  Pair
-    p = ia * n_beta + ib keeps its weights in ``weights[p]`` (m, s) and its
-    running cost in ``fvals[p]`` (m,), so ``(weights[p], cols)`` is the
-    matrix of L^{ab} over the lattice, s entries per row.  Columns that are
-    not interior nodes carry the Dirichlet data: the boundary contribution.
-    The interior-to-interior block has half-bandwidths ``kl`` (below the
-    diagonal) and ``ku`` (above).
+    share the grid's ``stencil``, kept on the grid: row k, for interior node
+    ``idx[k]``, couples the node with its 2d axis neighbors and the four
+    diagonal neighbors in each coordinate plane, whose flat lattice indices
+    are ``cols[k]``.  Pair p = ia * n_beta + ib keeps its weights in
+    ``weights[p]`` (m, s) and its running cost in ``fvals[p]`` (m,), so
+    ``(weights[p], cols)`` is the matrix of L^{ab} over the lattice, s
+    entries per row; where every pair's a, b and c (f) were given on one
+    node, ``weights`` (``fvals``) is a broadcast view of it.  Columns that
+    are not interior nodes carry the Dirichlet data: the boundary
+    contribution.  The interior-to-interior block has half-bandwidths ``kl``
+    (below the diagonal) and ``ku`` (above).
     """
 
     def __init__(self, grid: DomainGrid, coefficients, n_beta: int, problem: GameProblem | None = None):
-        """``coefficients``: one (a, b, c, f) per pair, leader-major, on interior nodes."""
+        """``coefficients``: one (a, b, c, f) per pair, leader-major, each on the interior nodes or on one."""
         self.grid = grid
         self.problem = problem
-        self.idx = grid.interior_idx
         self.n_beta = n_beta
-        d = grid.d
-        planes = [(i, j) for i in range(d) for j in range(i + 1, d)]
-        nbrs = [self.idx]
-        for i in range(d):
-            nbrs.extend(grid.axis_neighbors(self.idx, i))
-        for i, j in planes:
-            nbrs.extend(grid.diagonal_neighbors(self.idx, i, j))
-        self.cols = np.stack(nbrs, axis=1)
-        self.weights = np.stack([_stencil_weights(grid, planes, a, b, c) for a, b, c, _ in coefficients])
-        self.fvals = np.stack([f for *_, f in coefficients])
-        # near a curved boundary a diagonal neighbor can lie off the closure,
-        # where a grid function holds NaN; with zero weight in every pair the
-        # column reads the node itself instead, a finite value that adds 0
-        off = ~grid.in_closure[self.cols]
-        if off.any():
-            reach = self.weights[:, off] != 0
-            if reach.any():
-                p, j = np.argwhere(reach)[0]
-                k, s = np.argwhere(off)[j]
-                raise ValueError(
-                    f"stencil of interior node {self.idx[k]} at {grid.coords[self.idx[k]].tolist()} reaches "
-                    f"lattice node {self.cols[k, s]} outside the closure with weight {self.weights[p, k, s]:.3g} "
-                    f"(pair {p}), where a grid function holds no value"
-                )
-            self.cols = np.where(off, self.idx[:, None], self.cols)
-        for arr in (self.cols, self.weights, self.fvals):
-            arr.flags.writeable = False
-        # the interior-to-interior block in LAPACK band storage: 2 kl + ku + 1
-        # rows, entry (i, j) at row kl + ku + i - j of column j, flattened in
-        # Fortran order
-        pos = np.full(grid.n_nodes, -1)
-        pos[self.idx] = np.arange(len(self.idx))
-        inner = pos[self.cols]
-        self._inner = inner >= 0
-        i, j = np.nonzero(self._inner)[0], inner[self._inner]
-        self.kl, self.ku = int(np.max(i - j, initial=0)), int(np.max(j - i, initial=0))
+        self.idx, self.cols, off, off_nodes, self._inner, self.kl, self.ku, self._band_flat = grid.stencil
         self._band_rows = 2 * self.kl + self.ku + 1
-        self._band_flat = self.kl + self.ku + i - j + self._band_rows * j
+        a, b, c, f = (np.stack(np.broadcast_arrays(*arrays)) for arrays in zip(*coefficients))
+        w = _stencil_weights(grid.spacing, a, b, c)
+        self.weights = np.broadcast_to(w, (len(w), len(self.idx), w.shape[2]))
+        self.fvals = np.broadcast_to(f, (len(f), len(self.idx)))
+        # an off-closure column reads the row's own node: it must carry zero weight in every pair
+        reach = self.weights[:, off] != 0
+        if reach.any():
+            p, j = np.argwhere(reach)[0]
+            k, s = np.argwhere(off)[j]
+            raise ValueError(
+                f"stencil of interior node {self.idx[k]} at {grid.coords[self.idx[k]].tolist()} reaches "
+                f"lattice node {off_nodes[j]} outside the closure with weight {self.weights[p, k, s]:.3g} "
+                f"(pair {p}), where a grid function holds no value"
+            )
 
     @classmethod
     def from_problem(cls, problem: GameProblem, grid: DomainGrid) -> "Discretization":
@@ -238,9 +219,12 @@ class Discretization:
         _check_spacing(problem, grid)
         pts = grid.coords[grid.interior]
 
+        def at(field):  # a constant field at one node, which stands for all of them
+            return field(pts[:1] if field.is_constant else pts)
+
         def pair(ia, ib):
-            a = _half_sst(problem.sigma[ia][ib](pts))
-            return a, problem.b[ia][ib](pts), problem.c[ia][ib](pts), problem.f[ia][ib](pts)
+            a = _half_sst(at(problem.sigma[ia][ib]))
+            return a, at(problem.b[ia][ib]), at(problem.c[ia][ib]), at(problem.f[ia][ib])
 
         pairs = [pair(ia, ib) for ia in range(problem.n_alpha_ext) for ib in range(problem.n_beta)]
         disc = _ASSEMBLED[key] = cls(grid, pairs, problem.n_beta, problem)

@@ -53,6 +53,14 @@ def test_axis_and_diagonal_neighbors_consistent():
     assert np.allclose(g.coords[mm] - g.coords[idx], -g.spacing)
 
 
+def test_grid_arrays_are_read_only():
+    # nearest_node's lookup and the stencil layout are kept on the grid, so its arrays cannot change
+    g = DomainGrid.build(DomainSpec("ball", 2, center=(0.0, 0.0), radius=1.0), 1 / 4)
+    for name in ("origin", "spacing", "coords", "in_closure", "interior", "boundary"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(g, name)[0] = 0
+
+
 def test_nearest_node_clips_outside_points():
     dom = DomainSpec("box", 1, (0.0,), (1.0,))
     g = DomainGrid.build(dom, 1 / 4)

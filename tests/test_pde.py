@@ -14,6 +14,7 @@ from sdglab.model import ActionSets, DomainSpec, GameProblem
 from sdglab.pde import (
     Discretization,
     _half_sst,
+    _penalty_sweep,
     _policy_iteration,
     IsaacsSolver,
     PucciParams,
@@ -278,10 +279,13 @@ def test_non_finite_residual_fails_at_once(game_problem):
 
 
 def test_solve_config_validation():
+    # a fractional bound would fail later in range(), a bool bound run one iteration, a bool tolerance read 1.0
     for bad in (dict(residual_tol=math.nan), dict(residual_tol=math.inf), dict(residual_tol=0.0),
-                dict(max_policy_iters=-1)):
+                dict(max_policy_iters=-1), dict(max_policy_iters=2.5), dict(max_policy_iters=80.0),
+                dict(max_policy_iters=True), dict(residual_tol=True)):
         with pytest.raises(ValueError, match=next(iter(bad))):
             SolveConfig(**bad)
+    assert SolveConfig(max_policy_iters=np.int64(3), residual_tol=1).max_policy_iters == 3
 
 
 def test_residual_below_round_off_floor_fails_loudly(game_problem):
@@ -355,6 +359,77 @@ def test_ball_stencil_reaching_past_the_closure_fails_loudly():
     # a constant cross-diffusion weights diagonal neighbors that lie outside the disc
     with pytest.raises(ValueError, match=r"interior node \d+ at \[.*\] reaches lattice node \d+ outside the closure"):
         _disc_on_ball(1 / 16, 0.2)
+
+
+def _per_node(problem, grid):
+    """A Discretization of ``problem`` on ``grid`` from every field evaluated at every interior node."""
+    pts = grid.coords[grid.interior]
+    pairs = [
+        (_half_sst(problem.sigma[ia][ib](pts)), problem.b[ia][ib](pts), problem.c[ia][ib](pts), problem.f[ia][ib](pts))
+        for ia in range(problem.n_alpha_ext)
+        for ib in range(problem.n_beta)
+    ]
+    return Discretization(grid, pairs, problem.n_beta, problem)
+
+
+@pytest.mark.parametrize("case", ["game2x2", "box2d", "holder_K4"])
+def test_assembly_from_one_node_matches_per_node_bit_for_bit(case, game_problem, holder_problem):
+    problem, h = {
+        "game2x2": (game_problem, 1 / 64),
+        "box2d": (load_experiment(BOX2D).problem, 1 / 16),
+        "holder_K4": (extend_problem(holder_problem, PucciParams.build(1, delta_hat=0.5), 4.0), 1 / 64),
+    }[case]
+    grid = DomainGrid.build(problem.domain, h)
+    disc, ref = Discretization.from_problem(problem, grid), _per_node(problem, grid)
+    for name in ("weights", "fvals", "cols", "_band_flat"):
+        a, b = getattr(disc, name), getattr(ref, name)
+        assert a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes(), name
+    assert (disc.kl, disc.ku) == (ref.kl, ref.ku)
+    rng = np.random.default_rng(5)
+    u = ValueField.from_function(grid, problem.g).values
+    u[disc.idx] += rng.normal(0.0, 0.1, len(disc.idx))
+    assert disc.hamiltonians(u).tobytes() == ref.hamiltonians(u).tobytes()
+    pair = rng.integers(0, len(disc.weights), len(disc.idx))
+    u1, u2 = u.copy(), u.copy()
+    disc.solve_policy(pair, u1)
+    ref.solve_policy(pair, u2)
+    assert u1.tobytes() == u2.tobytes()
+
+
+def test_positive_type_threshold_is_per_pair():
+    # pair 0's center is about -3.2e5 and pair 1's about 2e-10; pair 1's axis weights of -1e-10 are far
+    # below its own floor of -1e-12 (|center| + 1), though above a floor of -3.2e-7 shared with pair 0
+    grid = DomainGrid.build(DomainSpec("box", 1, (0.0,), (1.0,)), 1 / 4)
+    m, h = int(grid.interior.sum()), grid.spacing[0]
+
+    def pair(a):
+        return np.full((m, 1, 1), a), np.zeros((m, 1)), np.zeros(m), np.zeros(m)
+
+    Discretization(grid, [pair(1e4)], n_beta=1)
+    with pytest.raises(ValueError, match="positive type"):
+        Discretization(grid, [pair(1e4), pair(-1e-10 * h**2)], n_beta=2)
+
+
+def test_one_stencil_layout_per_grid(holder_problem, monkeypatch):
+    assembled = _spy_assemblies(monkeypatch)
+    laid_out, layout = [], DomainGrid.stencil.func
+
+    def spy(grid):
+        laid_out.append(grid)
+        return layout(grid)
+
+    monkeypatch.setattr(DomainGrid.stencil, "func", spy)
+    pucci = PucciParams.build(1, delta_hat=0.5)
+    cfg = SolveConfig()
+    _, plain, penalized = _penalty_sweep(holder_problem, pucci, holder_problem.g, (1, 2, 4, 8), cfg, 1 / 64)
+    discs = [s.discretization_ for s in (plain, *penalized)]
+    assert len(assembled) == 5 and len(laid_out) == 1
+    assert all(d.cols is discs[0].cols for d in discs)
+    # a grid built anew lays its stencil out again, equal to the first
+    grid = DomainGrid.build(holder_problem.domain, 1 / 64)
+    assert np.array_equal(grid.spacing, plain.grid_.spacing)
+    disc = Discretization.from_problem(holder_problem, grid)
+    assert len(laid_out) == 2 and disc.cols is not discs[0].cols and np.array_equal(disc.cols, discs[0].cols)
 
 
 def test_isotropic_disc_converges():
