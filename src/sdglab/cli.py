@@ -95,7 +95,7 @@ def _stage_simulate(cfg, args, out_dir: Path) -> tuple[str, bool]:
     alpha, beta = ConstantPolicy(0), ConstantResponder(0)
     lines = []
     for ip, pt in enumerate(cfg.points):
-        batch = simulate_to_exit(problem, spec, pt, alpha, beta, cfg.sim_config)
+        batch = simulate_to_exit(problem, spec, pt, alpha, beta, cfg.sim)
         pay = batch.payoff
         se = float(pay.std(ddof=1) / math.sqrt(len(pay)))
         lines.append(
@@ -129,7 +129,7 @@ def _stage_martingale(cfg, args, out_dir: Path) -> tuple[str, bool]:
     spec = build_variant_spec(problem, "girsanov", cfg.variant_params)
     alpha, beta = ConstantPolicy(0), ConstantResponder(0)
     report = girsanov_martingale_check(
-        problem, spec, cfg.points[0], alpha, beta, cfg.sim_config
+        problem, spec, cfg.points[0], alpha, beta, cfg.sim
     )
     ok = abs(report.weight_mean - 1.0) <= 3.0 * report.weight_se + report.censored_weight_mass
     return report.summary() + f"\nresult: {'PASS' if ok else 'FAIL'}", ok
@@ -140,7 +140,7 @@ def _stage_increments(cfg, args, out_dir: Path) -> tuple[str, bool]:
     spec = ControlAdaptedSpec.baseline(problem)
     alpha, beta = ConstantPolicy(0), ConstantResponder(0)
     report = increment_bound_study(
-        problem, spec, cfg.points[0], alpha, beta, cfg.sim_config, args.lags
+        problem, spec, cfg.points[0], alpha, beta, cfg.sim, args.lags
     )
     report.to_csv(out_dir / "increments.csv")
     scaled = report.scaled

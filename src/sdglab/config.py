@@ -74,8 +74,6 @@ _KEYS = {
     },
     "pucci": {  # PucciParams.build
         "delta_hat": float,
-        "gradient_bound": float,
-        "zero_order": float,
         "rotations": (int, "n_rotations"),
     },
     "solve": {"max_policy_iters": int, "residual_tol": float},  # SolveConfig

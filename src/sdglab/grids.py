@@ -171,7 +171,9 @@ class ValueField:
         return ValueField(grid, v)
 
     def interpolate(self, x: np.ndarray) -> np.ndarray:
-        """Multilinear interpolation; nearest-node fallback at masked cells."""
+        """Multilinear interpolation on the clipped lattice cell; a cell with a masked corner
+        reads its heaviest unmasked corner, and one with every corner masked reads NaN.
+        """
         g = self.grid
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != g.d:
@@ -181,7 +183,7 @@ class ValueField:
         frac = np.clip(t - base, 0.0, 1.0)
         out = np.zeros(x.shape[0])
         bad = np.zeros(x.shape[0], dtype=bool)
-        best_w = np.full(x.shape[0], -1.0)  # heaviest unmasked corner, for fallback
+        best_w = np.full(x.shape[0], -1.0)  # heaviest unmasked corner
         best_val = np.full(x.shape[0], np.nan)
         for corner in range(1 << g.d):
             w = np.ones(x.shape[0])
@@ -197,11 +199,7 @@ class ValueField:
             best_w[improve] = w[improve]
             best_val[improve] = vals[improve]
             out += np.where(ok, vals, 0.0) * w
-        if bad.any():
-            out[bad] = best_val[bad]
-            still = bad & np.isnan(out)
-            if still.any():
-                out[still] = self.values[g.nearest_node(x[still])]
+        out[bad] = best_val[bad]
         return out
 
     def sup_diff(self, other: "ValueField") -> float:

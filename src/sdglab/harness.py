@@ -82,8 +82,11 @@ def build_variant_spec(
     if name in ("girsanov", "combined"):
         pi[:, :, 0] = params.pi_scale * sign
     if name in ("rotated_noise", "combined"):
-        if params.rotation == "flip" or d1 == 1:
+        if params.rotation == "flip":
             q *= np.where(parity == 0.0, 1.0, -1.0)[:, :, None, None]
+        elif d1 == 1:
+            raise ValueError(f"rotation angle {params.rotation} needs noise of dimension at least 2; "
+                             "1-D noise takes 'flip' only")
         else:
             angle = float(params.rotation)
             for ia in range(na):
@@ -184,12 +187,13 @@ class ExperimentConfig:
     z_threshold: float = 3.0
     budget_h2: float = 4.0
     budget_sqrt_dt: float = 0.65
-    # the Monte Carlo settings, seeded with the experiment's ``seed``; built
-    # once, so SimConfig's own checks reject a bad seed when the config is made
-    sim_config: SimConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "sim_config", replace(self.sim, seed=self.seed))
+        # the Monte Carlo settings take the experiment's seed, so SimConfig's
+        # own checks reject a bad seed when the config is made
+        object.__setattr__(self, "sim", replace(self.sim, seed=self.seed))
+        # raises for a rotation angle on 1-D noise, whatever variants the run lists
+        build_variant_spec(self.problem, "rotated_noise", self.variant_params)
         if not 0 < self.h < math.inf:
             raise ValueError(f"grid spacing h must be finite and positive, got {self.h}")
         unknown = [v for v in self.variants if v not in VARIANTS]
@@ -312,7 +316,7 @@ def run_invariance_suite(config: ExperimentConfig) -> InvarianceReport:
         beta_policy, candidates = _feedback_players(config, solver)
     except Exception as exc:
         raise RuntimeError(f"pde stage failed: {exc}") from exc
-    cfg = config.sim_config
+    cfg = config.sim
     pde_values = [float(solver.predict(np.asarray(p)[None, :])[0]) for p in config.points]
     specs = {var: build_variant_spec(problem, var, config.variant_params) for var in config.variants}
     keys = [(ip, var) for ip in range(len(config.points)) for var in config.variants]
@@ -399,7 +403,7 @@ def run_vk_convergence(config: ExperimentConfig) -> VkConvergenceReport:
     )
 
     pt = np.asarray(config.points[0], dtype=float)
-    cfg = config.sim_config
+    cfg = config.sim
     beta_policy, candidates = _feedback_players(config, plain)
     est = estimate_value(problem, ControlAdaptedSpec.baseline(problem), pt, beta_policy, candidates, cfg)
     cross = {}

@@ -60,50 +60,37 @@ class SolveConfig:
 class PucciParams:
     """Finite-ray realization of the extremal curvature operator.
 
-    Each ray is a constant-coefficient linear operator (a, b, c); the
-    operator value is the max over rays, which is positive-homogeneous of
-    degree one by construction.
+    Each ray is a constant d x d matrix a with eigenvalues in {delta_hat,
+    1/delta_hat}; the operator value is the max over rays of tr(a D^2 u),
+    which is positive-homogeneous of degree one by construction.
     """
 
     delta_hat: float
-    rays: tuple[tuple[np.ndarray, np.ndarray, float], ...]
+    rays: tuple[np.ndarray, ...]
 
     @staticmethod
-    def build(
-        d: int,
-        delta_hat: float = 0.5,
-        gradient_bound: float = 0.0,
-        zero_order: float = 0.0,
-        n_rotations: int = 16,
-    ) -> "PucciParams":
+    def build(d: int, delta_hat: float = 0.5, n_rotations: int = 16) -> "PucciParams":
+        """Each distinct extremal matrix once, lo = delta_hat and hi = 1/delta_hat: [[lo]] and
+        [[hi]] in 1-D; in 2-D lo I, hi I and diag(lo, hi) rotated by pi j / m for j < m, with
+        m = n_rotations if even, else 2 n_rotations, as diag(hi, lo) at angle t is diag(lo, hi)
+        at t + pi/2: the distinct diag(l1, l2) at the angles pi k / n_rotations.
+        """
         if not (0 < delta_hat < 1):
             raise ValueError("delta_hat must lie in (0, 1)")
-        if zero_order < 0:
-            raise ValueError("zero-order coefficient must be nonnegative")
+        if isinstance(n_rotations, bool) or not isinstance(n_rotations, numbers.Integral) or n_rotations < 1:
+            raise ValueError(f"n_rotations must be an integer of at least 1, got {n_rotations!r}")
         lo, hi = delta_hat, 1.0 / delta_hat
-        mats: list[np.ndarray] = []
         if d == 1:
-            mats = [np.array([[lo]]), np.array([[hi]])]
-        elif d == 2:
-            for k in range(n_rotations):
-                th = math.pi * k / n_rotations
-                q = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-                for l1 in (lo, hi):
-                    for l2 in (lo, hi):
-                        mats.append(q @ np.diag([l1, l2]) @ q.T)
-        else:
+            return PucciParams(delta_hat, (np.array([[lo]]), np.array([[hi]])))
+        if d != 2:
             raise ValueError("curvature-penalty rays are provided for d <= 2 only")
-        dirs: list[np.ndarray] = [np.zeros(d)]
-        if gradient_bound > 0:
-            if d == 1:
-                dirs = [np.array([gradient_bound]), np.array([-gradient_bound])]
-            else:
-                dirs = []
-                for k in range(2 * max(n_rotations // 2, 2)):
-                    th = 2 * math.pi * k / (2 * max(n_rotations // 2, 2))
-                    dirs.append(gradient_bound * np.array([math.cos(th), math.sin(th)]))
-        rays = tuple((a.copy(), bd.copy(), float(zero_order)) for a in mats for bd in dirs)
-        return PucciParams(delta_hat, rays)
+        m = n_rotations if n_rotations % 2 == 0 else 2 * n_rotations
+        rays = [lo * np.eye(2), hi * np.eye(2)]
+        for j in range(m):
+            c, s = math.cos(math.pi * j / m), math.sin(math.pi * j / m)
+            q = np.array([[c, -s], [s, c]])
+            rays.append(q @ np.diag([lo, hi]) @ q.T)
+        return PucciParams(delta_hat, tuple(rays))
 
 
 def h_mono(problem: GameProblem) -> float:
@@ -401,7 +388,7 @@ class IsaacsSolver:
 def extend_problem(problem: GameProblem, pucci: PucciParams, K: float) -> GameProblem:
     """Append one penalty action per ray; their coefficients ignore beta and x.
 
-    Each penalty action carries its ray's constant coefficients and the
+    The penalty action of ray a has sigma = sqrt(2 a), b = 0, c = 0 and the
     running cost -K, so the sup-inf solution of the extended problem
     solves max(H[u], P[u] - K) = 0.
     """
@@ -416,11 +403,11 @@ def extend_problem(problem: GameProblem, pucci: PucciParams, K: float) -> GamePr
     bb = list(problem.b)
     cc = list(problem.c)
     ff = list(problem.f)
-    for a, bd, c0 in pucci.rays:
+    for a in pucci.rays:
         s = _matrix_sqrt(2.0 * a, problem.d1)
         sigma.append(tuple(const_matrix(s) for _ in range(nb)))
-        bb.append(tuple(const_vector(bd) for _ in range(nb)))
-        cc.append(tuple(const_scalar(c0) for _ in range(nb)))
+        bb.append(tuple(const_vector(np.zeros(problem.d)) for _ in range(nb)))
+        cc.append(tuple(const_scalar(0.0) for _ in range(nb)))
         ff.append(tuple(const_scalar(-K) for _ in range(nb)))
     return GameProblem(
         actions=actions,

@@ -776,10 +776,16 @@ def pathwise_comparison(
     Requires pi == 0.  ``projection`` maps every extended alpha index to a
     regular one (identity on the regular actions).  Both paths take the
     ensemble's step on the seed's Gaussian stream, under their own action
-    pairs; neither is stopped at an interpolated exit.
+    pairs; neither is stopped at an interpolated exit.  Both players read
+    the current state, so a lagged player (``lag_n > 0``) is rejected.
     """
     if np.any(spec.pi_table != 0.0):
         raise ValueError("pathwise comparison requires pi identically zero")
+    if not 0 < T < math.inf:
+        raise ValueError(f"horizon T must be finite and positive, got {T!r}")
+    for p, side in ((mixed_alpha_policy, "leader"), (beta_policy, "responder")):
+        if getattr(p, "lag_n", 0):
+            raise ValueError(f"pathwise comparison reads the current state; its {side} has lag_n = {p.lag_n}")
     x0 = _start_point(problem, x0)
     n, nb, dt = cfg.n_paths, problem.n_beta, cfg.dt
     n_steps, block = _stream(T, cfg, problem.d1)

@@ -227,6 +227,11 @@ def test_cli_usage_errors(tmp_path, capsys):
         bad = _write(tmp_path, game.replace("points = 0.25; 0.5; 0.75", f"points = {points}"))
         for stage in ("solve", "martingale"):
             assert main([stage, "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    # and a rotation angle on 1-D noise, which would run as 'flip'
+    bad = _write(tmp_path, game.replace("rotation = flip", "rotation = 0.7"))
+    capsys.readouterr()
+    assert main(["validate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
     # and a lag below 1, a repeated lag, an empty lag list and a seed flag
     # out of range
     for lags in ("0", ",", "-2,4", "4,4"):

@@ -87,6 +87,16 @@ def test_interpolation_near_ball_boundary_falls_back():
     assert out[0] == pytest.approx(1.0)
 
 
+def test_interpolation_reads_nan_where_every_corner_is_masked():
+    g = DomainGrid.build(DomainSpec("ball", 2, center=(0.0, 0.0), radius=1.0), 0.25)
+    v = ValueField.from_function(g, lambda x: 1.0 + x[:, 0])
+    out = v.interpolate(np.array([[0.95, 0.95], [0.5, 0.5], [0.9, 0.2]]))
+    # the cell [0.75, 1]^2 lies outside the closure; the other two cells touch it
+    assert np.isnan(out[0])
+    assert np.isfinite(out[1:]).all()
+    assert out[1] == pytest.approx(1.5)
+
+
 def test_sup_diff_and_copy():
     dom = DomainSpec("box", 1, (0.0,), (1.0,))
     g = DomainGrid.build(dom, 1 / 8)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -66,6 +67,24 @@ def test_variant_noise_orthogonal_2d():
     # the rotation is checked when the params are built, not when a d1 >= 2 spec needs it
     with pytest.raises(ValueError, match="flop"):
         VariantParams(rotation="flop")
+
+
+def test_rotation_angle_on_1d_noise_rejected(game_problem):
+    # 1-D noise has one rotation, the sign flip; an angle would run as 'flip'
+    params = VariantParams(rotation="0.7")
+    for name in ("rotated_noise", "combined"):
+        with pytest.raises(ValueError, match="rotation angle 0.7"):
+            build_variant_spec(game_problem, name, params)
+    with pytest.raises(ValueError, match="rotation angle 0.7"):
+        ExperimentConfig(problem=game_problem, points=((0.5,),), variant_params=params)
+
+
+def test_experiment_seed_reaches_the_sim_config(analytic_problem):
+    cfg = ExperimentConfig(problem=analytic_problem, points=((0.5,),), sim=SimConfig(dt=4e-4, seed=3), seed=9)
+    assert cfg.sim == SimConfig(dt=4e-4, seed=9)
+    assert replace(cfg, seed=5).sim.seed == 5
+    with pytest.raises(ValueError):
+        ExperimentConfig(problem=analytic_problem, points=((0.5,),), seed=-1)
 
 
 def test_estimate_value_singleton_equals_plain_mean(analytic_problem):

@@ -473,10 +473,8 @@ def evaluate_P(pucci, u):
     """Max over the ray set of the constant-coefficient operators applied to u."""
     grid = u.grid
     m = int(grid.interior.sum())
-    rays = [
-        (np.broadcast_to(a, (m, grid.d, grid.d)), np.broadcast_to(bd, (m, grid.d)), np.full(m, c0), np.zeros(m))
-        for a, bd, c0 in pucci.rays
-    ]
+    zero = np.zeros(m)
+    rays = [(np.broadcast_to(a, (m, grid.d, grid.d)), np.zeros((m, grid.d)), zero, zero) for a in pucci.rays]
     disc = Discretization(grid, rays, n_beta=1)
     out = ValueField.zeros(grid)
     out.values[disc.idx] = disc.hamiltonians(u.values)[:, 0].max(axis=0)
@@ -511,8 +509,44 @@ def test_pucci_build_validation():
         PucciParams.build(1, delta_hat=1.5)
     with pytest.raises(ValueError):
         PucciParams.build(3, delta_hat=0.5)
-    with pytest.raises(ValueError):
-        PucciParams.build(1, delta_hat=0.5, zero_order=-1.0)
+    for n in (0, -2, 2.5, True):
+        with pytest.raises(ValueError, match="n_rotations"):
+            PucciParams.build(2, delta_hat=0.5, n_rotations=n)
+
+
+@pytest.mark.parametrize("n, count", [(1, 4), (3, 8), (8, 10), (16, 18)])
+def test_pucci_rays_are_the_distinct_extremal_matrices(n, count):
+    lo, hi = 0.5, 2.0
+    rays = PucciParams.build(2, 0.5, n).rays
+    assert len(rays) == count
+    for a in rays:
+        assert a.shape == (2, 2) and np.array_equal(a, a.T)
+        eig = np.linalg.eigvalsh(a)
+        assert all(min(abs(v - lo), abs(v - hi)) <= 1e-12 for v in eig)
+    assert all(np.abs(a - b).max() > 1e-9 for i, a in enumerate(rays) for b in rays[:i])
+    # oracle: every q(pi k / n) diag(l1, l2) q(pi k / n)^T, with repeats
+    old = []
+    for k in range(n):
+        c, s = math.cos(math.pi * k / n), math.sin(math.pi * k / n)
+        q = np.array([[c, -s], [s, c]])
+        old += [q @ np.diag([l1, l2]) @ q.T for l1 in (lo, hi) for l2 in (lo, hi)]
+    assert all(any(np.abs(a - b).max() <= 1e-12 for b in rays) for a in old)
+    assert all(any(np.abs(a - b).max() <= 1e-12 for b in old) for a in rays)
+
+
+def test_pucci_rays_1d_and_penalty_coefficients():
+    pucci = PucciParams.build(1, delta_hat=0.25)
+    assert [a.tolist() for a in pucci.rays] == [[[0.25]], [[4.0]]]
+    p = load_experiment(BOX2D).problem
+    ext = extend_problem(p, PucciParams.build(2, 0.5, 3), 4.0)
+    x = np.array([[0.3, 0.6]])
+    for a, ia in zip(PucciParams.build(2, 0.5, 3).rays, range(p.n_alpha, ext.n_alpha_ext)):
+        for ib in range(p.n_beta):
+            s = ext.sigma[ia][ib](x)[0]
+            assert np.allclose(s @ s.T, 2.0 * a, atol=1e-12)
+            assert np.array_equal(ext.b[ia][ib](x), np.zeros((1, 2)))
+            assert np.array_equal(ext.c[ia][ib](x), [0.0])
+            assert np.array_equal(ext.f[ia][ib](x), [-4.0])
 
 
 # --- scheme refinement on a non-quadratic solution ----------------------------

@@ -594,6 +594,27 @@ def test_pathwise_comparison_matches_em_step_under_rotated_noise(analytic_proble
         pathwise_comparison(p, spec, [1.5], leader, ConstantResponder(0), cfg, T, projection)
 
 
+def test_pathwise_comparison_rejects_bad_horizons_and_lagged_players(game_problem):
+    from sdglab.pde import IsaacsSolver
+    from sdglab.policies import FeedbackAlphaPolicy, FeedbackBetaPolicy, build_alpha_selector, build_beta_selector
+    from sdglab.simulate import pathwise_comparison
+
+    spec = ControlAdaptedSpec.baseline(game_problem)
+    cfg = SimConfig(dt=1e-3, t_max=1.0, n_paths=10)
+    projection = np.arange(game_problem.n_alpha_ext)
+    for T in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="horizon T"):
+            pathwise_comparison(game_problem, spec, [0.5], ConstantPolicy(0), ConstantResponder(0), cfg, T,
+                                projection)
+    value = IsaacsSolver(h=1 / 16).fit(game_problem).value_
+    leader = FeedbackAlphaPolicy(build_alpha_selector(game_problem, value, 1e-7), lag_n=2)
+    with pytest.raises(ValueError, match="leader has lag_n = 2"):
+        pathwise_comparison(game_problem, spec, [0.5], leader, ConstantResponder(0), cfg, 1.0, projection)
+    responder = FeedbackBetaPolicy(build_beta_selector(game_problem, value, 1e-7), lag_n=4)
+    with pytest.raises(ValueError, match="responder has lag_n = 4"):
+        pathwise_comparison(game_problem, spec, [0.5], ConstantPolicy(0), responder, cfg, 1.0, projection)
+
+
 def _state_dependent_game():
     """2x2 game on (0, 1) whose sigma and b vary in x (sin family), f affine."""
     from sdglab.coefficients import MatrixField, VectorField, const_scalar, parse_scalar
