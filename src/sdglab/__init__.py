@@ -18,6 +18,7 @@ from .coefficients import (
 from .config import ConfigError, load_experiment
 from .grids import DomainGrid, ValueField
 from .harness import (
+    VARIANTS,
     ExperimentConfig,
     InvarianceReport,
     ValueEstimate,
@@ -58,7 +59,6 @@ from .policies import (
     supermartingale_test,
 )
 from .simulate import (
-    VARIANTS,
     ControlAdaptedSpec,
     MartingaleReport,
     SimConfig,

@@ -18,12 +18,11 @@ import numpy as np
 
 from .config import ConfigError, load_experiment
 from .grids import DomainGrid
-from .harness import build_variant_spec, run_invariance_suite, run_vk_convergence
+from .harness import VARIANTS, build_variant_spec, run_invariance_suite, run_vk_convergence
 from .model import validate_problem
 from .pde import IsaacsSolver, extend_problem
 from .policies import ConstantPolicy, ConstantResponder
 from .simulate import (
-    VARIANTS,
     ControlAdaptedSpec,
     girsanov_martingale_check,
     increment_bound_study,
@@ -86,7 +85,8 @@ def _stage_solve(cfg, args, out_dir: Path) -> tuple[str, bool]:
     for pt in cfg.points:
         val = float(solver.predict(np.asarray(pt)[None, :])[0])
         lines.append("value(" + ",".join(f"{v:g}" for v in pt) + f") = {val:.10f}")
-    return "\n".join(lines), solver.residual_ <= cfg.solve.residual_tol
+    # fit raises unless the residual reaches residual_tol, so a returned fit passes
+    return "\n".join(lines), True
 
 
 def _stage_simulate(cfg, args, out_dir: Path) -> tuple[str, bool]:
@@ -118,10 +118,7 @@ def _stage_invariance(cfg, args, out_dir: Path) -> tuple[str, bool]:
 def _stage_converge(cfg, args, out_dir: Path) -> tuple[str, bool]:
     report = run_vk_convergence(cfg)
     report.rate.to_csv(out_dir / "vk_gaps.csv")
-    errs = report.rate.sup_errors
-    slack = 10.0 * cfg.solve.residual_tol
-    nonincreasing = all(errs[i + 1] <= errs[i] + slack for i in range(len(errs) - 1))
-    return report.summary(), nonincreasing and report.monotone and report.mc_pass
+    return report.summary(), report.passed
 
 
 def _stage_martingale(cfg, args, out_dir: Path) -> tuple[str, bool]:

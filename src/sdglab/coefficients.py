@@ -136,6 +136,8 @@ def parse_scalar(text: str):
     params = tuple(float(p) for p in rest.split(",") if p.strip())
     if kind not in ("const", "affine", "sin", "holder"):
         raise ValueError(f"unknown coefficient family {kind!r}")
+    if kind == "affine" and not params:
+        raise ValueError("affine takes c0[,c1,...]")
     if kind == "const" and len(params) != 1:
         raise ValueError("const takes exactly one parameter")
     if kind == "sin" and len(params) != 3:

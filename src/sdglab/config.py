@@ -206,7 +206,6 @@ def _problem_from_parser(parser) -> GameProblem:
         return GameProblem(
             actions=actions,
             domain=domain,
-            d=domain.dimension,
             d1=domain.dimension if d1 is None else d1,
             **coefficients,
             **constants,

@@ -179,7 +179,8 @@ class ValueField:
         if x.shape[1] != g.d:
             raise ValueError(f"points have {x.shape[1]} coordinates, not the grid's {g.d}")
         t = (x - g.origin) / g.spacing
-        base = np.clip(np.floor(t).astype(int), 0, np.subtract(g.lattice_shape, 2))
+        # clipped in float before the cast, as a far or NaN coordinate has no int
+        base = np.fmin(np.fmax(np.floor(t), 0.0), np.subtract(g.lattice_shape, 2)).astype(int)
         frac = np.clip(t - base, 0.0, 1.0)
         out = np.zeros(x.shape[0])
         bad = np.zeros(x.shape[0], dtype=bool)

@@ -25,9 +25,10 @@ from .policies import (
     build_alpha_selector,
     build_beta_selector,
 )
-from .simulate import VARIANTS, ControlAdaptedSpec, SimConfig, simulate_lanes
+from .simulate import ControlAdaptedSpec, SimConfig, simulate_lanes
 
 __all__ = [
+    "VARIANTS",
     "ValueEstimate",
     "InvarianceReport",
     "VkConvergenceReport",
@@ -38,6 +39,8 @@ __all__ = [
     "run_invariance_suite",
     "run_vk_convergence",
 ]
+
+VARIANTS = ("baseline", "time_change", "girsanov", "rotated_noise", "combined")
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,9 @@ class VariantParams:
 def build_variant_spec(
     problem: GameProblem, name: str, params: VariantParams = VariantParams()
 ) -> ControlAdaptedSpec:
-    """Per-action-pair (r, pi, noise) tables for a named variant."""
+    """Per-action-pair (r, pi, noise) tables for a named variant of ``VARIANTS``."""
+    if name not in VARIANTS:
+        raise ValueError(f"unknown variant {name!r}; known variants are {', '.join(VARIANTS)}")
     # the baseline's tables are its own fresh arrays, changed here in place
     base = ControlAdaptedSpec.baseline(problem)
     r, pi, q = base.r_table, base.pi_table, base.noise_table
@@ -97,18 +102,15 @@ def build_variant_spec(
                     rot[0, 1] = -math.sin(th)
                     rot[1, 0] = math.sin(th)
                     q[ia, ib] = rot
-    return replace(base, variant=name, r_table=r, pi_table=pi, noise_table=q)
+    return ControlAdaptedSpec(r, pi, q)
 
 
 @dataclass
 class ValueEstimate:
-    x0: tuple
     estimate: float
     se: float
     n_paths: int
     censored_fraction: float
-    variant: str
-    candidate_size: int
     best_candidate: str
     candidate_means: dict = field(default_factory=dict)
 
@@ -147,7 +149,7 @@ def _estimate_values(problem, jobs, beta_policy, candidates, cfg) -> list[ValueE
     lanes = [(spec, x0, policy) for spec, x0 in jobs for policy, _ in named]
     batches = iter(simulate_lanes(problem, lanes, beta_policy, cfg))
     out = []
-    for spec, x0 in jobs:
+    for _ in jobs:
         best = None
         means = {}
         for _, name in named:
@@ -159,13 +161,10 @@ def _estimate_values(problem, jobs, beta_policy, candidates, cfg) -> list[ValueE
                 se = float(pay.std(ddof=1) / math.sqrt(len(pay)))
                 best = (mean, se, batch.censored_fraction, name)
         out.append(ValueEstimate(
-            x0=tuple(float(v) for v in np.atleast_1d(np.asarray(x0, dtype=float))),
             estimate=best[0],
             se=best[1],
             n_paths=cfg.n_paths,
             censored_fraction=best[2],
-            variant=spec.variant,
-            candidate_size=len(candidates),
             best_candidate=best[3],
             candidate_means=means,
         ))
@@ -192,15 +191,11 @@ class ExperimentConfig:
         # the Monte Carlo settings take the experiment's seed, so SimConfig's
         # own checks reject a bad seed when the config is made
         object.__setattr__(self, "sim", replace(self.sim, seed=self.seed))
-        # raises for a rotation angle on 1-D noise, whatever variants the run lists
-        build_variant_spec(self.problem, "rotated_noise", self.variant_params)
+        # raises for an unknown name, and for params outside the admissible class: "combined" uses all
+        for name in (*self.variants, "combined"):
+            build_variant_spec(self.problem, name, self.variant_params).check(self.problem)
         if not 0 < self.h < math.inf:
             raise ValueError(f"grid spacing h must be finite and positive, got {self.h}")
-        unknown = [v for v in self.variants if v not in VARIANTS]
-        if unknown:
-            raise ValueError(
-                f"unknown variant {unknown[0]!r}; known variants are {', '.join(VARIANTS)}"
-            )
         K = list(self.K_list)
         if not K or not all(1 <= k < math.inf for k in K) or K != sorted(set(K)):
             raise ValueError(f"k_list must be nonempty, finite, >= 1 and strictly increasing, got {self.K_list}")
@@ -358,6 +353,7 @@ class VkConvergenceReport:
     """Penalty-constant study plus a Monte Carlo cross-check at the extremes."""
 
     rate: RateReport
+    gaps_nonincreasing: bool  # each sup gap at most the one before plus 10 residual_tol
     monotone: bool
     cross_checks: dict  # K -> (mc_estimate, mc_se, pde_value)
     v_mc: float
@@ -370,6 +366,10 @@ class VkConvergenceReport:
                 return False
         return True
 
+    @property
+    def passed(self) -> bool:
+        return self.gaps_nonincreasing and self.monotone and self.mc_pass
+
     def summary(self) -> str:
         lines = ["penalty-constant convergence"]
         for k, e in zip(self.rate.K_values, self.rate.sup_errors):
@@ -377,6 +377,7 @@ class VkConvergenceReport:
         lines.append(
             f"fitted decay: gap ~ {self.rate.fitted_N:.3g} * K^-{self.rate.fitted_chi:.3g}"
         )
+        lines.append(f"sup gaps non-increasing in K: {'yes' if self.gaps_nonincreasing else 'NO'}")
         lines.append(f"nodewise monotone in K: {'yes' if self.monotone else 'NO'}")
         lines.append(f"plain game MC value: {self.v_mc:.6f} +- {self.v_mc_se:.6f}")
         for K, (mc, se, pde) in sorted(self.cross_checks.items()):
@@ -397,6 +398,7 @@ def run_vk_convergence(config: ExperimentConfig) -> VkConvergenceReport:
     )
     mask = plain.grid_.in_closure
     tol = 10.0 * config.solve.residual_tol
+    nonincreasing = all(b <= a + tol for a, b in zip(rate.sup_errors, rate.sup_errors[1:]))
     monotone = all(
         np.max(later.value_.values[mask] - earlier.value_.values[mask]) <= tol
         for earlier, later in zip(penalized, penalized[1:])
@@ -413,5 +415,6 @@ def run_vk_convergence(config: ExperimentConfig) -> VkConvergenceReport:
         est_K = estimate_value(ext, ControlAdaptedSpec.baseline(ext), pt, beta_K, cand_K, cfg)
         cross[float(K)] = (est_K.estimate, est_K.se, float(solver.predict(pt[None, :])[0]))
     return VkConvergenceReport(
-        rate=rate, monotone=monotone, cross_checks=cross, v_mc=est.estimate, v_mc_se=est.se
+        rate=rate, gaps_nonincreasing=nonincreasing, monotone=monotone, cross_checks=cross,
+        v_mc=est.estimate, v_mc_se=est.se,
     )

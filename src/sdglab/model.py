@@ -118,10 +118,10 @@ class DomainSpec:
 class GameProblem:
     """Coefficients sigma/b/c/f keyed by (alpha index, beta index), plus g.
 
-    ``sigma[ia][ib]`` is a d x d1 MatrixField, ``b[ia][ib]`` a d-VectorField,
-    ``c[ia][ib]`` and ``f[ia][ib]`` ScalarFields; the alpha index runs over
-    the regular actions followed by any penalty actions (whose entries must
-    not depend on beta or x).
+    ``sigma[ia][ib]`` is a d x d1 MatrixField for d = ``domain.dimension``,
+    ``b[ia][ib]`` a d-VectorField, ``c[ia][ib]`` and ``f[ia][ib]``
+    ScalarFields; the alpha index runs over the regular actions followed by
+    any penalty actions (whose entries must not depend on beta or x).
     """
 
     actions: ActionSets
@@ -135,7 +135,6 @@ class GameProblem:
     delta: float
     delta1: float = 0.5
     K1: float = 1.0
-    d: int = 1
     d1: int = 1
 
     def __post_init__(self):
@@ -150,6 +149,10 @@ class GameProblem:
         for table, name in ((self.sigma, "sigma"), (self.b, "b"), (self.c, "c"), (self.f, "f")):
             if len(table) != na or any(len(row) != nb for row in table):
                 raise ValueError(f"coefficient table {name} must be {na} x {nb}")
+
+    @property
+    def d(self) -> int:
+        return self.domain.dimension
 
     @property
     def n_alpha(self) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,22 +69,23 @@ class PucciParams:
     rays: tuple[np.ndarray, ...]
 
     @staticmethod
-    def build(d: int, delta_hat: float = 0.5, n_rotations: int = 16) -> "PucciParams":
+    def build(d: int, delta_hat: float = 0.5, n_rotations: int | None = None) -> "PucciParams":
         """Each distinct extremal matrix once, lo = delta_hat and hi = 1/delta_hat: [[lo]] and
-        [[hi]] in 1-D; in 2-D lo I, hi I and diag(lo, hi) rotated by pi j / m for j < m, with
-        m = n_rotations if even, else 2 n_rotations, as diag(hi, lo) at angle t is diag(lo, hi)
-        at t + pi/2: the distinct diag(l1, l2) at the angles pi k / n_rotations.
+        [[hi]] in 1-D, which rejects ``n_rotations``; in 2-D lo I, hi I and diag(lo, hi) rotated by
+        pi j / m for j < m, with m = n if even, else 2 n, for n = n_rotations (16 if None), as
+        diag(hi, lo) at angle t is diag(lo, hi) at t + pi/2: the distinct diag(l1, l2) at pi k / n.
         """
         if not (0 < delta_hat < 1):
             raise ValueError("delta_hat must lie in (0, 1)")
-        if isinstance(n_rotations, bool) or not isinstance(n_rotations, numbers.Integral) or n_rotations < 1:
-            raise ValueError(f"n_rotations must be an integer of at least 1, got {n_rotations!r}")
         lo, hi = delta_hat, 1.0 / delta_hat
-        if d == 1:
+        if d == 1 and n_rotations is None:
             return PucciParams(delta_hat, (np.array([[lo]]), np.array([[hi]])))
         if d != 2:
-            raise ValueError("curvature-penalty rays are provided for d <= 2 only")
-        m = n_rotations if n_rotations % 2 == 0 else 2 * n_rotations
+            raise ValueError(f"rays are provided for d <= 2, n_rotations for d = 2: got d = {d}, {n_rotations = }")
+        n = 16 if n_rotations is None else n_rotations
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"n_rotations must be an integer of at least 1, got {n!r}")
+        m = n if n % 2 == 0 else 2 * n
         rays = [lo * np.eye(2), hi * np.eye(2)]
         for j in range(m):
             c, s = math.cos(math.pi * j / m), math.sin(math.pi * j / m)
@@ -298,13 +299,12 @@ def _policy_iteration(disc: Discretization, u: np.ndarray, cfg: SolveConfig):
     """Howard's algorithm on the sup-inf scheme, updating ``u`` in place.
 
     Each step freezes the per-node argmax/argmin pair and solves its
-    linear system exactly.  Returns the last frozen policy, the sup-inf
-    residual and the number of linear solves.  Raises at the first residual
-    that is not finite, naming the first node where it is not.
+    linear system exactly.  Returns the sup-inf residual and the number of
+    linear solves.  Raises at the first residual that is not finite, naming
+    the first node where it is not.
     """
     rows = np.arange(len(disc.idx))
-    ia_pol = np.zeros(len(rows), dtype=int)
-    ib_pol = np.zeros(len(rows), dtype=int)
+    ia_pol = ib_pol = None  # the policy of the last solve
     for it in range(cfg.max_policy_iters + 1):
         ham = disc.hamiltonians(u)
         per_alpha_min = ham.min(axis=1)
@@ -331,17 +331,16 @@ def _policy_iteration(disc: Discretization, u: np.ndarray, cfg: SolveConfig):
             f"policy iteration did not converge: residual {residual:.3g} "
             f"after {cfg.max_policy_iters} iterations"
         )
-    return ia_pol, ib_pol, residual, it
+    return residual, it
 
 
 class IsaacsSolver:
     """Estimator-style wrapper: fit a game problem, predict interpolated values.
 
-    After ``fit`` the solved grid function is in ``value_``, the final
-    per-node saddle policy in ``policy_alpha_`` / ``policy_beta_``
-    (indexed like the interior nodes), the sup-inf residual in
-    ``residual_`` and the operators in ``discretization_``, which keeps them
-    shared with ``evaluate_H`` and the selector builders on ``value_``.
+    After ``fit`` the solved grid function is in ``value_``, the sup-inf
+    residual in ``residual_`` and the operators in ``discretization_``,
+    which keeps them shared with ``evaluate_H`` and the selector builders
+    on ``value_``.
     """
 
     def __init__(self, h: float = 1 / 128, cfg: SolveConfig = SolveConfig()):
@@ -368,15 +367,13 @@ class IsaacsSolver:
                 u.values[disc.idx] = v.interpolate(grid.coords[disc.idx])
             except (RuntimeError, ValueError):
                 pass
-        ia_pol, ib_pol, residual, iters = _policy_iteration(disc, u.values, self.cfg)
+        residual, iters = _policy_iteration(disc, u.values, self.cfg)
         # boundary ring carries the Dirichlet data exactly
         u.values[grid.boundary_idx] = np.asarray(g_boundary(grid.coords[grid.boundary_idx]))
         self.problem_ = problem
         self.grid_ = grid
         self.discretization_ = disc
         self.value_ = u
-        self.policy_alpha_ = ia_pol
-        self.policy_beta_ = ib_pol
         self.residual_ = residual
         self.n_iter_ = iters
         return self
@@ -409,20 +406,14 @@ def extend_problem(problem: GameProblem, pucci: PucciParams, K: float) -> GamePr
         bb.append(tuple(const_vector(np.zeros(problem.d)) for _ in range(nb)))
         cc.append(tuple(const_scalar(0.0) for _ in range(nb)))
         ff.append(tuple(const_scalar(-K) for _ in range(nb)))
-    return GameProblem(
+    return replace(
+        problem,
         actions=actions,
-        domain=problem.domain,
         sigma=tuple(sigma),
         b=tuple(bb),
         c=tuple(cc),
         f=tuple(ff),
-        g=problem.g,
-        K0=problem.K0,
         delta=min(problem.delta, pucci.delta_hat),
-        delta1=problem.delta1,
-        K1=problem.K1,
-        d=problem.d,
-        d1=problem.d1,
     )
 
 

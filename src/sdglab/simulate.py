@@ -1,8 +1,10 @@
 """Exit-time Euler-Maruyama simulation under probability-space variants.
 
-A variant assigns to each action pair a time-change rate r, a measure-
-change drift pi, and an orthogonal transform of the common Gaussian
-increments (a policy-dependent driving noise).  The state obeys
+A variant assigns to each action pair of the game a time-change rate r
+in [delta1, 1/delta1], a measure-change drift pi of norm at most K1, and
+an orthogonal transform of the common Gaussian increments (a
+policy-dependent driving noise); a run checks this against the problem
+it runs on before its first step.  The state obeys
 
     dx = r sigma dw + r^2 (b + sigma pi) dt,
 
@@ -83,49 +85,43 @@ __all__ = [
     "pathwise_comparison",
 ]
 
-VARIANTS = ("baseline", "time_change", "girsanov", "rotated_noise", "combined")
-
 
 @dataclass(frozen=True)
 class ControlAdaptedSpec:
-    """Per-action-pair (r, pi, noise transform) tables.
-
-    ``r_table`` has shape (nA, nB); ``pi_table`` (nA, nB, d1);
-    ``noise_table`` (nA, nB, d1, d1) with orthogonal blocks.
+    """Per-action-pair (r, pi, noise transform) tables of shapes (nA, nB), (nA, nB, d1) and
+    (nA, nB, d1, d1), nA counting penalty actions; ``check`` holds them to a problem.
     """
 
-    variant: str
     r_table: np.ndarray
     pi_table: np.ndarray
     noise_table: np.ndarray
-    delta1: float
-    K1: float
 
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+    def check(self, problem: GameProblem) -> None:
+        """Raise ``ValueError`` unless the tables fit ``problem``: their shapes, rates r in
+        [delta1, 1/delta1], drifts |pi| <= K1 and orthogonal noise transforms, all at 1e-12."""
+        na, nb, d1 = problem.n_alpha_ext, problem.n_beta, problem.d1
+        for name, shape in (("r_table", (na, nb)), ("pi_table", (na, nb, d1)), ("noise_table", (na, nb, d1, d1))):
+            if np.shape(getattr(self, name)) != shape:
+                raise ValueError(f"{name} has shape {np.shape(getattr(self, name))}, the problem's is {shape}")
+        # written so that a NaN entry fails each test
         r = np.asarray(self.r_table)
-        if r.min() < self.delta1 - 1e-12 or r.max() > 1.0 / self.delta1 + 1e-12:
-            raise ValueError("time-change rates leave [delta1, 1/delta1]")
+        if not np.all((r >= problem.delta1 - 1e-12) & (r <= 1.0 / problem.delta1 + 1e-12)):
+            raise ValueError(f"time-change rates leave [delta1, 1/delta1] for delta1 = {problem.delta1:g}")
         pi_norm = np.linalg.norm(self.pi_table, axis=-1)
-        if pi_norm.max() > self.K1 + 1e-12:
-            raise ValueError("measure-change drift exceeds K1")
+        if not np.all(pi_norm <= problem.K1 + 1e-12):
+            raise ValueError(f"measure-change drift exceeds K1 = {problem.K1:g}")
         q = self.noise_table
         qqt = np.einsum("abij,abkj->abik", q, q)
-        eye = np.eye(q.shape[-1])
-        if np.max(np.abs(qqt - eye)) > 1e-12:
+        if not np.all(np.abs(qqt - np.eye(d1)) <= 1e-12):
             raise ValueError("noise transforms must be orthogonal")
 
     @staticmethod
     def baseline(problem: GameProblem) -> "ControlAdaptedSpec":
         na, nb, d1 = problem.n_alpha_ext, problem.n_beta, problem.d1
         return ControlAdaptedSpec(
-            variant="baseline",
             r_table=np.ones((na, nb)),
             pi_table=np.zeros((na, nb, d1)),
             noise_table=np.broadcast_to(np.eye(d1), (na, nb, d1, d1)).copy(),
-            delta1=problem.delta1,
-            K1=problem.K1,
         )
 
 
@@ -231,7 +227,8 @@ class _StepKernel:
     """The Euler-Maruyama step of rows of any (spec, action pair) codes, in one call.
 
     A row's code is spec * n_pairs + ia * n_beta + ib, and its pair
-    ia * n_beta + ib; see the module docstring.  Each per-code value, and
+    ia * n_beta + ib; see the module docstring.  Each spec is checked
+    against the problem before its tables are read.  Each per-code value, and
     with sigma and b constant the drift step, is gathered once per call.
     For d1 <= 2 the products q dW, sigma dw, sigma pi and dw . pi equal
     einsum's but for the sign of a zero sum, which no output reads; for
@@ -239,6 +236,8 @@ class _StepKernel:
     """
 
     def __init__(self, problem: GameProblem, specs, dt: float):
+        for s in specs:
+            s.check(problem)
         pairs = [(ia, ib) for ia in range(problem.n_alpha_ext) for ib in range(problem.n_beta)]
         self.n_pairs, self.dt = len(pairs), dt
         self.sigma, self.b, self.c, self.f = (

@@ -207,6 +207,24 @@ def test_cli_rejects_a_non_finite_domain(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "name, old, new",
+    [
+        ("game2x2", "r_low = 0.75", "r_low = 0.3"),  # below delta1 = 0.5
+        ("game2x2", "pi_scale = 0.3", "pi_scale = 5"),  # above K1 = 1
+        ("holder", "[experiment]", "[pucci]\nrotations = 3\n\n[experiment]"),  # 1-D rays take no rotation
+        ("game2x2", "f.a0.b0 = affine:0.8,-1.2", "f.a0.b0 = affine:"),  # no c0
+    ],
+    ids=["r_low", "pi_scale", "rotations_1d", "affine_without_parameters"],
+)
+def test_cli_rejects_values_a_later_stage_would_ignore_or_trip_on(tmp_path, capsys, name, old, new):
+    text = (CONFIGS / f"{name}.cfg").read_text()
+    assert old in text
+    bad = _write(tmp_path, text.replace(old, new))
+    assert main(["validate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_usage_errors(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert main(["warp", "--config", "x"]) == 2
@@ -307,6 +325,8 @@ def test_cli_every_stage_writes_its_files(tmp_path, capsys):
         assert capsys.readouterr().out == (out / "summary.txt").read_text(), stage
         for file, header in csvs.items():
             assert (out / file).read_text().splitlines()[0] == header, (stage, file)
+    # every check behind converge's exit code has its own line
+    assert "sup gaps non-increasing in K: yes" in (tmp_path / "converge" / "summary.txt").read_text()
 
 
 def test_cli_validate_and_solve(tmp_path):

@@ -77,6 +77,15 @@ def test_interpolation_exact_for_multilinear():
     assert np.allclose(v.interpolate(pts), fn(pts), atol=1e-12)
 
 
+def test_interpolation_clips_far_and_non_finite_points():
+    # the cell index is clipped before it becomes an int, so no coordinate wraps or warns
+    g = DomainGrid.build(DomainSpec("box", 1, (0.0,), (1.0,)), 1 / 4)
+    v = ValueField.from_function(g, lambda x: x[:, 0])
+    far = v.interpolate(np.array([[5.0], [1e300], [np.inf], [-np.inf]]))
+    assert far.tolist() == [1.0, 1.0, 1.0, 0.0]
+    assert np.isnan(v.interpolate(np.array([[np.nan]]))[0])
+
+
 def test_interpolation_near_ball_boundary_falls_back():
     dom = DomainSpec("ball", 2, center=(0.0, 0.0), radius=1.0)
     g = DomainGrid.build(dom, 1 / 8)

@@ -55,7 +55,6 @@ def test_variant_noise_orthogonal_2d():
         g=const_scalar(0.0),
         K0=2.0,
         delta=0.25,
-        d=2,
         d1=2,
     )
     spec = build_variant_spec(p, "rotated_noise", VariantParams(rotation=str(0.7)))
@@ -96,7 +95,7 @@ def test_estimate_value_singleton_equals_plain_mean(analytic_problem):
     )
     assert est.estimate == pytest.approx(float(batch.payoff.mean()), abs=1e-15)
     assert est.best_candidate == "const0"
-    assert est.candidate_size == 1
+    assert list(est.candidate_means) == ["const0"]
     with pytest.raises(ValueError, match="nonempty"):
         estimate_value(analytic_problem, spec, [0.5], ConstantResponder(0), (), cfg)
 
@@ -114,9 +113,9 @@ def test_estimate_value_takes_the_max_candidate(game_problem):
 
 def test_value_estimate_validation():
     with pytest.raises(ValueError):
-        ValueEstimate((0.5,), 0.1, -1.0, 10, 0.0, "baseline", 1, "c")
+        ValueEstimate(0.1, -1.0, 10, 0.0, "c")
     with pytest.raises(ValueError):
-        ValueEstimate((0.5,), 0.1, 0.01, 10, 1.5, "baseline", 1, "c")
+        ValueEstimate(0.1, 0.01, 10, 1.5, "c")
 
 
 def test_experiment_config_checks_points(analytic_problem):

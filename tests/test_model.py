@@ -76,7 +76,6 @@ def _singleton(sigma=SQRT2, bdrift=0.0, c=0.0, f=1.0, delta=0.5, d1=1):
         g=const_scalar(0.0),
         K0=2.0,
         delta=delta,
-        d=1,
         d1=d1,
     )
 
@@ -110,9 +109,24 @@ def test_noise_dimension_at_least_state_dimension():
             g=const_scalar(0.0),
             K0=1.0,
             delta=0.5,
-            d=2,
             d1=1,
         )
+
+
+def test_state_dimension_is_the_domains():
+    p = GameProblem(
+        actions=ActionSets(("a0",), ("b0",)),
+        domain=DomainSpec("box", 2, (0.0, 0.0), (1.0, 1.0)),
+        sigma=((const_matrix([[1.0, 0.0], [0.0, 1.0]]),),),
+        b=((const_vector([0.0, 0.0]),),),
+        c=((const_scalar(0.0),),),
+        f=((const_scalar(0.0),),),
+        g=const_scalar(0.0),
+        K0=1.0,
+        delta=0.5,
+        d1=2,
+    )
+    assert p.d == 2
 
 
 def test_validate_problem_passes_on_good_problem():

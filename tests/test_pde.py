@@ -40,7 +40,6 @@ def _problem_1d(f_field, sigma=SQRT2, bdrift=0.0, c=0.0, K0=4.0):
         g=const_scalar(0.0),
         K0=K0,
         delta=0.5,
-        d=1,
         d1=1,
     )
 
@@ -56,7 +55,6 @@ def _problem_2d(sigma_rows, bdrift=(0.0, 0.0), c=0.0):
         g=const_scalar(0.0),
         K0=4.0,
         delta=0.25,
-        d=2,
         d1=2,
     )
 
@@ -165,12 +163,21 @@ def test_one_assembly_per_problem_and_grid_while_held(game_problem, monkeypatch)
 # --- exact frozen-policy solve -------------------------------------------------
 
 
+def _saddle_policy(solver):
+    """The per-node argmax/argmin pair (ia, ib) of the Hamiltonians at the solution."""
+    ham = solver.discretization_.hamiltonians(solver.value_.values)
+    ia = ham.min(axis=1).argmax(axis=0)
+    return ia, ham.argmin(axis=1)[ia, np.arange(ham.shape[2])]
+
+
 def _frozen_policy_residual(solver):
-    """max|L^pi u + f^pi| over interior nodes, and the scale max|diag| * max|u|."""
+    """max|L^pi u + f^pi| over interior nodes once the saddle policy pi at the solution is
+    solved exactly from it, and the scale max|diag| * max|u|."""
     disc = Discretization.from_problem(solver.problem_, solver.grid_)
-    u = solver.value_.values
-    ham = disc.hamiltonians(u)
-    res = ham[solver.policy_alpha_, solver.policy_beta_, np.arange(len(disc.idx))]
+    ia, ib = _saddle_policy(solver)
+    u = solver.value_.values.copy()
+    disc.solve_policy(ia * disc.n_beta + ib, u)
+    res = disc.hamiltonians(u)[ia, ib, np.arange(len(disc.idx))]
     scale = float(np.max(np.abs(disc.weights[:, :, 0]))) * float(np.nanmax(np.abs(u)))
     return float(np.max(np.abs(res))), scale
 
@@ -444,7 +451,6 @@ def test_isotropic_disc_converges():
         g=const_scalar(0.0),
         K0=4.0,
         delta=0.5,
-        d=2,
         d1=2,
     )
     errors = []
@@ -512,6 +518,11 @@ def test_pucci_build_validation():
     for n in (0, -2, 2.5, True):
         with pytest.raises(ValueError, match="n_rotations"):
             PucciParams.build(2, delta_hat=0.5, n_rotations=n)
+    # 1-D has the two rays whatever the count, so a count is an error, the default included
+    for n in (3, 16):
+        with pytest.raises(ValueError, match="n_rotations"):
+            PucciParams.build(1, delta_hat=0.5, n_rotations=n)
+    assert len(PucciParams.build(2).rays) == 18
 
 
 @pytest.mark.parametrize("n, count", [(1, 4), (3, 8), (8, 10), (16, 18)])
@@ -593,8 +604,9 @@ def test_sup_inf_residual_zero_at_solution(solved_game, game_problem):
 
 
 def test_game_saddle_uses_both_actions(solved_game):
-    assert set(np.unique(solved_game.policy_alpha_)) == {0, 1}
-    assert set(np.unique(solved_game.policy_beta_)) == {0, 1}
+    ia, ib = _saddle_policy(solved_game)
+    assert set(np.unique(ia)) == {0, 1}
+    assert set(np.unique(ib)) == {0, 1}
 
 
 # --- penalized solver ---------------------------------------------------------

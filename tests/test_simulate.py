@@ -18,21 +18,23 @@ from sdglab.simulate import (
 SQRT2 = math.sqrt(2.0)
 
 
-def _spec(problem, r=1.0, pi=0.0, flip=False, variant="baseline"):
+def _spec(problem, r=1.0, pi=0.0, flip=False):
     na, nb, d1 = problem.n_alpha_ext, problem.n_beta, problem.d1
     q = np.broadcast_to(np.eye(d1), (na, nb, d1, d1)).copy()
     if flip:
         q = -q
     pi_t = np.zeros((na, nb, d1))
     pi_t[:, :, 0] = pi
-    return ControlAdaptedSpec(
-        variant=variant,
-        r_table=np.full((na, nb), float(r)),
-        pi_table=pi_t,
-        noise_table=q,
-        delta1=problem.delta1,
-        K1=problem.K1,
-    )
+    return ControlAdaptedSpec(r_table=np.full((na, nb), float(r)), pi_table=pi_t, noise_table=q)
+
+
+class _NeverCalled:
+    """A leader whose ``select`` fails the test: a run that calls it has started its step loop."""
+
+    lag_n = 0
+
+    def select(self, k, t, x):
+        raise AssertionError("the step loop started")
 
 
 def test_em_step_hand_values():
@@ -67,21 +69,16 @@ def test_em_step_rejects_nonfinite_noise(analytic_problem):
 
 def test_spec_validation(analytic_problem):
     with pytest.raises(ValueError):
-        _spec(analytic_problem, r=3.0)  # outside [delta1, 1/delta1]
+        _spec(analytic_problem, r=3.0).check(analytic_problem)  # outside [delta1, 1/delta1]
     with pytest.raises(ValueError):
-        _spec(analytic_problem, pi=1.5)  # |pi| > K1
-    with pytest.raises(ValueError):
-        _spec(analytic_problem, variant="quantum")
+        _spec(analytic_problem, pi=1.5).check(analytic_problem)  # |pi| > K1
     na, nb, d1 = analytic_problem.n_alpha_ext, analytic_problem.n_beta, analytic_problem.d1
     with pytest.raises(ValueError):
         ControlAdaptedSpec(
-            variant="baseline",
             r_table=np.ones((na, nb)),
             pi_table=np.zeros((na, nb, d1)),
             noise_table=np.full((na, nb, d1, d1), 0.5),
-            delta1=analytic_problem.delta1,
-            K1=analytic_problem.K1,
-        )
+        ).check(analytic_problem)
 
 
 def test_sim_config_validation():
@@ -145,7 +142,7 @@ def _mixed_lanes(p, value):
     lagged = FeedbackAlphaPolicy(build_alpha_selector(p, value, 1e-9), lag_n=8)
     switch = _SwitchLeader()
     base = ControlAdaptedSpec.baseline(p)
-    tilted = _spec(p, r=1.2, pi=0.3, flip=True, variant="combined")
+    tilted = _spec(p, r=1.2, pi=0.3, flip=True)
     lanes = [
         (tilted, [0.3], switch),
         (base, [0.5], ConstantPolicy(0)),
@@ -404,7 +401,7 @@ def test_common_random_numbers_pair_variance(analytic_problem):
     # shared seed couples the Gaussian stream across specs, so paired
     # differences are far less noisy than independent runs
     base = ControlAdaptedSpec.baseline(analytic_problem)
-    tilted = _spec(analytic_problem, pi=0.3, variant="girsanov")
+    tilted = _spec(analytic_problem, pi=0.3)
     cfg = SimConfig(dt=1e-3, t_max=2.0, n_paths=500, seed=5)
     cfg_other = SimConfig(dt=1e-3, t_max=2.0, n_paths=500, seed=6)
     a = simulate_to_exit(analytic_problem, base, [0.5], ConstantPolicy(0), ConstantResponder(0), cfg)
@@ -416,7 +413,7 @@ def test_common_random_numbers_pair_variance(analytic_problem):
 
 
 def test_girsanov_weight_is_unit_mean(analytic_problem):
-    spec = _spec(analytic_problem, pi=0.3, variant="girsanov")
+    spec = _spec(analytic_problem, pi=0.3)
     cfg = SimConfig(dt=5e-4, t_max=4.0, n_paths=4000, seed=1)
     rep = girsanov_martingale_check(
         analytic_problem, spec, [0.5], ConstantPolicy(0), ConstantResponder(0), cfg
@@ -536,12 +533,6 @@ def test_extreme_stream_bits_give_finite_normals():
 
 def test_stream_counter_guard(analytic_problem):
     from sdglab.simulate import _stream, pathwise_comparison
-
-    class _NeverCalled:
-        lag_n = 0
-
-        def select(self, k, t, x):
-            raise AssertionError("the step loop started")
 
     spec = ControlAdaptedSpec.baseline(analytic_problem)
     cfg = SimConfig(dt=1e-10, t_max=2.0, n_paths=10)  # 2e10 steps
@@ -728,7 +719,7 @@ def test_ensemble_matches_em_step_replay():
     # every variant as one lane, a lagged feedback leader against a lagged
     # feedback responder: rows mix specs and action pairs at each step, and
     # sigma and b are evaluated per pair, f from per-row affine parameters
-    from sdglab.harness import build_variant_spec
+    from sdglab.harness import VARIANTS, build_variant_spec
     from sdglab.pde import IsaacsSolver
     from sdglab.policies import (
         FeedbackAlphaPolicy,
@@ -736,7 +727,6 @@ def test_ensemble_matches_em_step_replay():
         build_alpha_selector,
         build_beta_selector,
     )
-    from sdglab.simulate import VARIANTS
 
     p = _state_dependent_game()
     value = IsaacsSolver(h=1 / 32).fit(p).value_
@@ -756,7 +746,7 @@ def test_ensemble_matches_em_step_replay_2d():
     from pathlib import Path
 
     from sdglab.config import load_experiment
-    from sdglab.harness import VariantParams, build_variant_spec
+    from sdglab.harness import VARIANTS, VariantParams, build_variant_spec
     from sdglab.pde import IsaacsSolver
     from sdglab.policies import (
         FeedbackAlphaPolicy,
@@ -764,7 +754,6 @@ def test_ensemble_matches_em_step_replay_2d():
         build_alpha_selector,
         build_beta_selector,
     )
-    from sdglab.simulate import VARIANTS
 
     p = load_experiment(Path(__file__).resolve().parent.parent / "sdgbench" / "box2d.cfg").problem
     value = IsaacsSolver(h=1 / 16).fit(p).value_
@@ -823,8 +812,7 @@ def _feedback(p, value, leader_lag=0, beta_lag=0):
 def test_players_answered_without_calls_match_called_players(game_problem, solved_game):
     # game2x2's suite lanes: every variant against two constant leaders and
     # a feedback leader, and a feedback responder; then a lagged feedback pair
-    from sdglab.harness import build_variant_spec
-    from sdglab.simulate import VARIANTS
+    from sdglab.harness import VARIANTS, build_variant_spec
 
     p, value = game_problem, solved_game.value_
     cfg = SimConfig(dt=1e-3, t_max=2.0, n_paths=200, seed=5)
@@ -841,9 +829,8 @@ def test_players_answered_without_calls_match_called_players_2d():
     from pathlib import Path
 
     from sdglab.config import load_experiment
-    from sdglab.harness import VariantParams, build_variant_spec
+    from sdglab.harness import VARIANTS, VariantParams, build_variant_spec
     from sdglab.pde import IsaacsSolver
-    from sdglab.simulate import VARIANTS
 
     p = load_experiment(Path(__file__).resolve().parent.parent / "sdgbench" / "box2d.cfg").problem
     value = IsaacsSolver(h=1 / 16).fit(p).value_
@@ -869,3 +856,31 @@ def test_constant_actions_outside_the_problem_rejected(analytic_problem, game_pr
             simulate_to_exit(p, spec, [0.5], leader, beta, cfg)
         with pytest.raises(ValueError, match=match):
             pathwise_comparison(p, spec, [0.5], leader, beta, cfg, 1.0, np.arange(p.n_alpha_ext))
+
+
+def test_specs_that_do_not_fit_the_problem_rejected_before_any_step(analytic_problem, game_problem):
+    import dataclasses
+
+    from sdglab.simulate import pathwise_comparison
+
+    def bent(p):  # a noise transform that is not orthogonal
+        spec = ControlAdaptedSpec.baseline(p)
+        return dataclasses.replace(spec, noise_table=2.0 * spec.noise_table)
+
+    narrow = dataclasses.replace(analytic_problem, delta1=0.9)  # rates in [0.9, 1.11]
+    cases = [
+        (analytic_problem, ControlAdaptedSpec.baseline(game_problem), "r_table has shape"),  # too large
+        (game_problem, ControlAdaptedSpec.baseline(analytic_problem), "r_table has shape"),  # too small
+        (narrow, _spec(analytic_problem, r=1.9), "leave"),  # inside [0.5, 2], where it was built
+        (analytic_problem, _spec(analytic_problem, pi=1.5), "exceeds K1"),
+        (analytic_problem, bent(analytic_problem), "orthogonal"),
+    ]
+    cfg = SimConfig(dt=1e-3, t_max=1.0, n_paths=10)
+    for p, spec, match in cases:
+        with pytest.raises(ValueError, match=match):
+            spec.check(p)
+        with pytest.raises(ValueError, match=match):
+            simulate_to_exit(p, spec, [0.5], _NeverCalled(), ConstantResponder(0), cfg)
+        with pytest.raises(ValueError, match=f"{match}|requires pi identically zero"):
+            pathwise_comparison(p, spec, [0.5], _NeverCalled(), ConstantResponder(0), cfg, 1.0,
+                                np.zeros(p.n_alpha_ext, dtype=int))
