@@ -78,10 +78,12 @@ class PucciParams:
         if not (0 < delta_hat < 1):
             raise ValueError("delta_hat must lie in (0, 1)")
         lo, hi = delta_hat, 1.0 / delta_hat
-        if d == 1 and n_rotations is None:
+        if d == 1:
+            if n_rotations is not None:
+                raise ValueError(f"n_rotations is for d = 2: 1-D has the two rays, got {n_rotations!r}")
             return PucciParams(delta_hat, (np.array([[lo]]), np.array([[hi]])))
         if d != 2:
-            raise ValueError(f"rays are provided for d <= 2, n_rotations for d = 2: got d = {d}, {n_rotations = }")
+            raise ValueError(f"curvature-penalty rays are provided for d <= 2 only, got d = {d}")
         n = 16 if n_rotations is None else n_rotations
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise ValueError(f"n_rotations must be an integer of at least 1, got {n!r}")

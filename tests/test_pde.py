@@ -163,29 +163,44 @@ def test_one_assembly_per_problem_and_grid_while_held(game_problem, monkeypatch)
 # --- exact frozen-policy solve -------------------------------------------------
 
 
-def _saddle_policy(solver):
-    """The per-node argmax/argmin pair (ia, ib) of the Hamiltonians at the solution."""
-    ham = solver.discretization_.hamiltonians(solver.value_.values)
-    ia = ham.min(axis=1).argmax(axis=0)
-    return ia, ham.argmin(axis=1)[ia, np.arange(ham.shape[2])]
+def _fit_recording_pair(solver, problem):
+    """Fit ``solver`` on ``problem`` and return the frozen pair index of its last policy solve."""
+    pairs = []
+    solve = Discretization.solve_policy
+
+    def record(self, pair, u):
+        pairs.append(pair.copy())
+        return solve(self, pair, u)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Discretization, "solve_policy", record)
+        solver.fit(problem)
+    return pairs[-1]
 
 
-def _frozen_policy_residual(solver):
-    """max|L^pi u + f^pi| over interior nodes once the saddle policy pi at the solution is
-    solved exactly from it, and the scale max|diag| * max|u|."""
+@pytest.fixture(scope="module")
+def recorded_game(game_problem):
+    """The 2x2 game fitted at h = 1/128, with the pair index of its last policy solve."""
+    solver = IsaacsSolver(h=1 / 128)
+    return solver, _fit_recording_pair(solver, game_problem)
+
+
+def _frozen_policy_residual(solver, pair):
+    """max|L^pi u + f^pi| over interior nodes for the frozen pair index ``pair`` on the
+    solver's own ``value_``, and the scale max|diag| * max|u|."""
     disc = Discretization.from_problem(solver.problem_, solver.grid_)
-    ia, ib = _saddle_policy(solver)
-    u = solver.value_.values.copy()
-    disc.solve_policy(ia * disc.n_beta + ib, u)
-    res = disc.hamiltonians(u)[ia, ib, np.arange(len(disc.idx))]
+    u = solver.value_.values
+    ham = disc.hamiltonians(u)
+    res = ham[pair // disc.n_beta, pair % disc.n_beta, np.arange(len(disc.idx))]
     scale = float(np.max(np.abs(disc.weights[:, :, 0]))) * float(np.nanmax(np.abs(u)))
     return float(np.max(np.abs(res))), scale
 
 
-def test_exact_solve_game(solved_game):
-    res, scale = _frozen_policy_residual(solved_game)
+def test_exact_solve_game(recorded_game):
+    solver, pair = recorded_game
+    res, scale = _frozen_policy_residual(solver, pair)
     assert res <= 1e-12 * scale
-    assert solved_game.n_iter_ == 2
+    assert solver.n_iter_ == 2
 
 
 def test_exact_solve_mixed_derivative_2d():
@@ -194,8 +209,9 @@ def test_exact_solve_mixed_derivative_2d():
         f=((const_scalar(1.0),),),
         g=ScalarField("affine", (0.0, 1.0, 0.5)),
     )
-    solver = IsaacsSolver(h=1 / 32).fit(p)
-    res, scale = _frozen_policy_residual(solver)
+    solver = IsaacsSolver(h=1 / 32)
+    pair = _fit_recording_pair(solver, p)
+    res, scale = _frozen_policy_residual(solver, pair)
     assert res <= 1e-12 * scale
     assert solver.n_iter_ == 1
 
@@ -513,7 +529,7 @@ def test_extremal_operator_positive_homogeneous():
 def test_pucci_build_validation():
     with pytest.raises(ValueError):
         PucciParams.build(1, delta_hat=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="d <= 2 only"):
         PucciParams.build(3, delta_hat=0.5)
     for n in (0, -2, 2.5, True):
         with pytest.raises(ValueError, match="n_rotations"):
@@ -603,10 +619,11 @@ def test_sup_inf_residual_zero_at_solution(solved_game, game_problem):
     assert float(np.max(np.abs(h_res.values[m]))) <= 1e-7
 
 
-def test_game_saddle_uses_both_actions(solved_game):
-    ia, ib = _saddle_policy(solved_game)
-    assert set(np.unique(ia)) == {0, 1}
-    assert set(np.unique(ib)) == {0, 1}
+def test_game_saddle_uses_both_actions(recorded_game):
+    solver, pair = recorded_game
+    n_beta = solver.discretization_.n_beta
+    assert set(np.unique(pair // n_beta)) == {0, 1}
+    assert set(np.unique(pair % n_beta)) == {0, 1}
 
 
 # --- penalized solver ---------------------------------------------------------
