@@ -13,12 +13,14 @@ Families:
 
 Scalar specs may add families with " + " (spaces required), e.g.
 ``affine:0.8,-1.2 + holder:0,-6,0.4,0.5``.  All fields evaluate
-vectorized on arrays of points with shape (n, d).
+vectorized on arrays of points with shape (n, d).  A field checks its
+parameters when it is made; its ``shape`` is that of one value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,12 +38,29 @@ __all__ = [
 ]
 
 
+# family -> the fewest and most parameters it takes, and their names
+_FAMILIES = {
+    "const": (1, 1, "v"),
+    "affine": (1, math.inf, "c0[,c1,...]"),
+    "sin": (3, 3, "scale,amplitude,frequency"),
+    "holder": (3, 4, "c0,amplitude,exponent[,center]"),
+}
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """One scalar coefficient, one of the closed-form families above."""
 
     kind: str
     params: tuple = ()
+    shape = ()
+
+    def __post_init__(self):
+        if self.kind not in _FAMILIES:
+            raise ValueError(f"unknown coefficient family {self.kind!r}")
+        fewest, most, names = _FAMILIES[self.kind]
+        if not fewest <= len(self.params) <= most:
+            raise ValueError(f"{self.kind} takes {names}, got {self.params}")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Evaluate at points ``x`` of shape (n, d); returns shape (n,)."""
@@ -59,11 +78,9 @@ class ScalarField:
         if self.kind == "sin":
             s, amp, freq = self.params
             return s * (1.0 + amp * np.sin(freq * x[:, 0]))
-        if self.kind == "holder":
-            c0, amp, expo = self.params[:3]
-            center = self.params[3] if len(self.params) > 3 else 0.5
-            return c0 + amp * np.abs(x[:, 0] - center) ** expo
-        raise ValueError(f"unknown coefficient family {self.kind!r}")
+        c0, amp, expo = self.params[:3]  # holder
+        center = self.params[3] if len(self.params) > 3 else 0.5
+        return c0 + amp * np.abs(x[:, 0] - center) ** expo
 
     @property
     def is_constant(self) -> bool:
@@ -75,6 +92,7 @@ class SumField:
     """Pointwise sum of scalar fields; same evaluation protocol."""
 
     parts: tuple[ScalarField, ...]
+    shape = ()
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         out = self.parts[0](x)
@@ -99,6 +117,10 @@ class VectorField:
         return np.stack([e(x) for e in self.entries], axis=1)
 
     @property
+    def shape(self) -> tuple[int]:
+        return (len(self.entries),)
+
+    @property
     def is_constant(self) -> bool:
         return all(e.is_constant for e in self.entries)
 
@@ -109,11 +131,19 @@ class MatrixField:
 
     entries: tuple[tuple[ScalarField, ...], ...]  # rows
 
+    def __post_init__(self):
+        if len({len(row) for row in self.entries}) != 1:
+            raise ValueError("ragged matrix coefficient")
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Shape (n, d, d1)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         rows = [np.stack([e(x) for e in row], axis=1) for row in self.entries]
         return np.stack(rows, axis=1)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.entries), len(self.entries[0])
 
     @property
     def is_constant(self) -> bool:
@@ -132,19 +162,7 @@ def parse_scalar(text: str):
     if ":" not in text:
         return ScalarField("const", (float(text),))
     kind, _, rest = text.partition(":")
-    kind = kind.strip().lower()
-    params = tuple(float(p) for p in rest.split(",") if p.strip())
-    if kind not in ("const", "affine", "sin", "holder"):
-        raise ValueError(f"unknown coefficient family {kind!r}")
-    if kind == "affine" and not params:
-        raise ValueError("affine takes c0[,c1,...]")
-    if kind == "const" and len(params) != 1:
-        raise ValueError("const takes exactly one parameter")
-    if kind == "sin" and len(params) != 3:
-        raise ValueError("sin takes scale,amplitude,frequency")
-    if kind == "holder" and len(params) not in (3, 4):
-        raise ValueError("holder takes c0,amplitude,exponent[,center]")
-    return ScalarField(kind, params)
+    return ScalarField(kind.strip().lower(), tuple(float(p) for p in rest.split(",") if p.strip()))
 
 
 def parse_vector(text: str) -> VectorField:
@@ -154,12 +172,7 @@ def parse_vector(text: str) -> VectorField:
 
 def parse_matrix(text: str) -> MatrixField:
     """Parse rows separated by ``|``, entries by ``;`` into a MatrixField."""
-    rows = []
-    for row in text.split("|"):
-        rows.append(tuple(parse_scalar(p) for p in row.split(";")))
-    if len({len(r) for r in rows}) != 1:
-        raise ValueError("ragged matrix coefficient")
-    return MatrixField(tuple(rows))
+    return MatrixField(tuple(tuple(parse_scalar(p) for p in row.split(";")) for row in text.split("|")))
 
 
 def const_scalar(v: float) -> ScalarField:

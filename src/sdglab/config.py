@@ -96,9 +96,6 @@ _KEYS = {
     },
 }
 
-# [domain] keys of the other shape, which DomainSpec would store unread
-_OTHER_SHAPE_KEYS = {"box": ("center", "radius"), "ball": ("lower", "upper")}
-
 
 def _read(path) -> configparser.ConfigParser:
     # no interpolation: a '%' in a value is read as text, not as a reference
@@ -193,23 +190,14 @@ def _problem_from_parser(parser) -> GameProblem:
         if section not in parser:
             raise ConfigError(f"missing [{section}] section")
     dom = _section(parser, "domain")
-    shape = dom.setdefault("shape", "box")
-    for key in _OTHER_SHAPE_KEYS.get(shape, ()):
-        if key in dom:
-            raise ConfigError(f"[domain] key {key!r} does not apply to shape {shape!r}")
+    dom.setdefault("shape", "box")
     d1 = dom.pop("d1", None)
     domain = _build("domain", DomainSpec, dom)
     actions = _build("actions", ActionSets, _section(parser, "actions"))
     coefficients = _coefficients(parser["coefficients"], actions)
     constants = _section(parser, "constants")
     try:
-        return GameProblem(
-            actions=actions,
-            domain=domain,
-            d1=domain.dimension if d1 is None else d1,
-            **coefficients,
-            **constants,
-        )
+        return GameProblem(actions=actions, domain=domain, d1=d1, **coefficients, **constants)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad problem definition: {exc}") from exc
 

@@ -307,7 +307,7 @@ def run_invariance_suite(config: ExperimentConfig) -> InvarianceReport:
     if not report.passed:
         raise RuntimeError("validation stage failed:\n" + report.summary())
     try:
-        solver = IsaacsSolver(h=config.h, cfg=config.solve).fit(problem)
+        solver = IsaacsSolver(h=config.h, cfg=config.solve).fit(problem, grid=grid)
         beta_policy, candidates = _feedback_players(config, solver)
     except Exception as exc:
         raise RuntimeError(f"pde stage failed: {exc}") from exc

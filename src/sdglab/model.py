@@ -2,7 +2,12 @@
 
 A :class:`GameProblem` bundles the coefficient tables sigma/b/c/f over a
 pair of finite ordered action sets, the terminal cost g, a bounded domain,
-and the regularity constants.  :func:`validate_problem` checks the
+and the regularity constants.  Each rule about this data is checked once,
+when the object that holds the data is made, so the config loader only
+parses: a coefficient field checks its family and parameter count,
+:class:`ActionSets` its labels, :class:`DomainSpec` its shape and bounds,
+and :class:`GameProblem` its constants, its noise dimension (d by default)
+and the shape of each coefficient.  :func:`validate_problem` checks the
 uniform-ellipticity, boundedness and Lipschitz assumptions numerically on
 a grid and reports worst-case margin values instead of proving anything.
 """
@@ -64,15 +69,18 @@ class DomainSpec:
 
     shape: str  # "box" or "ball"
     dimension: int
-    lower: tuple[float, ...] = ()
-    upper: tuple[float, ...] = ()
-    center: tuple[float, ...] = ()
-    radius: float = 0.0
+    lower: tuple[float, ...] | None = None  # a box's corners
+    upper: tuple[float, ...] | None = None
+    center: tuple[float, ...] | None = None  # a ball's
+    radius: float | None = None
     _bounds: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)  # corners or center
 
     def __post_init__(self):
         if self.shape not in ("box", "ball"):
             raise ValueError(f"unknown domain shape {self.shape!r}")
+        for name in ("center", "radius") if self.shape == "box" else ("lower", "upper"):
+            if getattr(self, name) is not None:  # that shape would store it unread
+                raise ValueError(f"{name} does not apply to shape {self.shape!r}")
         if self.shape == "box":
             lo, up = np.asarray(self.lower, float), np.asarray(self.upper, float)
             if lo.shape != (self.dimension,) or up.shape != (self.dimension,):
@@ -84,7 +92,7 @@ class DomainSpec:
             object.__setattr__(self, "_bounds", (lo, up))
         else:
             c = np.asarray(self.center, float)
-            if c.shape != (self.dimension,) or not (np.all(np.isfinite(c)) and 0 < self.radius < math.inf):
+            if c.shape != (self.dimension,) or not (np.all(np.isfinite(c)) and 0 < (self.radius or 0) < math.inf):
                 raise ValueError("ball needs a finite center of matching dimension and a finite radius > 0")
             object.__setattr__(self, "_bounds", (c,))
 
@@ -119,9 +127,10 @@ class GameProblem:
     """Coefficients sigma/b/c/f keyed by (alpha index, beta index), plus g.
 
     ``sigma[ia][ib]`` is a d x d1 MatrixField for d = ``domain.dimension``,
-    ``b[ia][ib]`` a d-VectorField, ``c[ia][ib]`` and ``f[ia][ib]``
-    ScalarFields; the alpha index runs over the regular actions followed by
-    any penalty actions (whose entries must not depend on beta or x).
+    ``b[ia][ib]`` a d-VectorField, ``c[ia][ib]``, ``f[ia][ib]`` and ``g``
+    scalar fields; the alpha index runs over the regular actions followed by
+    any penalty actions (whose entries must not depend on beta or x).  The
+    noise dimension ``d1`` defaults to d.
     """
 
     actions: ActionSets
@@ -135,20 +144,30 @@ class GameProblem:
     delta: float
     delta1: float = 0.5
     K1: float = 1.0
-    d1: int = 1
+    d1: int | None = None
 
     def __post_init__(self):
+        if self.d1 is None:
+            object.__setattr__(self, "d1", self.d)
         if self.d1 < self.d:
             raise ValueError("noise dimension d1 must be at least the state dimension d")
+        if not 0 < self.K0 < math.inf:
+            raise ValueError(f"coefficient bound K0 must be finite and positive, got {self.K0}")
         if not (0 < self.delta <= 1):
             raise ValueError("ellipticity constant delta must lie in (0, 1]")
         if not (0 < self.delta1 <= 1):
             raise ValueError("time-change constant delta1 must lie in (0, 1]")
-        na = self.actions.n_alpha + self.actions.n_alpha2
-        nb = self.actions.n_beta
-        for table, name in ((self.sigma, "sigma"), (self.b, "b"), (self.c, "c"), (self.f, "f")):
+        if not 0 <= self.K1 < math.inf:
+            raise ValueError(f"Girsanov bound K1 must be finite and nonnegative, got {self.K1}")
+        acts, na, nb = self.actions, self.n_alpha_ext, self.n_beta
+        for name, shape in (("sigma", (self.d, self.d1)), ("b", (self.d,)), ("c", ()), ("f", ())):
+            table = getattr(self, name)
             if len(table) != na or any(len(row) != nb for row in table):
                 raise ValueError(f"coefficient table {name} must be {na} x {nb}")
+            for al, row in zip(acts.a_labels + acts.a2_labels, table):
+                for bl, x in zip(acts.b_labels, row):
+                    _check_shape(x, shape, name, al, bl)
+        _check_shape(self.g, (), "g")
 
     @property
     def d(self) -> int:
@@ -166,6 +185,13 @@ class GameProblem:
     @property
     def n_beta(self) -> int:
         return self.actions.n_beta
+
+
+def _check_shape(coefficient, shape: tuple, *key: str) -> None:
+    """Raise unless ``coefficient`` holds values of ``shape``, read without evaluating it."""
+    got = getattr(coefficient, "shape", None)
+    if got != shape:
+        raise ValueError(f"coefficient {'.'.join(key)} has shape {got}, not {shape}")
 
 
 @dataclass
@@ -203,55 +229,34 @@ class ValidationReport:
 
 
 def validate_problem(problem: GameProblem, grid) -> ValidationReport:
-    """Check the standing assumptions on the nodes of ``grid``.
+    """Check the standing assumptions on the nodes of ``grid``, for every pair at once.
 
-    A violation is reported as a negative margin, not raised; only
-    structural errors (empty grid) raise.
+    The Lipschitz quotient of sigma and b is taken along every axis, at the
+    least grid spacing.  A violation gives a negative margin and a NaN
+    coefficient a NaN one, and either fails; only an empty grid raises.
     """
     pts = grid.coords
     if len(pts) == 0:
         raise ValueError("sample grid is empty")
-    ell_lo = math.inf
-    ell_hi = math.inf
-    bound = math.inf
-    lip = math.inf
-    cmin = math.inf
-    messages: list[str] = []
-    # finite-difference neighbors along axis 0 for the Lipschitz quotient
+    n, d = pts.shape
     h = float(np.min(grid.spacing))
-    shifted = pts.copy()
-    shifted[:, 0] += h
-    for ia in range(problem.n_alpha_ext):
-        for ib in range(problem.n_beta):
-            s = problem.sigma[ia][ib](pts)
-            a = 0.5 * np.einsum("nij,nkj->nik", s, s)
-            eigs = np.linalg.eigvalsh(a)
-            ell_lo = min(ell_lo, float(eigs.min() - problem.delta))
-            ell_hi = min(ell_hi, float(1.0 / problem.delta - eigs.max()))
-            bv = problem.b[ia][ib](pts)
-            cv = problem.c[ia][ib](pts)
-            fv = problem.f[ia][ib](pts)
-            snorm = np.sqrt(np.einsum("nij,nij->n", s, s))
-            worst = max(
-                float(snorm.max()),
-                float(np.linalg.norm(bv, axis=1).max()),
-                float(np.abs(cv).max()),
-                float(np.abs(fv).max()),
-            )
-            bound = min(bound, problem.K0 - worst)
-            cmin = min(cmin, float(cv.min()))
-            s2 = problem.sigma[ia][ib](shifted)
-            b2 = problem.b[ia][ib](shifted)
-            ds = np.sqrt(np.einsum("nij,nij->n", s2 - s, s2 - s))
-            db = np.linalg.norm(b2 - bv, axis=1)
-            quot = float(((ds + db) / h).max())
-            lip = min(lip, problem.K0 - quot)
-    if ell_lo < 0:
-        messages.append("ellipticity violated: min eigenvalue of a below delta")
-    if bound < 0:
-        messages.append("coefficient bound K0 exceeded")
-    if lip < 0:
-        messages.append("Lipschitz quotient of sigma/b exceeds K0")
-    if cmin < 0:
-        messages.append("discount rate c is negative somewhere")
-    return ValidationReport(ell_lo, ell_hi, bound, lip, cmin, messages)
+    x = np.concatenate([pts, *(pts + h * e for e in np.eye(d))])  # the nodes, then moved along each axis
+    pairs = [(ia, ib) for ia in range(problem.n_alpha_ext) for ib in range(problem.n_beta)]
+    s = np.stack([problem.sigma[ia][ib](x) for ia, ib in pairs]).reshape(len(pairs), d + 1, n, d, problem.d1)
+    b = np.stack([problem.b[ia][ib](x) for ia, ib in pairs]).reshape(len(pairs), d + 1, n, d)
+    c = np.stack([problem.c[ia][ib](pts) for ia, ib in pairs])
+    f = np.stack([problem.f[ia][ib](pts) for ia, ib in pairs])
+    eigs = np.linalg.eigvalsh(0.5 * np.einsum("pnij,pnkj->pnik", s[:, 0], s[:, 0]))
+    snorm, bnorm = np.sqrt(np.einsum("pnij,pnij->pn", s[:, 0], s[:, 0])), np.linalg.norm(b[:, 0], axis=-1)
+    ds, db = s[:, 1:] - s[:, :1], b[:, 1:] - b[:, :1]
+    quot = (np.sqrt(np.einsum("pknij,pknij->pkn", ds, ds)) + np.linalg.norm(db, axis=-1)) / h
+    worst = np.max([snorm.max(), bnorm.max(), np.abs(c).max(), np.abs(f).max()])
+    ell_lo, ell_hi = float(eigs.min() - problem.delta), float(1.0 / problem.delta - eigs.max())
+    bound, lip, cmin = float(problem.K0 - worst), float(problem.K0 - quot.max()), float(c.min())
+    failures = (
+        (ell_lo, "ellipticity violated: min eigenvalue of a below delta"),
+        (bound, "coefficient bound K0 exceeded"),
+        (lip, "Lipschitz quotient of sigma/b exceeds K0"),
+        (cmin, "discount rate c is negative somewhere"),
+    )
+    return ValidationReport(ell_lo, ell_hi, bound, lip, cmin, [text for m, text in failures if m < 0])

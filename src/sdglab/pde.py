@@ -98,8 +98,6 @@ class PucciParams:
 
 def h_mono(problem: GameProblem) -> float:
     """Conservative spacing bound keeping the stencil of positive type."""
-    if problem.K0 <= 0:
-        return math.inf
     return 2.0 * problem.delta / problem.K0
 
 
@@ -172,10 +170,9 @@ class Discretization:
     (below the diagonal) and ``ku`` (above).
     """
 
-    def __init__(self, grid: DomainGrid, coefficients, n_beta: int, problem: GameProblem | None = None):
+    def __init__(self, grid: DomainGrid, coefficients, n_beta: int):
         """``coefficients``: one (a, b, c, f) per pair, leader-major, each on the interior nodes or on one."""
         self.grid = grid
-        self.problem = problem
         self.n_beta = n_beta
         self.idx, self.cols, off, off_nodes, self._inner, self.kl, self.ku, self._band_flat = grid.stencil
         self._band_rows = 2 * self.kl + self.ku + 1
@@ -217,7 +214,8 @@ class Discretization:
             return a, at(problem.b[ia][ib]), at(problem.c[ia][ib]), at(problem.f[ia][ib])
 
         pairs = [pair(ia, ib) for ia in range(problem.n_alpha_ext) for ib in range(problem.n_beta)]
-        disc = _ASSEMBLED[key] = cls(grid, pairs, problem.n_beta, problem)
+        disc = _ASSEMBLED[key] = cls(grid, pairs, problem.n_beta)
+        disc.problem = problem
         return disc
 
     def hamiltonians(self, u: np.ndarray) -> np.ndarray:
@@ -395,26 +393,18 @@ def extend_problem(problem: GameProblem, pucci: PucciParams, K: float) -> GamePr
         raise ValueError(f"penalty constant K must be finite and nonnegative, got {K}")
     if problem.actions.n_alpha2:
         raise ValueError("problem already carries penalty actions")
-    nb = problem.n_beta
-    a2_labels = tuple(f"pen{i}" for i in range(len(pucci.rays)))
-    actions = ActionSets(problem.actions.a_labels, problem.actions.b_labels, a2_labels)
-    sigma = list(problem.sigma)
-    bb = list(problem.b)
-    cc = list(problem.c)
-    ff = list(problem.f)
-    for a in pucci.rays:
-        s = _matrix_sqrt(2.0 * a, problem.d1)
-        sigma.append(tuple(const_matrix(s) for _ in range(nb)))
-        bb.append(tuple(const_vector(np.zeros(problem.d)) for _ in range(nb)))
-        cc.append(tuple(const_scalar(0.0) for _ in range(nb)))
-        ff.append(tuple(const_scalar(-K) for _ in range(nb)))
+    nb, n = problem.n_beta, len(pucci.rays)
+    a2_labels = tuple(f"pen{i}" for i in range(n))
+    # each penalty coefficient is one field, shared by every beta
+    sigma = tuple((const_matrix(_matrix_sqrt(2.0 * a, problem.d1)),) * nb for a in pucci.rays)
+    zero_b, zero_c, cost = const_vector(np.zeros(problem.d)), const_scalar(0.0), const_scalar(-K)
     return replace(
         problem,
-        actions=actions,
-        sigma=tuple(sigma),
-        b=tuple(bb),
-        c=tuple(cc),
-        f=tuple(ff),
+        actions=ActionSets(problem.actions.a_labels, problem.actions.b_labels, a2_labels),
+        sigma=(*problem.sigma, *sigma),
+        b=(*problem.b, *((zero_b,) * nb,) * n),
+        c=(*problem.c, *((zero_c,) * nb,) * n),
+        f=(*problem.f, *((cost,) * nb,) * n),
         delta=min(problem.delta, pucci.delta_hat),
     )
 

@@ -81,9 +81,27 @@ def test_vector_and_matrix_parsing():
     assert np.allclose(_at(m, [0.0, 0.0]), [[1.0, 0.0], [0.0, 2.0]])
 
 
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("sin", (1.0, 2.0)),
+        ("exp", (1.0,)),
+        ("const", ()),
+        ("const", (1.0, 2.0)),
+        ("affine", ()),
+        ("holder", (0.0, 1.0, 2.0, 3.0, 4.0)),
+    ],
+)
+def test_scalar_field_checks_family_and_parameters_when_made(kind, params):
+    with pytest.raises(ValueError, match="unknown coefficient family" if kind == "exp" else f"{kind} takes"):
+        ScalarField(kind, params)
+
+
 def test_matrix_rejects_ragged():
     with pytest.raises(ValueError):
         parse_matrix("1.0;2.0|3.0")
+    with pytest.raises(ValueError, match="ragged"):
+        MatrixField(((const_scalar(1.0), const_scalar(2.0)), (const_scalar(3.0),)))
 
 
 def test_const_builders():

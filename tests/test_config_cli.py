@@ -214,8 +214,10 @@ def test_cli_rejects_a_non_finite_domain(tmp_path, capsys):
         ("game2x2", "pi_scale = 0.3", "pi_scale = 5"),  # above K1 = 1
         ("holder", "[experiment]", "[pucci]\nrotations = 3\n\n[experiment]"),  # 1-D rays take no rotation
         ("game2x2", "f.a0.b0 = affine:0.8,-1.2", "f.a0.b0 = affine:"),  # no c0
+        ("game2x2", "sigma = 1.4142135623730951", "sigma = 1.0;0.5"),  # 1 x 2 on 1-D noise
+        ("game2x2", "k0 = 2.2", "k0 = nan"),  # every margin against K0 would read +inf or pass
     ],
-    ids=["r_low", "pi_scale", "rotations_1d", "affine_without_parameters"],
+    ids=["r_low", "pi_scale", "rotations_1d", "affine_without_parameters", "sigma_1x2", "k0_nan"],
 )
 def test_cli_rejects_values_a_later_stage_would_ignore_or_trip_on(tmp_path, capsys, name, old, new):
     text = (CONFIGS / f"{name}.cfg").read_text()
@@ -223,6 +225,23 @@ def test_cli_rejects_values_a_later_stage_would_ignore_or_trip_on(tmp_path, caps
     bad = _write(tmp_path, text.replace(old, new))
     assert main(["validate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_coefficient_bound_that_is_not_finite(tmp_path, capsys):
+    # h = 0.5 is past h_mono = 0.4545 of k0 = 2.2; a NaN k0 gave no bound to hold the solve to
+    bad = _write(tmp_path, (CONFIGS / "game2x2.cfg").read_text().replace("k0 = 2.2", "k0 = nan"))
+    assert main(["solve", "--config", str(bad), "--grid-h", "0.5", "--out", str(tmp_path / "o")]) == 2
+    assert "K0 must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_validate_takes_the_lipschitz_quotient_along_every_axis(tmp_path):
+    # b.a0.b0 slopes by 3 along x2 only, above k0 = 2.2, while its bound holds
+    text = (CONFIGS.parent / "sdgbench" / "box2d.cfg").read_text()
+    bad = _write(tmp_path, text.replace("b.a0.b0 = 0.4;0.2", "b.a0.b0 = 0.4;affine:-1.5,0,3"))
+    assert main(["validate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+    summary = (tmp_path / "o" / "summary.txt").read_text()
+    assert "Lipschitz (K0) margin    : -0.8\n" in summary and "result                   : FAIL" in summary
 
 
 def test_cli_usage_errors(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -45,6 +46,13 @@ def test_domain_rejects_bad_specs():
         DomainSpec("ball", 2, center=(0.0,), radius=1.0)
     with pytest.raises(ValueError):
         DomainSpec("pentagon", 2)
+    # a field of the other shape would be stored unread, whatever its value
+    with pytest.raises(ValueError, match="center does not apply to shape 'box'"):
+        DomainSpec("box", 1, (0.0,), (1.0,), center=(0.5,))
+    with pytest.raises(ValueError, match="radius does not apply to shape 'box'"):
+        DomainSpec("box", 1, (0.0,), (1.0,), radius=0.0)
+    with pytest.raises(ValueError, match="upper does not apply to shape 'ball'"):
+        DomainSpec("ball", 1, upper=(1.0,), center=(0.5,), radius=0.5)
 
 
 @pytest.mark.parametrize(
@@ -124,9 +132,41 @@ def test_state_dimension_is_the_domains():
         g=const_scalar(0.0),
         K0=1.0,
         delta=0.5,
-        d1=2,
     )
-    assert p.d == 2
+    assert (p.d, p.d1) == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("K0", math.nan), ("K0", -1.0), ("K0", 0.0), ("K0", math.inf), ("K1", math.nan), ("K1", -1.0)],
+    ids=["K0_nan", "K0_negative", "K0_zero", "K0_inf", "K1_nan", "K1_negative"],
+)
+def test_problem_rejects_bounds_out_of_range(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        dataclasses.replace(_singleton(), **{name: value})
+
+
+@pytest.mark.parametrize(
+    "overrides, expected",
+    [
+        (dict(sigma=((const_matrix([[1.0, 0.5]]),),)), r"sigma.a0.b0 has shape \(1, 2\), not \(1, 1\)"),
+        (dict(b=((const_vector([0.0, 0.0]),),)), r"b.a0.b0 has shape \(2,\), not \(1,\)"),
+        (dict(c=((const_vector([0.0]),),)), r"c.a0.b0 has shape \(1,\), not \(\)"),
+        (dict(f=((lambda x: x[:, 0],),)), r"f.a0.b0 has shape None, not \(\)"),
+        (dict(g=const_vector([0.0])), r"g has shape \(1,\), not \(\)"),
+    ],
+    ids=["sigma_1x2", "b_of_length_2", "c_a_vector", "f_no_field", "g_a_vector"],
+)
+def test_problem_checks_coefficient_shapes(overrides, expected):
+    # a 1 x 2 sigma on 1-D noise would be read as 2-D noise by the solver
+    with pytest.raises(ValueError, match=expected):
+        dataclasses.replace(_singleton(), **overrides)
+
+
+def test_validate_problem_fails_on_a_nan_coefficient():
+    p = _singleton(f=math.nan)
+    rep = validate_problem(p, DomainGrid.build(p.domain, 1 / 8))
+    assert math.isnan(rep.bound_margin) and not rep.passed
 
 
 def test_validate_problem_passes_on_good_problem():

@@ -392,7 +392,7 @@ def _per_node(problem, grid):
         for ia in range(problem.n_alpha_ext)
         for ib in range(problem.n_beta)
     ]
-    return Discretization(grid, pairs, problem.n_beta, problem)
+    return Discretization(grid, pairs, problem.n_beta)
 
 
 @pytest.mark.parametrize("case", ["game2x2", "box2d", "holder_K4"])
@@ -591,6 +591,7 @@ def test_second_order_refinement_on_quartic_solution():
             return float(self(np.atleast_2d(np.asarray(x, float)))[0])
 
         is_constant = False
+        shape = ()  # a scalar field
 
     p = _problem_1d(_Quartic())
     errors = []
