@@ -18,16 +18,11 @@ import numpy as np
 
 from .config import ConfigError, load_experiment
 from .grids import DomainGrid
-from .harness import VARIANTS, build_variant_spec, run_invariance_suite, run_vk_convergence
+from .harness import VARIANTS, run_invariance_suite, run_vk_convergence
 from .model import validate_problem
 from .pde import IsaacsSolver, extend_problem
 from .policies import ConstantPolicy, ConstantResponder
-from .simulate import (
-    ControlAdaptedSpec,
-    girsanov_martingale_check,
-    increment_bound_study,
-    simulate_to_exit,
-)
+from .simulate import girsanov_martingale_check, increment_bound_study, simulate_to_exit
 
 __all__ = ["main", "build_parser"]
 
@@ -90,12 +85,10 @@ def _stage_solve(cfg, args, out_dir: Path) -> tuple[str, bool]:
 
 
 def _stage_simulate(cfg, args, out_dir: Path) -> tuple[str, bool]:
-    problem = cfg.problem
-    spec = build_variant_spec(problem, args.variant, cfg.variant_params)
     alpha, beta = ConstantPolicy(0), ConstantResponder(0)
     lines = []
     for ip, pt in enumerate(cfg.points):
-        batch = simulate_to_exit(problem, spec, pt, alpha, beta, cfg.sim)
+        batch = simulate_to_exit(cfg.problem, cfg.specs[args.variant], pt, alpha, beta, cfg.sim)
         pay = batch.payoff
         se = float(pay.std(ddof=1) / math.sqrt(len(pay)))
         lines.append(
@@ -122,34 +115,16 @@ def _stage_converge(cfg, args, out_dir: Path) -> tuple[str, bool]:
 
 
 def _stage_martingale(cfg, args, out_dir: Path) -> tuple[str, bool]:
-    problem = cfg.problem
-    spec = build_variant_spec(problem, "girsanov", cfg.variant_params)
-    alpha, beta = ConstantPolicy(0), ConstantResponder(0)
-    report = girsanov_martingale_check(
-        problem, spec, cfg.points[0], alpha, beta, cfg.sim
-    )
-    ok = abs(report.weight_mean - 1.0) <= 3.0 * report.weight_se + report.censored_weight_mass
-    return report.summary() + f"\nresult: {'PASS' if ok else 'FAIL'}", ok
+    players = ConstantPolicy(0), ConstantResponder(0)
+    report = girsanov_martingale_check(cfg.problem, cfg.specs["girsanov"], cfg.points[0], *players, cfg.sim)
+    return report.summary(), report.passed
 
 
 def _stage_increments(cfg, args, out_dir: Path) -> tuple[str, bool]:
-    problem = cfg.problem
-    spec = ControlAdaptedSpec.baseline(problem)
-    alpha, beta = ConstantPolicy(0), ConstantResponder(0)
-    report = increment_bound_study(
-        problem, spec, cfg.points[0], alpha, beta, cfg.sim, args.lags
-    )
+    players = ConstantPolicy(0), ConstantResponder(0)
+    report = increment_bound_study(cfg.problem, cfg.specs["baseline"], cfg.points[0], *players, cfg.sim, args.lags)
     report.to_csv(out_dir / "increments.csv")
-    scaled = report.scaled
-    ratio = max(scaled) / min(scaled) if min(scaled) > 0 else math.inf
-    ok = ratio <= 4.0
-    lines = [
-        f"n = {n}: M = {m:.6e} (M*n = {s:.6e})"
-        for n, m, s in zip(report.n_values, report.M_values, scaled)
-    ]
-    lines.append(f"max/min of M*n: {ratio:.3f}")
-    lines.append(f"result: {'PASS' if ok else 'FAIL'}")
-    return "\n".join(lines), ok
+    return report.summary(), report.passed
 
 
 _MC = ("--seed", "--paths", "--dt")

@@ -34,19 +34,27 @@ class ConfigError(ValueError):
     """Malformed or incomplete configuration file."""
 
 
-def _floats(text: str, sep: str = ",") -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(sep) if v.strip())
+def _entries(text: str, sep: str = ",") -> list[str]:
+    """The stripped entries of a list; a text of separators and blanks only is the empty list."""
+    entries = [v.strip() for v in text.split(sep)]
+    if any(entries) and not all(entries):
+        raise ValueError(f"empty entry in {text!r}")
+    return entries if any(entries) else []
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in _entries(text))
 
 
 def _names(text: str) -> tuple[str, ...]:
-    names = tuple(v.strip() for v in text.split(",") if v.strip())
+    names = tuple(_entries(text))
     if not names:
         raise ValueError("empty list")
     return names
 
 
 def _points(text: str) -> tuple[tuple[float, ...], ...]:
-    return tuple(_floats(p) for p in text.split(";") if p.strip())
+    return tuple(_floats(p) for p in _entries(text, ";"))
 
 
 # Section -> key -> value parser, or (value parser, keyword) where the

@@ -17,7 +17,7 @@ import numpy as np
 
 from .grids import DomainGrid, write_csv
 from .model import GameProblem, validate_problem
-from .pde import IsaacsSolver, PucciParams, RateReport, SolveConfig, _penalty_sweep
+from .pde import IsaacsSolver, PucciParams, RateReport, SolveConfig, _K_values, _penalty_sweep
 from .policies import (
     ConstantPolicy,
     FeedbackAlphaPolicy,
@@ -25,7 +25,7 @@ from .policies import (
     build_alpha_selector,
     build_beta_selector,
 )
-from .simulate import ControlAdaptedSpec, SimConfig, simulate_lanes
+from .simulate import ControlAdaptedSpec, SimConfig, _start_point, simulate_lanes
 
 __all__ = [
     "VARIANTS",
@@ -173,6 +173,9 @@ def _estimate_values(problem, jobs, beta_policy, candidates, cfg) -> list[ValueE
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment run, checked in full when it is made; ``specs`` holds the checked spec of
+    every name in ``VARIANTS``, which the stages run."""
+
     problem: GameProblem
     points: tuple[tuple[float, ...], ...]
     variants: tuple[str, ...] = VARIANTS
@@ -186,26 +189,28 @@ class ExperimentConfig:
     z_threshold: float = 3.0
     budget_h2: float = 4.0
     budget_sqrt_dt: float = 0.65
+    specs: dict = field(init=False, repr=False, compare=False)  # variant name -> ControlAdaptedSpec
 
     def __post_init__(self):
         # the Monte Carlo settings take the experiment's seed, so SimConfig's
         # own checks reject a bad seed when the config is made
         object.__setattr__(self, "sim", replace(self.sim, seed=self.seed))
-        # raises for an unknown name, and for params outside the admissible class: "combined" uses all
-        for name in (*self.variants, "combined"):
-            build_variant_spec(self.problem, name, self.variant_params).check(self.problem)
+        names = self.variants
+        if not set(names) <= set(VARIANTS) or "baseline" not in names or len(set(names)) < len(names):
+            raise ValueError(f"variants must list baseline and any of {', '.join(VARIANTS[1:])}, each at "
+                             f"most once; got {', '.join(names)}")
+        # every name, as a stage may run any of them; "combined" uses every params value
+        specs = {name: build_variant_spec(self.problem, name, self.variant_params) for name in VARIANTS}
+        for spec in specs.values():
+            spec.check(self.problem)
+        object.__setattr__(self, "specs", specs)
         if not 0 < self.h < math.inf:
             raise ValueError(f"grid spacing h must be finite and positive, got {self.h}")
-        K = list(self.K_list)
-        if not K or not all(1 <= k < math.inf for k in K) or K != sorted(set(K)):
-            raise ValueError(f"k_list must be nonempty, finite, >= 1 and strictly increasing, got {self.K_list}")
+        _K_values(self.K_list)
         if not self.points:
             raise ValueError("need at least one evaluation point")
         for p in self.points:
-            if len(p) != self.problem.d:
-                raise ValueError(f"evaluation point {p} has {len(p)} coordinates, not {self.problem.d}")
-            if not self.problem.domain.contains(np.asarray(p, dtype=float)[None, :])[0]:
-                raise ValueError(f"evaluation point {p} is not interior to the domain")
+            _start_point(self.problem, p)
 
     @property
     def budget(self) -> float:
@@ -300,8 +305,6 @@ def _feedback_players(config: ExperimentConfig, solver: IsaacsSolver):
 def run_invariance_suite(config: ExperimentConfig) -> InvarianceReport:
     """Solve the PDE once, then compare MC estimates across all variants."""
     problem = config.problem
-    if "baseline" not in config.variants:
-        raise ValueError("variant list must include the baseline")
     grid = DomainGrid.build(problem.domain, config.h)
     report = validate_problem(problem, grid)
     if not report.passed:
@@ -313,12 +316,11 @@ def run_invariance_suite(config: ExperimentConfig) -> InvarianceReport:
         raise RuntimeError(f"pde stage failed: {exc}") from exc
     cfg = config.sim
     pde_values = [float(solver.predict(np.asarray(p)[None, :])[0]) for p in config.points]
-    specs = {var: build_variant_spec(problem, var, config.variant_params) for var in config.variants}
     keys = [(ip, var) for ip in range(len(config.points)) for var in config.variants]
     try:
         values = _estimate_values(
             problem,
-            [(specs[var], config.points[ip]) for ip, var in keys],
+            [(config.specs[var], config.points[ip]) for ip, var in keys],
             beta_policy,
             candidates,
             cfg,
@@ -392,10 +394,7 @@ def run_vk_convergence(config: ExperimentConfig) -> VkConvergenceReport:
     """Penalized-solution gap study with an MC cross-check at min and max K."""
     problem = config.problem
     pucci = config.pucci or PucciParams.build(problem.d)
-    K_list = list(config.K_list)
-    rate, plain, penalized = _penalty_sweep(
-        problem, pucci, problem.g, K_list, config.solve, config.h
-    )
+    rate, plain, penalized = _penalty_sweep(problem, pucci, problem.g, config.K_list, config.solve, config.h)
     mask = plain.grid_.in_closure
     tol = 10.0 * config.solve.residual_tol
     nonincreasing = all(b <= a + tol for a, b in zip(rate.sup_errors, rate.sup_errors[1:]))
@@ -409,7 +408,7 @@ def run_vk_convergence(config: ExperimentConfig) -> VkConvergenceReport:
     beta_policy, candidates = _feedback_players(config, plain)
     est = estimate_value(problem, ControlAdaptedSpec.baseline(problem), pt, beta_policy, candidates, cfg)
     cross = {}
-    for K, solver in ((K_list[0], penalized[0]), (K_list[-1], penalized[-1])):
+    for K, solver in ((rate.K_values[0], penalized[0]), (rate.K_values[-1], penalized[-1])):
         ext = solver.problem_
         beta_K, cand_K = _feedback_players(config, solver)
         est_K = estimate_value(ext, ControlAdaptedSpec.baseline(ext), pt, beta_K, cand_K, cfg)

@@ -15,6 +15,7 @@ a grid and reports worst-case margin values instead of proving anything.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,6 +188,13 @@ class GameProblem:
         return self.actions.n_beta
 
 
+def _integer(value, name: str, least: int) -> int:
+    """``value`` as an ``int``; raise unless it is an integer, not a bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, not {value!r}")
+    return int(value)
+
+
 def _check_shape(coefficient, shape: tuple, *key: str) -> None:
     """Raise unless ``coefficient`` holds values of ``shape``, read without evaluating it."""
     got = getattr(coefficient, "shape", None)
@@ -253,10 +261,12 @@ def validate_problem(problem: GameProblem, grid) -> ValidationReport:
     worst = np.max([snorm.max(), bnorm.max(), np.abs(c).max(), np.abs(f).max()])
     ell_lo, ell_hi = float(eigs.min() - problem.delta), float(1.0 / problem.delta - eigs.max())
     bound, lip, cmin = float(problem.K0 - worst), float(problem.K0 - quot.max()), float(c.min())
-    failures = (
-        (ell_lo, "ellipticity violated: min eigenvalue of a below delta"),
-        (bound, "coefficient bound K0 exceeded"),
-        (lip, "Lipschitz quotient of sigma/b exceeds K0"),
-        (cmin, "discount rate c is negative somewhere"),
+    checks = (  # margin, the assumption it measures, what a negative margin means
+        (ell_lo, "ellipticity lower bound", "ellipticity violated: min eigenvalue of a below delta"),
+        (ell_hi, "ellipticity upper bound", "ellipticity violated: max eigenvalue of a above 1/delta"),
+        (bound, "coefficient bound K0", "coefficient bound K0 exceeded"),
+        (lip, "Lipschitz bound K0", "Lipschitz quotient of sigma/b exceeds K0"),
+        (cmin, "discount sign", "discount rate c is negative somewhere"),
     )
-    return ValidationReport(ell_lo, ell_hi, bound, lip, cmin, [text for m, text in failures if m < 0])
+    messages = [text if m < 0 else f"{name}: margin is not a number" for m, name, text in checks if not m >= 0]
+    return ValidationReport(ell_lo, ell_hi, bound, lip, cmin, messages)

@@ -20,7 +20,6 @@ set: fit ``IsaacsSolver`` on ``extend_problem(problem, pucci, K)``.
 from __future__ import annotations
 
 import math
-import numbers
 import weakref
 from dataclasses import dataclass, replace
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from .coefficients import const_matrix, const_scalar, const_vector
 from .grids import DomainGrid, ValueField, write_csv
-from .model import ActionSets, GameProblem
+from .model import ActionSets, GameProblem, _integer
 
 __all__ = [
     "SolveConfig",
@@ -51,9 +50,7 @@ class SolveConfig:
     def __post_init__(self):
         if isinstance(self.residual_tol, bool) or not 0 < self.residual_tol < math.inf:
             raise ValueError(f"residual_tol must be finite and positive, got {self.residual_tol!r}")
-        n = self.max_policy_iters  # a bool is an int, and a float would fail later in range()
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-            raise ValueError(f"max_policy_iters must be an integer of at least 0, got {n!r}")
+        object.__setattr__(self, "max_policy_iters", _integer(self.max_policy_iters, "max_policy_iters", 0))
 
 
 @dataclass(frozen=True)
@@ -84,9 +81,7 @@ class PucciParams:
             return PucciParams(delta_hat, (np.array([[lo]]), np.array([[hi]])))
         if d != 2:
             raise ValueError(f"curvature-penalty rays are provided for d <= 2 only, got d = {d}")
-        n = 16 if n_rotations is None else n_rotations
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError(f"n_rotations must be an integer of at least 1, got {n!r}")
+        n = _integer(16 if n_rotations is None else n_rotations, "n_rotations", 1)
         m = n if n % 2 == 0 else 2 * n
         rays = [lo * np.eye(2), hi * np.eye(2)]
         for j in range(m):
@@ -423,15 +418,21 @@ class RateReport:
         write_csv(path, ["K", "sup_error"], [*zip(self.K_values, self.sup_errors), trailer])
 
 
+def _K_values(K_list) -> list:
+    """``K_list`` as a list; raise unless it is nonempty, finite, at least 1 and strictly increasing."""
+    K = list(K_list)
+    if not K or not all(1 <= k < math.inf for k in K) or K != sorted(set(K)):
+        raise ValueError(f"k_list must be nonempty, finite, >= 1 and strictly increasing, got {K_list}")
+    return K
+
+
 def _penalty_sweep(problem: GameProblem, pucci: PucciParams, g_boundary, K_list, cfg: SolveConfig, h: float):
     """Solve the plain game and each penalized game once, on one grid.
 
     Returns the rate report, the plain solver and one solver per K, each
     fitted on its extended problem.
     """
-    K_list = list(K_list)
-    if not all(1 <= k < math.inf for k in K_list) or K_list != sorted(set(K_list)):
-        raise ValueError(f"K_list must be finite, at least 1 and strictly increasing, got {K_list}")
+    K_list = _K_values(K_list)
     grid = DomainGrid.build(problem.domain, h)
     plain = IsaacsSolver(h=h, cfg=cfg).fit(problem, g_boundary, grid=grid)
     penalized = [

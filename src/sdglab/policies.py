@@ -17,13 +17,12 @@ state); a subclass whose ``select`` or ``respond`` answers otherwise sets it to 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import DomainGrid, ValueField, write_csv
-from .model import GameProblem
+from .grids import DomainGrid, ValueField
+from .model import GameProblem, _integer
 from .pde import Discretization
 from .simulate import ControlAdaptedSpec, SimConfig, _run_ensemble
 
@@ -63,16 +62,6 @@ class MarkovSelector:
     def role(self) -> str:
         """``"beta"`` for a responder table, ``"alpha"`` for a leader table."""
         return "beta" if self.table.ndim == 2 else "alpha"
-
-    def to_csv(self, path) -> None:
-        mask = self.grid.in_closure
-        coords = self.grid.coords[mask]
-        head = [f"x{i + 1}" for i in range(coords.shape[1])]
-        if self.role == "beta":
-            head += [f"beta_for_alpha{a}" for a in range(self.table.shape[0])]
-        else:
-            head.append("alpha")
-        write_csv(path, head, np.concatenate([coords, np.atleast_2d(self.table)[:, mask].T], axis=1))
 
 
 def _hamiltonians(problem: GameProblem, u: ValueField, epsilon: float) -> tuple[Discretization, np.ndarray]:
@@ -129,12 +118,6 @@ def build_alpha_selector(problem: GameProblem, u_check: ValueField, epsilon: flo
     return _least_index(disc, minvals >= -epsilon)
 
 
-def _index(value, what: str) -> int:
-    if not isinstance(value, numbers.Integral) or value < 0:
-        raise ValueError(f"{what} must be a non-negative integer, not {value!r}")
-    return int(value)
-
-
 class ConstantPolicy:
     """Always plays the same action."""
 
@@ -142,7 +125,7 @@ class ConstantPolicy:
     _ensemble_reads = "action"
 
     def __init__(self, action: int, name: str | None = None):
-        self.action = _index(action, "an action")
+        self.action = _integer(action, "action", 0)
         self.name = name or f"const{action}"
 
     def select(self, k, t, x):
@@ -163,8 +146,8 @@ class OccupancyPolicy:
             raise ValueError("occupation fraction must lie in [0, 1]")
         if not (0 < period < math.inf):
             raise ValueError(f"occupation period must be finite and positive, got {period}")
-        self.base_action = _index(base_action, "an action")
-        self.special_action = _index(special_action, "an action")
+        self.base_action = _integer(base_action, "base_action", 0)
+        self.special_action = _integer(special_action, "special_action", 0)
         self.fraction = fraction
         self.period = period
         self.name = f"occupancy{fraction}"
@@ -182,7 +165,7 @@ class ConstantResponder:
     _ensemble_reads = "action"
 
     def __init__(self, action: int):
-        self.action = _index(action, "an action")
+        self.action = _integer(action, "action", 0)
 
     def respond(self, ia, k, t, x):
         return np.full(np.shape(ia), self.action)
@@ -199,7 +182,7 @@ class _FeedbackPolicy:
         if selector.role != self.role:
             raise ValueError(f"needs a selector of role {self.role!r}, not {selector.role!r}")
         self.selector = selector
-        self.lag_n = _index(lag_n, "a lag")
+        self.lag_n = _integer(lag_n, "lag_n", 0)
         self.name = f"feedback_{self.role}"
 
 

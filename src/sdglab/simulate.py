@@ -59,7 +59,6 @@ is done without ``fork``, on one CPU, or while other threads run.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import sys
 import threading
@@ -69,7 +68,7 @@ import numpy as np
 
 from .coefficients import ScalarField
 from .grids import ValueField, write_csv
-from .model import GameProblem
+from .model import GameProblem, _integer
 
 __all__ = [
     "ControlAdaptedSpec",
@@ -133,17 +132,13 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, value in (("n_paths", self.n_paths), ("seed", self.seed)):  # a bool or float passes below
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-            object.__setattr__(self, name, int(value))
+        object.__setattr__(self, "n_paths", _integer(self.n_paths, "n_paths", 1))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
         if not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if not 1 <= self.t_max < math.inf:
             raise ValueError(f"truncation horizon must be finite and at least 1, got {self.t_max}")
-        if self.n_paths < 1:
-            raise ValueError("need at least one path")
-        if not 0 <= self.seed < 1 << 64:
+        if self.seed >= 1 << 64:
             raise ValueError("seed must lie in [0, 2**64)")
 
 
@@ -341,11 +336,12 @@ def _distinct(objs):
 
 
 def _start_point(problem: GameProblem, x0) -> np.ndarray:
+    """``x0`` as a float array; raise unless it has d coordinates and lies inside the domain."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (problem.d,):
-        raise ValueError(f"starting point {x0.tolist()} has dimension {x0.size}, the problem d = {problem.d}")
+        raise ValueError(f"point {x0.tolist()} has {x0.size} coordinates, not {problem.d}")
     if not problem.domain.contains(x0[None, :])[0]:
-        raise ValueError("starting point must lie inside the domain")
+        raise ValueError(f"point {x0.tolist()} must lie inside the domain")
     return x0
 
 
@@ -669,12 +665,18 @@ class MartingaleReport:
     censored_weight_mass: float  # mean of e^{-psi} restricted to censored paths
     exp_psi_integral_mean: float
 
+    @property
+    def passed(self) -> bool:
+        """E exp(-psi_tau) = 1 within 3 standard errors plus the censored weight mass."""
+        return abs(self.weight_mean - 1.0) <= 3.0 * self.weight_se + self.censored_weight_mass
+
     def summary(self) -> str:
         return (
             f"mean exp(-psi_tau)      : {self.weight_mean:.6f} +- {self.weight_se:.6f}\n"
             f"censored fraction       : {self.censored_fraction:.6f}\n"
             f"censored weight mass    : {self.censored_weight_mass:.6f}\n"
-            f"E int exp(-psi) ds      : {self.exp_psi_integral_mean:.6f}"
+            f"E int exp(-psi) ds      : {self.exp_psi_integral_mean:.6f}\n"
+            f"result: {'PASS' if self.passed else 'FAIL'}"
         )
 
 
@@ -716,6 +718,23 @@ class BoundReport:
     @property
     def scaled(self) -> list[float]:
         return [m * n for n, m in zip(self.n_values, self.M_values)]
+
+    @property
+    def ratio(self) -> float:
+        """max/min of M n over the lags, inf unless every M n is positive."""
+        scaled = self.scaled
+        return max(scaled) / min(scaled) if min(scaled) > 0 else math.inf
+
+    @property
+    def passed(self) -> bool:
+        """M n stays within a factor 4 across the lags, as the O(1/n) bound asks."""
+        return self.ratio <= 4.0
+
+    def summary(self) -> str:
+        lines = [f"n = {n}: M = {m:.6e} (M*n = {m * n:.6e})" for n, m in zip(self.n_values, self.M_values)]
+        lines.append(f"max/min of M*n: {self.ratio:.3f}")
+        lines.append(f"result: {'PASS' if self.passed else 'FAIL'}")
+        return "\n".join(lines)
 
     def to_csv(self, path) -> None:
         write_csv(path, ["n", "M", "M_se", "M_times_n"], (

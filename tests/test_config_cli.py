@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,25 @@ def test_k_list_entries(tmp_path):
     for k_list in (",", "1, nan, 8", "1, inf", "0.5, 2", "1, 2, 2", "4, 2"):
         with pytest.raises(ConfigError, match="k_list must be nonempty, finite, >= 1 and strictly increasing"):
             load_experiment(_write(tmp_path, MINIMAL + f"\n[experiment]\nk_list = {k_list}\n"))
+
+
+@pytest.mark.parametrize(
+    "name, old, new, key",
+    [
+        ("box2d", "points = 0.5, 0.5", "points = 0.25,, 0.5", "[experiment] points"),
+        ("game2x2", "points = 0.25; 0.5; 0.75", "points = 0.25;; 0.75", "[experiment] points"),
+        ("holder", "k_list = 1, 2, 4", "k_list = 1,, 4", "[experiment] k_list"),
+        ("analytic", "upper = 1.0", "upper = 1.0,", "[domain] upper"),
+        ("game2x2", "alpha = a0, a1", "alpha = a0,, a1", "[actions] alpha"),
+    ],
+    ids=["coordinate", "point", "k_list", "trailing_comma", "label"],
+)
+def test_an_empty_list_entry_is_an_error(tmp_path, name, old, new, key):
+    path = CONFIGS / f"{name}.cfg" if name != "box2d" else CONFIGS.parent / "sdgbench" / "box2d.cfg"
+    text = path.read_text()
+    assert old in text
+    with pytest.raises(ConfigError, match=rf"bad value for {re.escape(key)}: empty entry"):
+        load_experiment(_write(tmp_path, text.replace(old, new)))
 
 
 def test_sim_section_keys(tmp_path):
@@ -216,8 +236,12 @@ def test_cli_rejects_a_non_finite_domain(tmp_path, capsys):
         ("game2x2", "f.a0.b0 = affine:0.8,-1.2", "f.a0.b0 = affine:"),  # no c0
         ("game2x2", "sigma = 1.4142135623730951", "sigma = 1.0;0.5"),  # 1 x 2 on 1-D noise
         ("game2x2", "k0 = 2.2", "k0 = nan"),  # every margin against K0 would read +inf or pass
+        # invariance compares every variant with the baseline, and a repeat with itself
+        ("game2x2", "variants = baseline, time_change,", "variants = time_change,"),
+        ("game2x2", "variants = baseline, time_change,", "variants = girsanov, baseline, time_change,"),
     ],
-    ids=["r_low", "pi_scale", "rotations_1d", "affine_without_parameters", "sigma_1x2", "k0_nan"],
+    ids=["r_low", "pi_scale", "rotations_1d", "affine_without_parameters", "sigma_1x2", "k0_nan",
+         "variants_without_baseline", "variants_with_a_repeat"],
 )
 def test_cli_rejects_values_a_later_stage_would_ignore_or_trip_on(tmp_path, capsys, name, old, new):
     text = (CONFIGS / f"{name}.cfg").read_text()

@@ -4,7 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sdglab import harness
 from sdglab.harness import (
+    VARIANTS,
     ExperimentConfig,
     ValueEstimate,
     VariantParams,
@@ -133,16 +135,12 @@ def test_experiment_config_checks_points(analytic_problem):
 
 
 def test_invariance_requires_baseline(analytic_problem):
-    cfg = ExperimentConfig(
-        problem=analytic_problem,
-        points=((0.5,),),
-        variants=("time_change", "girsanov"),
-    )
+    # the variant list is checked when the config is made, before any stage runs
     with pytest.raises(ValueError, match="baseline"):
-        run_invariance_suite(cfg)
+        ExperimentConfig(problem=analytic_problem, points=((0.5,),), variants=("time_change", "girsanov"))
 
 
-def test_invariance_smoke_two_variants(analytic_problem):
+def test_invariance_smoke_two_variants(analytic_problem, monkeypatch):
     # small-budget end-to-end pass: identical physics across variants, so
     # the duplicate baseline has z exactly 0 and reports render
     cfg = ExperimentConfig(
@@ -153,6 +151,9 @@ def test_invariance_smoke_two_variants(analytic_problem):
         h=1 / 64,
         seed=12,
     )
+    # every variant's spec is built and checked once, with the config, and the suite runs those
+    assert list(cfg.specs) == list(VARIANTS)
+    monkeypatch.setattr(harness, "build_variant_spec", None)
     rep = run_invariance_suite(cfg)
     assert rep.z_scores.shape == (1, 2, 2)
     assert np.allclose(rep.z_scores, -rep.z_scores.transpose(0, 2, 1))

@@ -169,6 +169,20 @@ def test_validate_problem_fails_on_a_nan_coefficient():
     assert math.isnan(rep.bound_margin) and not rep.passed
 
 
+def test_validate_problem_names_every_failed_margin():
+    # sigma = 2.5: a = 3.125 is above 1/delta = 2, and |sigma| above K0 = 2
+    p = _singleton(sigma=2.5)
+    rep = validate_problem(p, DomainGrid.build(p.domain, 1 / 8))
+    assert rep.ellipticity_upper_margin == pytest.approx(-1.125) and not rep.passed
+    assert rep.messages == ["ellipticity violated: max eigenvalue of a above 1/delta", "coefficient bound K0 exceeded"]
+    # a NaN margin fails too, and says which assumption it could not check
+    p = _singleton(sigma=math.nan)
+    rep = validate_problem(p, DomainGrid.build(p.domain, 1 / 8))
+    names = ("ellipticity lower bound", "ellipticity upper bound", "coefficient bound K0", "Lipschitz bound K0")
+    assert rep.messages == [f"{name}: margin is not a number" for name in names]
+    assert rep.summary().endswith("result                   : FAIL\n" + "\n".join(rep.messages))
+
+
 def test_validate_problem_passes_on_good_problem():
     p = _singleton()
     grid = DomainGrid.build(p.domain, 1 / 32)

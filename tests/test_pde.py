@@ -309,6 +309,8 @@ def test_solve_config_validation():
         with pytest.raises(ValueError, match=next(iter(bad))):
             SolveConfig(**bad)
     assert SolveConfig(max_policy_iters=np.int64(3), residual_tol=1).max_policy_iters == 3
+    # kept as an int, as every integer setting is
+    assert type(SolveConfig(max_policy_iters=np.int64(3)).max_policy_iters) is int
 
 
 def test_residual_below_round_off_floor_fails_loudly(game_problem):
@@ -682,8 +684,8 @@ def test_convergence_study_rejects_bad_K_list(analytic_problem):
     pucci = PucciParams.build(1, delta_hat=0.5)
     with pytest.raises(ValueError):
         convergence_study(analytic_problem, pucci, analytic_problem.g, [4, 2])
-    for K_list in ([0.5, 2], [1, math.nan, 8], [1, math.inf], [2, 2]):
-        with pytest.raises(ValueError, match="strictly increasing"):
+    for K_list in ([0.5, 2], [1, math.nan, 8], [1, math.inf], [2, 2], []):
+        with pytest.raises(ValueError, match="k_list must be nonempty, finite, >= 1 and strictly increasing"):
             convergence_study(analytic_problem, pucci, analytic_problem.g, K_list)
 
 

@@ -361,9 +361,9 @@ def test_start_of_wrong_dimension_rejected():
     spec = ControlAdaptedSpec.baseline(p)
     cfg = SimConfig(dt=1e-3, t_max=1.0, n_paths=50)
     for x0 in ([0.5], [0.5, 0.5, 0.5]):
-        with pytest.raises(ValueError, match=f"dimension {len(x0)}.*d = 2"):
+        with pytest.raises(ValueError, match=f"has {len(x0)} coordinates, not 2"):
             simulate_to_exit(p, spec, x0, ConstantPolicy(0), ConstantResponder(0), cfg)
-        with pytest.raises(ValueError, match=f"dimension {len(x0)}.*d = 2"):
+        with pytest.raises(ValueError, match=f"has {len(x0)} coordinates, not 2"):
             pathwise_comparison(p, spec, x0, ConstantPolicy(0), ConstantResponder(0), cfg, 1.0,
                                 np.arange(p.n_alpha_ext))
 
@@ -421,7 +421,8 @@ def test_girsanov_weight_is_unit_mean(analytic_problem):
     slack = 4.0 * rep.weight_se + rep.censored_weight_mass
     assert abs(rep.weight_mean - 1.0) < slack
     assert rep.exp_psi_integral_mean > 0
-    assert "PASS" not in rep.summary()  # summary reports numbers, not verdicts
+    # the verdict, 3 standard errors plus the censored mass, is the summary's last line
+    assert rep.passed and rep.summary().splitlines()[-1] == "result: PASS"
 
 
 def test_increment_bound_guards(analytic_problem):
@@ -455,6 +456,23 @@ def test_increment_bound_scaling(analytic_problem):
     assert all(m > 0 for m in rep.M_values)
     scaled = rep.scaled
     assert max(scaled) / min(scaled) < 4.0
+
+
+def test_bound_report_verdict():
+    from sdglab.simulate import BoundReport
+
+    rep = BoundReport([4, 8], [0.5, 0.3], [0.01, 0.01])
+    assert rep.ratio == pytest.approx(1.2) and rep.passed
+    assert rep.summary() == (
+        "n = 4: M = 5.000000e-01 (M*n = 2.000000e+00)\n"
+        "n = 8: M = 3.000000e-01 (M*n = 2.400000e+00)\n"
+        "max/min of M*n: 1.200\n"
+        "result: PASS"
+    )
+    # M n outside a factor 4, or an M of zero, fails
+    assert BoundReport([4, 8], [0.5, 1.1], [0.0, 0.0]).ratio == pytest.approx(4.4)
+    assert not BoundReport([4, 8], [0.5, 1.1], [0.0, 0.0]).passed
+    assert BoundReport([4, 8], [0.5, 0.0], [0.0, 0.0]).ratio == math.inf
 
 
 def test_trajectory_batch_fields_and_csv(tmp_path, analytic_problem):
