@@ -22,7 +22,7 @@ from .harness import VARIANTS, run_invariance_suite, run_vk_convergence
 from .model import validate_problem
 from .pde import IsaacsSolver, extend_problem
 from .policies import ConstantPolicy, ConstantResponder
-from .simulate import girsanov_martingale_check, increment_bound_study, simulate_to_exit
+from .simulate import _mean_se, girsanov_martingale_check, increment_bound_study, simulate_to_exit
 
 __all__ = ["main", "build_parser"]
 
@@ -72,7 +72,7 @@ def _stage_solve(cfg, args, out_dir: Path) -> tuple[str, bool]:
     problem, name, lines = cfg.problem, "value.csv", []
     if args.stage == "penalize":
         K = args.K if args.K is not None else max(cfg.K_list)
-        problem = extend_problem(problem, cfg.pucci, K)
+        problem = extend_problem(problem, cfg.pucci, K)  # raises for d > 2 without [pucci] rays
         name, lines = f"value_K{K:g}.csv", [f"K: {K:g}"]
     solver = IsaacsSolver(h=cfg.h, cfg=cfg.solve).fit(problem)
     solver.value_.to_csv(out_dir / name)
@@ -89,10 +89,9 @@ def _stage_simulate(cfg, args, out_dir: Path) -> tuple[str, bool]:
     lines = []
     for ip, pt in enumerate(cfg.points):
         batch = simulate_to_exit(cfg.problem, cfg.specs[args.variant], pt, alpha, beta, cfg.sim)
-        pay = batch.payoff
-        se = float(pay.std(ddof=1) / math.sqrt(len(pay)))
+        mean, se = _mean_se(batch.payoff)
         lines.append(
-            "x0=(" + ",".join(f"{v:g}" for v in pt) + f") mean payoff {pay.mean():.8f} "
+            "x0=(" + ",".join(f"{v:g}" for v in pt) + f") mean payoff {mean:.8f} "
             f"+- {se:.8f}, censored {batch.censored_fraction:.6f}, "
             f"mean exit time {float(batch.tau.mean()):.6f}"
         )

@@ -224,6 +224,8 @@ def load_experiment(path) -> ExperimentConfig:
         variant_params=_build("variants", VariantParams, _section(parser, "variants")),
         sim=_build("sim", SimConfig, _section(parser, "sim")),
         solve=_build("solve", SolveConfig, _section(parser, "solve")),
-        pucci=_build("pucci", partial(PucciParams.build, problem.d), _section(parser, "pucci")),
+        # a file without [pucci] leaves the rays to extend_problem's default
+        pucci=_build("pucci", partial(PucciParams.build, problem.d), _section(parser, "pucci"))
+        if "pucci" in parser else None,
         **kwargs,
     ))

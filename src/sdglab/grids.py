@@ -52,15 +52,20 @@ class DomainGrid:
         object.__setattr__(self, "_lookup", (np.subtract(self.lattice_shape, 1.0), np.asarray(self.strides)))
 
     @staticmethod
-    def build(domain: DomainSpec, h: float) -> "DomainGrid":
-        """Uniform lattice with spacing snapped so the box divides evenly."""
+    def shape_for(domain: DomainSpec, h: float) -> tuple[int, ...]:
+        """Nodes per axis of ``build``'s lattice: the box's width over ``h``, rounded to at least 2 cells."""
         if not 0 < h < np.inf:
             raise ValueError(f"grid spacing must be finite and positive, got {h}")
         lo, up = domain.bounding_box()
+        return tuple(int(c) + 1 for c in np.maximum(np.round((up - lo) / h).astype(int), 2))
+
+    @staticmethod
+    def build(domain: DomainSpec, h: float) -> "DomainGrid":
+        """Uniform lattice with spacing snapped so the box divides evenly."""
+        shape = DomainGrid.shape_for(domain, h)
+        lo, up = domain.bounding_box()
         d = domain.dimension
-        counts = np.maximum(np.round((up - lo) / h).astype(int), 2)
-        spacing = (up - lo) / counts
-        shape = tuple(int(c) + 1 for c in counts)
+        spacing = (up - lo) / np.subtract(shape, 1)
         axes = [lo[i] + spacing[i] * np.arange(shape[i]) for i in range(d)]
         mesh = np.meshgrid(*axes, indexing="ij")
         coords = np.stack([m.ravel() for m in mesh], axis=1)
@@ -139,6 +144,11 @@ class DomainGrid:
         for arr in layout[:5] + layout[7:]:
             arr.flags.writeable = False
         return layout
+
+    def check_domain(self, domain: DomainSpec, what: str) -> None:
+        """Raise ``ValueError`` unless this grid lies on ``domain``, compared by value."""
+        if self.domain != domain:
+            raise ValueError(f"{what} lies on {self.domain}, not on the problem's domain {domain}")
 
     def nearest_node(self, x: np.ndarray) -> np.ndarray:
         """Flat index of the nearest lattice node, clipped to the lattice."""

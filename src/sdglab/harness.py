@@ -25,7 +25,7 @@ from .policies import (
     build_alpha_selector,
     build_beta_selector,
 )
-from .simulate import ControlAdaptedSpec, SimConfig, _start_point, simulate_lanes
+from .simulate import ControlAdaptedSpec, SimConfig, _mean_se, _start_point, simulate_lanes
 
 __all__ = [
     "VARIANTS",
@@ -154,11 +154,9 @@ def _estimate_values(problem, jobs, beta_policy, candidates, cfg) -> list[ValueE
         means = {}
         for _, name in named:
             batch = next(batches)
-            pay = batch.payoff
-            mean = float(pay.mean())
+            mean, se = _mean_se(batch.payoff)
             means[name] = mean
             if best is None or mean > best[0]:
-                se = float(pay.std(ddof=1) / math.sqrt(len(pay)))
                 best = (mean, se, batch.censored_fraction, name)
         out.append(ValueEstimate(
             estimate=best[0],
@@ -183,7 +181,7 @@ class ExperimentConfig:
     sim: SimConfig = SimConfig()
     solve: SolveConfig = SolveConfig()
     h: float = 1 / 128
-    pucci: PucciParams | None = None
+    pucci: PucciParams | None = None  # None: extend_problem's default rays
     K_list: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64)
     seed: int = 0
     z_threshold: float = 3.0
@@ -223,22 +221,32 @@ class InvarianceReport:
     variants: tuple[str, ...]
     estimates: dict  # (point index, variant name) -> ValueEstimate
     pde_values: list[float]
-    z_scores: np.ndarray  # (n_points, n_variants, n_variants), antisymmetric
     budget: float
     z_threshold: float
 
     @property
+    def z_scores(self) -> np.ndarray:
+        """(n_points, n_variants, n_variants), antisymmetric: each pair's difference of estimates over
+        its combined standard error, 0 where that is 0 (and NaN where it is NaN)."""
+        z = np.zeros((len(self.points), len(self.variants), len(self.variants)))
+        for ip, i, j in np.ndindex(z.shape):
+            ei, ej = self.estimates[(ip, self.variants[i])], self.estimates[(ip, self.variants[j])]
+            denom = math.sqrt(ei.se**2 + ej.se**2)
+            if i != j and denom != 0:
+                z[ip, i, j] = (ei.estimate - ej.estimate) / denom
+        return z
+
+    # each verdict below is written so that a NaN fails it
+    @property
     def z_pass(self) -> bool:
-        return bool(np.max(np.abs(self.z_scores)) <= self.z_threshold)
+        return self.max_abs_z() <= self.z_threshold
 
     @property
     def budget_pass(self) -> bool:
-        for ip in range(len(self.points)):
-            for var in self.variants:
-                est = self.estimates[(ip, var)]
-                if abs(est.estimate - self.pde_values[ip]) > self.budget + 3.0 * est.se:
-                    return False
-        return True
+        return all(
+            abs(e.estimate - self.pde_values[ip]) <= self.budget + 3.0 * e.se
+            for (ip, _), e in self.estimates.items()
+        )
 
     @property
     def passed(self) -> bool:
@@ -314,37 +322,18 @@ def run_invariance_suite(config: ExperimentConfig) -> InvarianceReport:
         beta_policy, candidates = _feedback_players(config, solver)
     except Exception as exc:
         raise RuntimeError(f"pde stage failed: {exc}") from exc
-    cfg = config.sim
     pde_values = [float(solver.predict(np.asarray(p)[None, :])[0]) for p in config.points]
     keys = [(ip, var) for ip in range(len(config.points)) for var in config.variants]
+    jobs = [(config.specs[var], config.points[ip]) for ip, var in keys]
     try:
-        values = _estimate_values(
-            problem,
-            [(config.specs[var], config.points[ip]) for ip, var in keys],
-            beta_policy,
-            candidates,
-            cfg,
-        )
+        values = _estimate_values(problem, jobs, beta_policy, candidates, config.sim)
     except Exception as exc:
         raise RuntimeError(f"simulation stage failed: {exc}") from exc
-    estimates = dict(zip(keys, values))
-    nv = len(config.variants)
-    z = np.zeros((len(config.points), nv, nv))
-    for ip in range(len(config.points)):
-        for i in range(nv):
-            for j in range(nv):
-                if i == j:
-                    continue
-                ei = estimates[(ip, config.variants[i])]
-                ej = estimates[(ip, config.variants[j])]
-                denom = math.sqrt(ei.se**2 + ej.se**2)
-                z[ip, i, j] = (ei.estimate - ej.estimate) / denom if denom > 0 else 0.0
     return InvarianceReport(
         points=config.points,
         variants=config.variants,
-        estimates=estimates,
+        estimates=dict(zip(keys, values)),
         pde_values=pde_values,
-        z_scores=z,
         budget=config.budget,
         z_threshold=config.z_threshold,
     )
@@ -363,10 +352,9 @@ class VkConvergenceReport:
 
     @property
     def mc_pass(self) -> bool:
-        for K, (mc, se, pde) in self.cross_checks.items():
-            if mc < self.v_mc - 3.0 * math.sqrt(se**2 + self.v_mc_se**2):
-                return False
-        return True
+        """Each penalized MC value at least the plain one less 3 combined standard errors; a NaN fails."""
+        v, v_se = self.v_mc, self.v_mc_se
+        return all(mc >= v - 3.0 * math.sqrt(se**2 + v_se**2) for mc, se, _ in self.cross_checks.values())
 
     @property
     def passed(self) -> bool:
@@ -393,8 +381,7 @@ class VkConvergenceReport:
 def run_vk_convergence(config: ExperimentConfig) -> VkConvergenceReport:
     """Penalized-solution gap study with an MC cross-check at min and max K."""
     problem = config.problem
-    pucci = config.pucci or PucciParams.build(problem.d)
-    rate, plain, penalized = _penalty_sweep(problem, pucci, problem.g, config.K_list, config.solve, config.h)
+    rate, plain, penalized = _penalty_sweep(problem, config.pucci, problem.g, config.K_list, config.solve, config.h)
     mask = plain.grid_.in_closure
     tol = 10.0 * config.solve.residual_tol
     nonincreasing = all(b <= a + tol for a, b in zip(rate.sup_errors, rate.sup_errors[1:]))

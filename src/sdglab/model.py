@@ -96,6 +96,9 @@ class DomainSpec:
             if c.shape != (self.dimension,) or not (np.all(np.isfinite(c)) and 0 < (self.radius or 0) < math.inf):
                 raise ValueError("ball needs a finite center of matching dimension and a finite radius > 0")
             object.__setattr__(self, "_bounds", (c,))
+        # kept as tuples of floats, so that two specs of one domain compare equal
+        for name, arr in zip(("lower", "upper") if self.shape == "box" else ("center",), self._bounds):
+            object.__setattr__(self, name, tuple(arr.tolist()))
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         """Strict interior membership, vectorized over rows of ``x``."""

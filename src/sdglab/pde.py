@@ -191,13 +191,14 @@ class Discretization:
         """The operators of ``problem`` on ``grid``, assembled only if no holder keeps
         those of an earlier call (a fitted ``IsaacsSolver`` holds its own).
 
-        Raises ``ValueError`` on a grid coarser than ``h_mono``.  The object holds
-        ``problem`` and ``grid``, so neither id is reused while its entry lives.
+        Raises ``ValueError`` on a grid on another domain or coarser than ``h_mono``.  The
+        object holds ``problem`` and ``grid``, so neither id is reused while its entry lives.
         """
         key = (id(problem), id(grid))
         disc = _ASSEMBLED.get(key)
         if disc is not None:
             return disc
+        grid.check_domain(problem.domain, "the grid")
         _check_spacing(problem, grid)
         pts = grid.coords[grid.interior]
 
@@ -346,14 +347,18 @@ class IsaacsSolver:
         """Howard's algorithm from u = g, or, where the policy system is not tridiagonal (``kl > 1``:
         every 2-D grid), from the cold solve with this ``cfg`` at twice the spacing, if that grid is
         admissible (spacing at most ``h_mono``, an interior node) and the solve converges.
-        ``n_iter_`` counts the solves on ``grid`` alone.
+        ``n_iter_`` counts the solves on ``grid`` alone, which if given must be the lattice of spacing
+        ``h`` on the problem's domain.
         """
         if grid is None:
             grid = DomainGrid.build(problem.domain, self.h)
+        disc = Discretization.from_problem(problem, grid)  # raises for a grid on another domain
+        shape = DomainGrid.shape_for(problem.domain, self.h)
+        if grid.lattice_shape != shape:
+            raise ValueError(f"grid has lattice shape {grid.lattice_shape}, not {shape} of spacing h = {self.h:g}")
         if g_boundary is None:
             g_boundary = problem.g
         u = ValueField.from_function(grid, g_boundary)
-        disc = Discretization.from_problem(problem, grid)
         coarse = DomainGrid.build(problem.domain, 2.0 * float(np.max(grid.spacing))) if disc.kl > 1 else None
         if coarse is not None and coarse.interior.any():
             v = ValueField.from_function(coarse, g_boundary)
@@ -377,17 +382,19 @@ class IsaacsSolver:
         return self.value_.interpolate(x)
 
 
-def extend_problem(problem: GameProblem, pucci: PucciParams, K: float) -> GameProblem:
+def extend_problem(problem: GameProblem, pucci: PucciParams | None, K: float) -> GameProblem:
     """Append one penalty action per ray; their coefficients ignore beta and x.
 
     The penalty action of ray a has sigma = sqrt(2 a), b = 0, c = 0 and the
     running cost -K, so the sup-inf solution of the extended problem
-    solves max(H[u], P[u] - K) = 0.
+    solves max(H[u], P[u] - K) = 0.  ``pucci`` None takes the default rays
+    of ``PucciParams.build(problem.d)``, which has them for d <= 2 only.
     """
     if not 0 <= K < math.inf:
         raise ValueError(f"penalty constant K must be finite and nonnegative, got {K}")
     if problem.actions.n_alpha2:
         raise ValueError("problem already carries penalty actions")
+    pucci = PucciParams.build(problem.d) if pucci is None else pucci
     nb, n = problem.n_beta, len(pucci.rays)
     a2_labels = tuple(f"pen{i}" for i in range(n))
     # each penalty coefficient is one field, shared by every beta
@@ -426,19 +433,17 @@ def _K_values(K_list) -> list:
     return K
 
 
-def _penalty_sweep(problem: GameProblem, pucci: PucciParams, g_boundary, K_list, cfg: SolveConfig, h: float):
+def _penalty_sweep(problem: GameProblem, pucci: PucciParams | None, g_boundary, K_list, cfg: SolveConfig, h: float):
     """Solve the plain game and each penalized game once, on one grid.
 
     Returns the rate report, the plain solver and one solver per K, each
     fitted on its extended problem.
     """
     K_list = _K_values(K_list)
+    extended = [extend_problem(problem, pucci, K) for K in K_list]  # a bad ray set raises before any solve
     grid = DomainGrid.build(problem.domain, h)
     plain = IsaacsSolver(h=h, cfg=cfg).fit(problem, g_boundary, grid=grid)
-    penalized = [
-        IsaacsSolver(h=h, cfg=cfg).fit(extend_problem(problem, pucci, K), g_boundary, grid=grid)
-        for K in K_list
-    ]
+    penalized = [IsaacsSolver(h=h, cfg=cfg).fit(ext, g_boundary, grid=grid) for ext in extended]
     errs = [s.value_.sup_diff(plain.value_) for s in penalized]
     floor = 10.0 * cfg.residual_tol
     usable = [(k, e) for k, e in zip(K_list, errs) if e > floor]
@@ -456,7 +461,7 @@ def _penalty_sweep(problem: GameProblem, pucci: PucciParams, g_boundary, K_list,
 
 def convergence_study(
     problem: GameProblem,
-    pucci: PucciParams,
+    pucci: PucciParams | None,
     g_boundary,
     K_list,
     cfg: SolveConfig = SolveConfig(),

@@ -24,7 +24,7 @@ import numpy as np
 from .grids import DomainGrid, ValueField
 from .model import GameProblem, _integer
 from .pde import Discretization
-from .simulate import ControlAdaptedSpec, SimConfig, _run_ensemble
+from .simulate import ControlAdaptedSpec, SimConfig, _mean_se, _run_ensemble
 
 __all__ = [
     "MarkovSelector",
@@ -213,7 +213,13 @@ class MartingaleTestReport:
     diffs: list[float]  # m(t_{k+1}) - m(t_k)
     diff_ses: list[float]  # paired standard errors of the differences
     tolerances: list[float]
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        """Each drift at most its tolerance for a supermartingale, at least minus it for a
+        submartingale; a NaN fails."""
+        sign = 1.0 if self.side == "super" else -1.0
+        return all(sign * dm <= tol for dm, tol in zip(self.diffs, self.tolerances))
 
     def summary(self) -> str:
         lines = [f"{self.side}martingale drift check"]
@@ -252,35 +258,12 @@ def _drift_test(
         checkpoint_times=tuple(times),
     )
     samples = extras["checkpoints"]  # (n_checkpoints, n_paths)
-    n = samples.shape[1]
-    means = [float(s.mean()) for s in samples]
-    ses = [float(s.std(ddof=1) / math.sqrt(n)) for s in samples]
+    means, ses = zip(*map(_mean_se, samples))
+    drifts = [_mean_se(d) for d in np.diff(samples, axis=0)]  # each increment's mean and paired SE
+    diffs, diff_ses = [m for m, _ in drifts], [s for _, s in drifts]
     r_max = float(np.max(spec.r_table))
-    diffs, diff_ses, tols = [], [], []
-    ok = True
-    for i in range(len(times) - 1):
-        delta = samples[i + 1] - samples[i]
-        dm = float(delta.mean())
-        dse = float(delta.std(ddof=1) / math.sqrt(n))
-        dt_interval = times[i + 1] - times[i]
-        tol = epsilon * r_max**2 * dt_interval + 3.0 * dse
-        diffs.append(dm)
-        diff_ses.append(dse)
-        tols.append(tol)
-        if side == "super" and dm > tol:
-            ok = False
-        if side == "sub" and dm < -tol:
-            ok = False
-    return MartingaleTestReport(
-        side=side,
-        times=times,
-        means=means,
-        ses=ses,
-        diffs=diffs,
-        diff_ses=diff_ses,
-        tolerances=tols,
-        passed=ok,
-    )
+    tols = [epsilon * r_max**2 * (t1 - t0) + 3.0 * s for t0, t1, s in zip(times, times[1:], diff_ses)]
+    return MartingaleTestReport(side, times, list(means), list(ses), diffs, diff_ses, tols)
 
 
 def supermartingale_test(

@@ -175,6 +175,11 @@ class TrajectoryBatch:
         ]))
 
 
+def _mean_se(x) -> tuple[float, float]:
+    """The mean of the 1-D samples ``x`` and its standard error, the sample standard deviation over sqrt(n)."""
+    return float(x.mean()), float(x.std(ddof=1) / math.sqrt(len(x)))
+
+
 def _per_code(table):
     """Row gather from a per-code table, or its one entry if every code shares it; ``x`` is unread."""
     table = np.asarray(table, dtype=float)
@@ -419,11 +424,22 @@ def _child(step, part, arrays, send) -> None:
 
 
 def _check_actions(problem: GameProblem, leaders, responder) -> None:
-    """Raise, before any step, if a constant player's action is outside the problem's range."""
+    """Raise, before any step, unless each constant action and each feedback table fits the problem:
+    every action in its side's range, a responder table's rows one per leader action, a grid on the domain."""
     sides = [(p, problem.n_alpha_ext, "leader") for p in leaders] + [(responder, problem.n_beta, "responder")]
     for p, n, side in sides:
-        if getattr(p, "_ensemble_reads", None) == "action" and not 0 <= p.action < n:
-            raise ValueError(f"{side} action {p.action} is outside the problem's actions 0 .. {n - 1}")
+        how = getattr(p, "_ensemble_reads", None)
+        if how == "table":
+            p.selector.grid.check_domain(problem.domain, f"the {side}'s table")
+            if side == "responder" and len(p.selector.table) != problem.n_alpha_ext:
+                raise ValueError(f"the responder's table has {len(p.selector.table)} rows, not one per leader "
+                                 f"action 0 .. {problem.n_alpha_ext - 1}")
+        elif how != "action":
+            continue
+        actions = np.asarray(p.selector.table if how == "table" else p.action)
+        for a in (actions.min(), actions.max()):
+            if not 0 <= a < n:
+                raise ValueError(f"{side} action {a} is outside the problem's actions 0 .. {n - 1}")
 
 
 def _run_ensemble(
@@ -457,6 +473,8 @@ def _run_ensemble(
     cps = sorted(checkpoint_times)
     if cps and value_field is None:
         raise ValueError("checkpoint times need a value field")
+    if value_field is not None:
+        value_field.grid.check_domain(problem.domain, "the value field")
     for c, before in zip(cps, [None] + cps):
         if c == before or not 0 <= c <= cfg.t_max:
             raise ValueError(f"checkpoint time {c} is {'repeated' if c == before else 'outside [0, t_max]'}")
@@ -695,11 +713,8 @@ def girsanov_martingale_check(
     w = np.exp(-batch.psi)
     # censored paths contribute zero per the tau = infinity convention;
     # their weight is reported separately as truncation-bias mass
-    w_eff = np.where(batch.censored, 0.0, w)
-    n = len(batch)
-    mean = float(w_eff.mean())
-    se = float(w_eff.std(ddof=1) / math.sqrt(n))
-    cm = float(w[batch.censored].sum() / n) if batch.censored.any() else 0.0
+    mean, se = _mean_se(np.where(batch.censored, 0.0, w))
+    cm = float(w[batch.censored].sum() / len(batch)) if batch.censored.any() else 0.0
     return MartingaleReport(
         weight_mean=mean,
         weight_se=se,
@@ -752,9 +767,9 @@ def increment_bound_study(
     n_list,
 ) -> BoundReport:
     """Estimate the weighted squared lag increment integral for each lag n."""
-    n_list = [int(v) for v in n_list]
-    if not n_list or min(n_list) < 1:
-        raise ValueError("n_list must be a nonempty list of lags n >= 1")
+    n_list = [_integer(v, "lag n", 1) for v in n_list]
+    if not n_list:
+        raise ValueError("n_list must be a nonempty list of lags")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
     if cfg.dt > 1.0 / (4 * max(n_list)):
@@ -762,12 +777,8 @@ def increment_bound_study(
     _, extras = _run_ensemble(
         problem, [(spec, x0, alpha_policy)], beta_policy, cfg, lag_ns=tuple(n_list)
     )
-    Ms, ses = [], []
-    for m in n_list:
-        acc = extras["M_acc"][m]
-        Ms.append(float(acc.mean()))
-        ses.append(float(acc.std(ddof=1) / math.sqrt(len(acc))))
-    return BoundReport(n_list, Ms, ses)
+    Ms, ses = zip(*(_mean_se(extras["M_acc"][m]) for m in n_list))
+    return BoundReport(n_list, list(Ms), list(ses))
 
 
 @dataclass
@@ -831,8 +842,7 @@ def pathwise_comparison(
         supdiff[act] = np.maximum(supdiff[act], np.linalg.norm(X[act] - Y[act], axis=1))
         inside = problem.domain.contains(X[act]) & problem.domain.contains(Y[act])
         act, pos = act[inside], pos[inside]
-    mean_sup = float(supdiff.mean())
-    se_sup = float(supdiff.std(ddof=1) / math.sqrt(n))
+    mean_sup, se_sup = _mean_se(supdiff)
     mean_occ = float(occ.mean())
     ratio = mean_sup / math.sqrt(mean_occ) if mean_occ > 0 else math.inf
     return ComparisonReport(

@@ -402,6 +402,66 @@ def test_cli_penalize_matches_extended_solve(tmp_path):
     assert values == [f"{float(solver.predict(np.asarray(pt)[None, :])[0]):.10f}" for pt in exp.points]
 
 
+BOX3D = """\
+[domain]
+shape = box
+dimension = 3
+lower = 0, 0, 0
+upper = 1, 1, 1
+
+[actions]
+alpha = a0
+beta = b0
+
+[coefficients]
+sigma = 1.4142135623730951;0;0|0;1.4142135623730951;0|0;0;1.4142135623730951
+b = 0;0;0
+c = 0
+f = 1
+g = 0
+
+[constants]
+k0 = 2.5
+delta = 0.5
+
+[experiment]
+h = 0.25
+"""
+
+
+def test_a_3d_config_loads_and_only_the_penalized_stages_need_d_at_most_2(tmp_path, capsys):
+    path = _write(tmp_path, BOX3D)
+    # the default penalty rays are built where a stage uses them, not at load
+    assert main(["validate", "--config", str(path), "--out", str(tmp_path / "v")]) == 0
+    assert main(["solve", "--config", str(path), "--grid-h", "0.25", "--out", str(tmp_path / "s")]) == 0
+    capsys.readouterr()
+    for stage in ("penalize", "converge"):
+        assert main([stage, "--config", str(path), "--grid-h", "0.25", "--out", str(tmp_path / stage)]) == 1
+        assert capsys.readouterr().err == (
+            f"stage {stage} failed: curvature-penalty rays are provided for d <= 2 only, got d = 3\n"
+        )
+    # a [pucci] section is still checked at load
+    path = _write(tmp_path, BOX3D + "\n[pucci]\ndelta_hat = 0.4\n", "pucci.cfg")
+    assert main(["validate", "--config", str(path), "--out", str(tmp_path / "p")]) == 2
+    assert "bad [pucci] section: curvature-penalty rays are provided for d <= 2 only" in capsys.readouterr().err
+
+
+def test_penalize_takes_the_default_rays_of_a_config_without_them(tmp_path):
+    import argparse
+    import dataclasses
+
+    from sdglab.cli import _stage_solve
+    from sdglab.pde import PucciParams
+
+    exp = load_experiment(CONFIGS / "holder.cfg")
+    assert exp.pucci is None  # holder.cfg has no [pucci] section
+    text, passed = _stage_solve(dataclasses.replace(exp, h=0.03125), argparse.Namespace(stage="penalize", K=4.0),
+                                tmp_path)
+    want = IsaacsSolver(h=0.03125).fit(extend_problem(exp.problem, PucciParams.build(1), 4.0)).value_
+    assert passed and np.array_equal(np.loadtxt(tmp_path / "value_K4.csv", delimiter=",", skiprows=1)[:, 1],
+                                     want.values[want.grid.in_closure])
+
+
 def test_cli_simulate_deterministic_bytes(tmp_path):
     cfg = str(CONFIGS / "analytic.cfg")
     args = ["simulate", "--config", cfg, "--paths", "300", "--dt", "1e-3", "--dump-paths"]

@@ -8,12 +8,15 @@ from sdglab import harness
 from sdglab.harness import (
     VARIANTS,
     ExperimentConfig,
+    InvarianceReport,
     ValueEstimate,
     VariantParams,
+    VkConvergenceReport,
     build_variant_spec,
     estimate_value,
     run_invariance_suite,
 )
+from sdglab.pde import RateReport
 from sdglab.policies import ConstantPolicy, ConstantResponder
 from sdglab.simulate import ControlAdaptedSpec, SimConfig, simulate_to_exit
 
@@ -160,6 +163,58 @@ def test_invariance_smoke_two_variants(analytic_problem, monkeypatch):
     assert rep.max_abs_z() < 10.0
     text = rep.summary()
     assert "max |z|" in text and "overall" in text
+
+
+def _report(estimates, ses, pde=0.1):
+    """An invariance report at one point over the first len(estimates) variants."""
+    variants = VARIANTS[: len(estimates)]
+    return InvarianceReport(
+        points=((0.5,),),
+        variants=variants,
+        estimates={(0, v): ValueEstimate(e, se, 100, 0.0, "c") for v, e, se in zip(variants, estimates, ses)},
+        pde_values=[pde],
+        budget=0.01,
+        z_threshold=3.0,
+    )
+
+
+def test_z_scores_are_derived_from_the_estimates():
+    rep = _report([0.1, 0.13, 0.1], [0.03, 0.04, 0.0])
+    z = rep.z_scores
+    assert z.shape == (1, 3, 3) and np.array_equal(z, -z.transpose(0, 2, 1))
+    assert z[0, 1, 0] == (0.13 - 0.1) / math.sqrt(0.03**2 + 0.04**2)
+    assert np.all(np.diag(z[0]) == 0.0)
+    # a pair whose combined standard error is 0 has z = 0
+    assert _report([0.1, 0.2], [0.0, 0.0]).z_scores.tolist() == [[[0.0, 0.0], [0.0, 0.0]]]
+    # the report holds its estimates only, so the z-scores follow them
+    rep.estimates[(0, "time_change")].estimate = 0.1
+    assert rep.max_abs_z() == 0.0
+
+
+def test_a_nan_estimate_fails_the_invariance_verdicts():
+    rep = _report([0.1, math.nan], [0.01, 0.01])
+    assert not rep.budget_pass and not rep.z_pass and not rep.passed
+    lines = rep.summary().splitlines()
+    assert "PDE budget check  : FAIL" in lines and "overall           : FAIL" in lines
+    assert _report([0.1, 0.1], [0.01, 0.01]).passed
+    # a NaN PDE value fails the budget check, and a NaN standard error both checks
+    assert not _report([0.1, 0.1], [0.01, 0.01], pde=math.nan).budget_pass
+    rep = _report([0.1, 0.1], [0.01, math.nan])
+    assert not rep.budget_pass and not rep.z_pass
+
+
+def test_a_nan_monte_carlo_value_fails_the_ordering_check():
+    rate = RateReport([1.0, 4.0], [0.1, 0.05], 0.5, 0.1)
+
+    def report(v_mc, cross):
+        return VkConvergenceReport(rate, True, True, cross, v_mc, 0.01)
+
+    assert report(0.2, {1.0: (0.25, 0.01, 0.3), 4.0: (0.2, 0.01, 0.25)}).passed
+    assert not report(0.2, {1.0: (0.25, 0.01, 0.3), 4.0: (0.1, 0.01, 0.25)}).mc_pass  # below by 7 SE
+    for bad in (report(0.2, {1.0: (math.nan, 0.01, 0.3)}), report(math.nan, {1.0: (0.25, 0.01, 0.3)}),
+                report(0.2, {1.0: (0.25, math.nan, 0.3)})):
+        assert not bad.mc_pass and not bad.passed
+        assert bad.summary().splitlines()[-1] == "MC ordering check  : FAIL"
 
 
 def test_invariance_duplicate_baseline_z_zero(analytic_problem, tmp_path):

@@ -125,6 +125,34 @@ def test_spacing_guard(game_problem):
         IsaacsSolver(h=0.5).fit(game_problem)
 
 
+def test_grid_or_value_field_on_another_domain_rejected(analytic_problem):
+    from sdglab.policies import build_alpha_selector, build_beta_selector
+
+    wide = load_experiment(Path(__file__).resolve().parent.parent / "configs" / "wide.cfg").problem
+    wide_grid = DomainGrid.build(wide.domain, 1 / 8)
+    # solving analytic's coefficients on (-2, 2) gave 1.875 at x = 0.5, where the value is 0.125
+    with pytest.raises(ValueError, match=r"grid lies on .*\(-2.0,\).*not on the problem's domain"):
+        IsaacsSolver(h=1 / 8).fit(analytic_problem, grid=wide_grid)
+    wide_value = IsaacsSolver(h=1 / 8).fit(wide, grid=wide_grid).value_
+    with pytest.raises(ValueError, match="grid lies on"):
+        evaluate_H(analytic_problem, wide_value)
+    for build in (build_beta_selector, build_alpha_selector):
+        with pytest.raises(ValueError, match="grid lies on"):
+            build(analytic_problem, wide_value, 1e-6)
+    # compared by value: a spec of the same domain made apart from the problem's is accepted
+    twin = DomainGrid.build(DomainSpec("box", 1, [0], [1]), 1 / 8)
+    assert IsaacsSolver(h=1 / 8).fit(analytic_problem, grid=twin).predict([[0.5]]) == pytest.approx([0.125])
+
+
+def test_fit_rejects_a_grid_of_another_spacing(analytic_problem):
+    # fit read such a grid and ignored its own h
+    for h, grid_h in ((1 / 8, 1 / 16), (1 / 64, 1 / 32)):
+        with pytest.raises(ValueError, match=r"lattice shape \(\d+,\), not \(\d+,\) of spacing h"):
+            IsaacsSolver(h=h).fit(analytic_problem, grid=DomainGrid.build(analytic_problem.domain, grid_h))
+    # h is snapped to the lattice, so any h that rounds to the grid's cell count matches it
+    IsaacsSolver(h=0.124).fit(analytic_problem, grid=DomainGrid.build(analytic_problem.domain, 1 / 8))
+
+
 def _spy_assemblies(monkeypatch):
     """A fresh assembly table and the list that each Discretization.__init__ appends to."""
     from sdglab import pde

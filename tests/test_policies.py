@@ -14,6 +14,7 @@ from sdglab.policies import (
     ConstantResponder,
     FeedbackAlphaPolicy,
     FeedbackBetaPolicy,
+    MartingaleTestReport,
     OccupancyPolicy,
     build_alpha_selector,
     build_beta_selector,
@@ -214,6 +215,38 @@ def test_super_and_submartingale_drift(solved_game, game_problem):
         supermartingale_test(
             game_problem, spec, [0.5], v, ConstantPolicy(0), FeedbackBetaPolicy(bsel), cfg, (), EPS
         )
+
+
+def test_drift_tests_fail_on_a_nan_value_field(solved_game, game_problem):
+    # every checkpoint reads NaN, so every drift is NaN: both verdicts passed such a run
+    v = solved_game.value_
+    nan_field = ValueField(v.grid, np.full_like(v.values, np.nan))
+    bsel, asel = build_beta_selector(game_problem, v, EPS), build_alpha_selector(game_problem, v, EPS)
+    spec = ControlAdaptedSpec.baseline(game_problem)
+    cfg = SimConfig(dt=1e-3, t_max=1.0, n_paths=50, seed=11)
+    runs = (
+        (supermartingale_test, ConstantPolicy(0), FeedbackBetaPolicy(bsel)),
+        (submartingale_test, FeedbackAlphaPolicy(asel), ConstantResponder(0)),
+    )
+    for test, alpha, beta in runs:
+        rep = test(game_problem, spec, [0.5], nan_field, alpha, beta, cfg, (0.25, 0.5), EPS)
+        assert np.isnan(rep.diffs).all() and not rep.passed
+        assert rep.summary().splitlines()[-1] == "  result: FAIL"
+
+
+def test_drift_verdict_is_derived_from_the_reports_numbers():
+    def report(side, diffs, tols):
+        n = len(diffs) + 1
+        return MartingaleTestReport(side, list(range(n)), [0.0] * n, [0.0] * n, diffs, [0.0] * len(diffs), tols)
+
+    assert report("super", [0.1, -5.0], [0.1, 0.1]).passed
+    assert not report("super", [0.0, 0.2], [0.1, 0.1]).passed
+    assert report("sub", [-0.1, 5.0], [0.1, 0.1]).passed
+    assert not report("sub", [0.0, -0.2], [0.1, 0.1]).passed
+    for side in ("super", "sub"):
+        assert not report(side, [0.0, math.nan], [0.1, 0.1]).passed
+        assert not report(side, [0.0, 0.0], [0.1, math.nan]).passed
+        assert report(side, [], []).passed  # one checkpoint: no drift to test
 
 
 def test_drift_checkpoints_outside_the_horizon_or_repeated_rejected(solved_game, game_problem):

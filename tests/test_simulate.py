@@ -437,8 +437,11 @@ def test_increment_bound_guards(analytic_problem):
         increment_bound_study(
             analytic_problem, spec, [0.5], ConstantPolicy(0), ConstantResponder(0), cfg, [2, 100]
         )
-    for lags in ([], [0, 2], [-1, 2]):
-        with pytest.raises(ValueError, match="nonempty list of lags"):
+    with pytest.raises(ValueError, match="nonempty list of lags"):
+        increment_bound_study(analytic_problem, spec, [0.5], ConstantPolicy(0), ConstantResponder(0), cfg, [])
+    # each lag goes through the one integer rule: no truncated float, no bool
+    for lags in ([0, 2], [-1, 2], [4.7, 8.9], [True, 2], [2, np.float64(4)]):
+        with pytest.raises(ValueError, match="lag n must be an integer of at least 1"):
             increment_bound_study(
                 analytic_problem, spec, [0.5], ConstantPolicy(0), ConstantResponder(0), cfg, lags
             )
@@ -858,22 +861,48 @@ def test_players_answered_without_calls_match_called_players_2d():
     _assert_called_players_match(p, lanes, beta, value, SimConfig(dt=2e-3, t_max=1.0, n_paths=200, seed=8))
 
 
-def test_constant_actions_outside_the_problem_rejected(analytic_problem, game_problem):
-    from sdglab.simulate import pathwise_comparison
+def test_players_that_do_not_fit_the_problem_rejected(analytic_problem, game_problem):
+    from sdglab.grids import DomainGrid, ValueField
+    from sdglab.model import DomainSpec
+    from sdglab.pde import IsaacsSolver, PucciParams, extend_problem
+    from sdglab.policies import FeedbackAlphaPolicy, FeedbackBetaPolicy, MarkovSelector, build_alpha_selector
+    from sdglab.policies import build_beta_selector
+    from sdglab.simulate import _run_ensemble, pathwise_comparison
 
-    cfg = SimConfig(dt=1e-3, t_max=1.0, n_paths=10)
+    value = IsaacsSolver(h=1 / 64).fit(game_problem).value_
+    leader = FeedbackAlphaPolicy(build_alpha_selector(game_problem, value, 1e-7))
+    responder = FeedbackBetaPolicy(build_beta_selector(game_problem, value, 1e-7))
+    assert leader.selector.table.max() == 1
+    ext = extend_problem(analytic_problem, PucciParams.build(1), 1.0)  # leader actions a0, pen0, pen1
+    grid, wide = value.grid, DomainSpec("box", 1, (-2.0,), (2.0,))
+    off_domain = MarkovSelector(DomainGrid.build(wide, 1 / 64), np.zeros(257, dtype=int))
     cases = [
         (analytic_problem, ConstantPolicy(5), ConstantResponder(0), "leader action 5 .* 0 .. 0"),
         (analytic_problem, ConstantPolicy(0), ConstantResponder(3), "responder action 3 .* 0 .. 0"),
         (game_problem, ConstantPolicy(2), ConstantResponder(0), "leader action 2 .* 0 .. 1"),
         (game_problem, ConstantPolicy(0), ConstantResponder(2), "responder action 2 .* 0 .. 1"),
+        # feedback tables: the game's answer actions 0 and 1 and have one row per game leader action
+        (analytic_problem, leader, ConstantResponder(0), "leader action 1 .* 0 .. 0"),
+        (analytic_problem, ConstantPolicy(0), responder, "responder's table has 2 rows, not one per .* 0 .. 0"),
+        (ext, leader, responder, "responder's table has 2 rows, not one per .* 0 .. 2"),
+        (ext, FeedbackAlphaPolicy(MarkovSelector(grid, np.full(65, 3))), ConstantResponder(0),
+         "leader action 3 .* 0 .. 2"),
+        (game_problem, ConstantPolicy(0), FeedbackBetaPolicy(MarkovSelector(grid, np.full((2, 65), -1))),
+         "responder action -1 .* 0 .. 1"),
+        (game_problem, FeedbackAlphaPolicy(off_domain), ConstantResponder(0), "leader's table lies on .*-2.0"),
     ]
-    for p, leader, beta, match in cases:
+    cfg = SimConfig(dt=1e-3, t_max=1.0, n_paths=10)
+    for p, alpha, beta, match in cases:
         spec = ControlAdaptedSpec.baseline(p)
         with pytest.raises(ValueError, match=match):
-            simulate_to_exit(p, spec, [0.5], leader, beta, cfg)
+            simulate_to_exit(p, spec, [0.5], alpha, beta, cfg)
         with pytest.raises(ValueError, match=match):
-            pathwise_comparison(p, spec, [0.5], leader, beta, cfg, 1.0, np.arange(p.n_alpha_ext))
+            pathwise_comparison(p, spec, [0.5], alpha, beta, cfg, 1.0, np.zeros(p.n_alpha_ext, dtype=int))
+    # a checkpoint value field is held to the same domain rule
+    off_value = ValueField.zeros(DomainGrid.build(wide, 1 / 64))
+    with pytest.raises(ValueError, match="value field lies on .*-2.0"):
+        _run_ensemble(game_problem, [(ControlAdaptedSpec.baseline(game_problem), [0.5], ConstantPolicy(0))],
+                      ConstantResponder(0), cfg, value_field=off_value, checkpoint_times=(0.5,))
 
 
 def test_specs_that_do_not_fit_the_problem_rejected_before_any_step(analytic_problem, game_problem):
