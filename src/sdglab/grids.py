@@ -152,7 +152,10 @@ class DomainGrid:
 
     def nearest_node(self, x: np.ndarray) -> np.ndarray:
         """Flat index of the nearest lattice node, clipped to the lattice."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return self._nearest(np.atleast_2d(np.asarray(x, dtype=float)))
+
+    def _nearest(self, x: np.ndarray) -> np.ndarray:
+        """``nearest_node`` of a float array of shape (rows, d)."""
         last, strides = self._lookup
         k = np.rint((x - self.origin) / self.spacing)
         # clipped in float, where a NaN coordinate reads node 0

@@ -111,7 +111,10 @@ class DomainSpec:
 
     def boundary_distance(self, x: np.ndarray) -> np.ndarray:
         """Signed distance to the boundary: positive inside, negative outside."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return self._distance(np.atleast_2d(np.asarray(x, dtype=float)))
+
+    def _distance(self, x: np.ndarray) -> np.ndarray:
+        """``boundary_distance`` of a float array of shape (rows, d)."""
         if self.shape == "box":
             lo, up = self._bounds
             dist = np.minimum(x - lo, up - x)

@@ -47,7 +47,8 @@ class MarkovSelector:
 
     ``table`` holds one action per node: shape (N,) for a leader selector,
     (nA, N) for a responder selector, whose row ``ia`` answers the leader
-    action ``ia``.  Nodes off the interior hold action 0.  A feedback policy
+    action ``ia``.  ``n_actions`` is (n_alpha_ext, n_beta) of the problem it was
+    built for.  Nodes off the interior hold action 0.  A feedback policy
     answers a state with the entry at its nearest node, clipped to the
     lattice.  On a box a point outside the domain lands on a boundary node,
     which holds 0.  On a ball it may land on an interior node and get its
@@ -57,6 +58,7 @@ class MarkovSelector:
 
     grid: DomainGrid
     table: np.ndarray
+    n_actions: tuple[int, int]
 
     @property
     def role(self) -> str:
@@ -87,7 +89,8 @@ def _least_index(disc: Discretization, feasible: np.ndarray) -> MarkovSelector:
     """
     table = np.zeros(feasible.shape[:-2] + (disc.grid.n_nodes,), dtype=int)
     table[..., disc.idx] = feasible.argmax(axis=-2)
-    return MarkovSelector(grid=disc.grid, table=table)
+    problem = disc.problem
+    return MarkovSelector(grid=disc.grid, table=table, n_actions=(problem.n_alpha_ext, problem.n_beta))
 
 
 def build_beta_selector(problem: GameProblem, u_hat: ValueField, epsilon: float) -> MarkovSelector:

@@ -28,25 +28,29 @@ component, so it is evaluated for alive paths only, and runs with other
 variants or candidate policies but a shared seed use common random
 numbers.  Such runs can be stepped together as lanes of one ensemble.
 
-An ensemble holds the state of the rows alive at the start of each
-``_BLOCK``-step block in compacted arrays and steps them in place, with
-one kernel call per step whatever mix of specs and action pairs they
-hold.  A row that leaves the domain is stopped at the linearly
-interpolated crossing and stays frozen there; until its block ends it is
-stepped at zero scale, and the players' answers for it are discarded.
-Each player is resolved once per ensemble (see ``policies``): constant
-players are filled in once per block, feedback players read their tables
-at one nearest-node lookup per step for each grid and lag, and any other
-player is called.  A run whose caller reads only checkpoints stops at the
-step that reads the last one.  Each row's code (spec, ia, ib) indexes
-per-code tables of r, pi, the noise transform and the constant
-0.5 r^2 |pi|^2 dt, built once per ensemble.  The coefficients are
+An ensemble holds the state of the rows alive at the start of each block
+in compacted arrays and steps them in place, with one kernel call per
+step whatever mix of specs and action pairs they hold.  A block covers
+``_BLOCK`` steps, or 8 ``_BLOCK`` when fewer than ``_TAIL_ROWS`` rows are
+alive at its start, where its fixed cost outweighs the rows' work.  A row
+that leaves the domain is stopped at the linearly interpolated crossing
+and stays frozen there; until its block ends it is stepped at zero scale
+(scales are multiplied in only from a block's first exit on), and the
+players' answers for it are discarded.  Each player is resolved once per
+ensemble (see ``policies``): constant players are filled in once per
+block, feedback players read their tables at one nearest-node lookup per
+step for each grid and lag (a responder's as a table of action pairs),
+and any other player is called.  A run whose caller reads only
+checkpoints stops at the step that reads the last one.  Each row's code
+(spec, ia, ib) indexes per-code tables of r, pi, the noise transform and
+the constant 0.5 r^2 |pi|^2 dt, built once per ensemble, where every r 1
+or every pi 0 is folded away (``_StepKernel``).  The coefficients are
 evaluated per action pair, never per spec: a constant coefficient from a
 per-pair table, the 1-D affine family from per-row parameters, any other
-coefficient once per pair present, on that pair's rows.  Every element
-is computed in the operation order of the single-path reference step in
-``tests/test_simulate.py``, so a row's result does not depend on the
-rows stepped with it.
+coefficient once per pair present, on that pair's rows.  Every element is
+computed in the operation order of the single-path reference step in
+``tests/test_simulate.py``, so a row's result does not depend on the rows
+stepped with it.
 
 That is what lets an ensemble use every CPU.  With at least two parts of
 ``_SPLIT_ROWS`` rows, it is cut into one path range per CPU the process
@@ -226,13 +230,14 @@ def _dot(a, b):
 class _StepKernel:
     """The Euler-Maruyama step of rows of any (spec, action pair) codes, in one call.
 
-    A row's code is spec * n_pairs + ia * n_beta + ib, and its pair
-    ia * n_beta + ib; see the module docstring.  Each spec is checked
-    against the problem before its tables are read.  Each per-code value, and
-    with sigma and b constant the drift step, is gathered once per call.
-    For d1 <= 2 the products q dW, sigma dw, sigma pi and dw . pi equal
-    einsum's but for the sign of a zero sum, which no output reads; for
-    d1 >= 3 einsum sums in another order.
+    A row's code is spec * n_pairs + ia * n_beta + ib, and its pair ia * n_beta + ib; see the module
+    docstring.  Each spec is checked against the problem before its tables are read.  Each per-code
+    value, and with sigma and b constant the drift step, is gathered once per call.  Two exact folds
+    are made once: with every rate 1, ``r`` is None and the products with r and r^2 are left out
+    (1.0 v == v); with every pi 0, ``psi_zero`` is set: dpsi = +0 + r (dw . 0) is +0, so psi stays
+    +0 and is not stepped, and exp(-phi - psi) is exp(-phi).  For d1 <= 2 the products q dW, sigma
+    dw, sigma pi and dw . pi equal einsum's but for the sign of a zero sum, which no output reads;
+    for d1 >= 3 einsum sums in another order.
     """
 
     def __init__(self, problem: GameProblem, specs, dt: float):
@@ -247,7 +252,8 @@ class _StepKernel:
         r = np.array([s.r_table[ia, ib] for s in specs for ia, ib in pairs])
         pi = np.array([s.pi_table[ia, ib] for s in specs for ia, ib in pairs])
         q = np.array([s.noise_table[ia, ib] for s in specs for ia, ib in pairs])
-        self.r, self.pi = _per_code(r), _per_code(pi)
+        self.r = None if (r == 1.0).all() else _per_code(r)
+        self.pi, self.psi_zero = _per_code(pi), not pi.any()
         self.q = None if (q == np.eye(problem.d1)).all() else _per_code(q)
         self.psi0 = _per_code([0.5 * ri * ri * float(p @ p) * dt for ri, p in zip(r.tolist(), pi)])
         if all(f.is_constant for table in (problem.sigma, problem.b) for row in table for f in row):
@@ -255,22 +261,28 @@ class _StepKernel:
             self.drift = _per_code(self.drift(None, pair, x0, r * r, pi, self.sigma(pair, x0)))
 
     def drift(self, code, pair, x, r2, pi, sig):
-        """The rows' drift steps r^2 (b + sigma pi) dt; only a tabulated drift reads ``code``."""
-        return r2[..., None] * (self.b(pair, x) + _dot(sig, pi[..., None, :])) * self.dt
+        """The rows' drift steps r^2 (b + sigma pi) dt (``r2`` None: r = 1); only a tabulated drift reads ``code``."""
+        v = self.b(pair, x) + _dot(sig, pi[..., None, :])
+        return (v if r2 is None else r2[..., None] * v) * self.dt
 
     def __call__(self, code, pair, x, dW, weight):
         """The rows' new states from ``x`` on the increments ``dW``, and their increments of
-        phi, psi and the running payoff at weight exp(-phi - psi)."""
-        dt, r, pi = self.dt, self.r(code), self.pi(code)
-        r2 = r * r
+        phi, psi (None if ``psi_zero``) and the running payoff at weight exp(-phi - psi)."""
+        dt, pi, r, r2 = self.dt, self.pi(code), None, None
         dw = dW if self.q is None else _dot(self.q(code), dW[..., None, :])
         sig = self.sigma(pair, x)
-        x_new = x + r[..., None] * _dot(sig, dw[..., None, :]) + self.drift(code, pair, x, r2, pi, sig)
-        dpsi = self.psi0(code) + r * _dot(dw, pi)
-        return x_new, r2 * self.c(pair, x) * dt, dpsi, r2 * self.f(pair, x) * weight * dt
+        noise, c, f = _dot(sig, dw[..., None, :]), self.c(pair, x), self.f(pair, x)
+        if self.r is not None:
+            r = self.r(code)
+            r2 = r * r
+            noise, c, f = r[..., None] * noise, r2 * c, r2 * f
+        x_new = x + noise + self.drift(code, pair, x, r2, pi, sig)
+        dpsi = None if self.psi_zero else self.psi0(code) + (_dot(dw, pi) if r is None else r * _dot(dw, pi))
+        return x_new, c * dt, dpsi, f * weight * dt
 
 
 _BLOCK = 8  # steps per evaluation of the Gaussian stream
+_TAIL_ROWS = 512  # with fewer rows alive at its start, a block covers 8 * _BLOCK steps
 _MAX_ROWS = 1 << 19  # paths per ensemble; 45 lanes of 10k paths fit in one
 _SPLIT_ROWS = 1 << 14  # fewest rows per forked part; a fork costs about 16 ms
 
@@ -304,9 +316,9 @@ def _gaussian_increments(seed: int, paths, k0: int, n_steps: int, d1: int, dt: f
 
 
 def _stream(horizon: float, cfg: SimConfig, d1: int):
-    """The step count to ``horizon`` and ``block(k, rows)``, the increments of ``rows`` from step k.
+    """The step count to ``horizon`` and ``block(k, rows, length)``, the increments of ``rows`` from step k.
 
-    ``block`` covers steps k .. k + _BLOCK - 1 (fewer at the horizon), of shape
+    ``block`` covers steps k .. k + length - 1 (fewer at the horizon), of shape
     (steps, rows, d1), and is called at each block start for the rows alive then.
     ``rows`` ascend.  Row i is path i % cfg.n_paths of its lane; the rows of
     one path in several lanes share its normals, which are evaluated once.
@@ -317,8 +329,8 @@ def _stream(horizon: float, cfg: SimConfig, d1: int):
     if n_steps * d1 >= 1 << 32 or n >= 1 << 32:
         raise ValueError(f"{n_steps} steps of {d1} components or {n} paths overflow the stream's counters")
 
-    def block(k: int, rows: np.ndarray) -> np.ndarray:
-        steps = min(_BLOCK, n_steps - k)
+    def block(k: int, rows: np.ndarray, length: int) -> np.ndarray:
+        steps = min(length, n_steps - k)
         if not rows.size or rows[-1] < n:  # one lane: the rows are distinct ascending paths
             return _gaussian_increments(cfg.seed, rows, k, steps, d1, cfg.dt)
         seen = np.zeros(n, dtype=bool)
@@ -425,8 +437,10 @@ def _child(step, part, arrays, send) -> None:
 
 def _check_actions(problem: GameProblem, leaders, responder) -> None:
     """Raise, before any step, unless each constant action and each feedback table fits the problem:
-    every action in its side's range, a responder table's rows one per leader action, a grid on the domain."""
-    sides = [(p, problem.n_alpha_ext, "leader") for p in leaders] + [(responder, problem.n_beta, "responder")]
+    every action in its side's range, a responder table's rows one per leader action, a grid on the domain,
+    and a table built for a game of the problem's action counts."""
+    counts = (problem.n_alpha_ext, problem.n_beta)
+    sides = [(responder, problem.n_beta, "responder")] + [(p, problem.n_alpha_ext, "leader") for p in leaders]
     for p, n, side in sides:
         how = getattr(p, "_ensemble_reads", None)
         if how == "table":
@@ -440,6 +454,9 @@ def _check_actions(problem: GameProblem, leaders, responder) -> None:
         for a in (actions.min(), actions.max()):
             if not 0 <= a < n:
                 raise ValueError(f"{side} action {a} is outside the problem's actions 0 .. {n - 1}")
+        if how == "table" and tuple(p.selector.n_actions) != counts:
+            raise ValueError(f"the {side}'s table was built for (leader, responder) action counts "
+                             f"{tuple(p.selector.n_actions)}, not the problem's {counts}")
 
 
 def _run_ensemble(
@@ -487,16 +504,19 @@ def _run_ensemble(
     stack = sorted(range(len(lanes)), key=leader_of.__getitem__)
     leader_rows = n * np.cumsum([0] + [leader_of.count(i) for i in range(len(leaders))])
     specs, spec_of = _distinct([lanes[j][0] for j in stack])
-    kernel, distance, multi = _StepKernel(problem, specs, dt), problem.domain.boundary_distance, len(specs) > 1
+    kernel, distance, multi = _StepKernel(problem, specs, dt), problem.domain._distance, len(specs) > 1
     spec_code = np.repeat(np.asarray(spec_of) * kernel.n_pairs, n)
     lookups = {}  # one nearest-node lookup per step for each (grid, lag) of the tables read
 
     def resolve(p):
-        """A player, resolved once: (how, what, lag), with a constant action, a (table, lookup) or itself."""
+        """A player, resolved once: (how, what, lag), with a constant action, a (table, lookup) or itself;
+        a responder's (nA, N) table becomes its pair table ia * nb + table[ia, node], read at ia * N + node."""
         how, lag = getattr(p, "_ensemble_reads", None), getattr(p, "lag_n", 0)
         if how == "table":
-            grid = p.selector.grid
-            return how, (p.selector.table, lookups.setdefault((id(grid), lag), (len(lookups), grid, lag))[0]), lag
+            grid, table = p.selector.grid, p.selector.table
+            if table.ndim == 2:
+                table = np.arange(len(table))[:, None] * nb + table
+            return how, (table, lookups.setdefault((id(grid), lag), (len(lookups), grid, lag))[0]), lag
         return ("action", p.action, lag) if how == "action" else ("call", p, lag)
 
     plans, beta = [resolve(p) for p in leaders], resolve(beta_policy)
@@ -537,23 +557,29 @@ def _run_ensemble(
             out["cp", n_cp][part] = value_field.interpolate(X[part]) * weight + full["pay"][part]
             n_cp += 1
 
-        def answer(plan, sl, ia=None):
-            """A leader's actions for the working rows ``sl``, or the responder's to the leaders' ``ia``."""
+        def answer(plan, sl):
+            """A leader's actions for the working rows ``sl``."""
             how, what, lag = plan
             if how == "action":
                 return what
-            if how == "table":  # a responder's (nA, N) table is read flat at ia * N + node
-                table, at = what[0], node[what[1]][sl]
-                return table.take(at if ia is None else ia * table.shape[1] + at)
-            state = (w["snap", lag] if lag else w["x"])[sl]
-            return what.select(k, t, state) if ia is None else what.respond(ia, k, t, state)
+            if how == "table":
+                return what[0].take(node[what[1]][sl])
+            return what.select(k, t, (w["snap", lag] if lag else w["x"])[sl])
 
+        def pairs():
+            """The working rows' action pairs ia * nb + ib, the responder answering the leaders' ``ia``."""
+            how, what, lag = beta
+            if how == "table":
+                return what[0].take(ia * what[0].shape[1] + node[what[1]])
+            return ia * nb + (what if how == "action" else what.respond(ia, k, t, w["snap", lag] if lag else w["x"]))
+
+        block_start = block_end = 0
         for k in range(n_steps):
             while n_cp < len(cps) and k >= cp_steps[n_cp]:
                 checkpoint()
             if not n_live:
                 break
-            t, new_block = k * dt, k % _BLOCK == 0
+            t, new_block = k * dt, k == block_end
             if new_block:
                 if n_live < rows.size:
                     write_back((scale == 0.0).nonzero()[0])
@@ -561,7 +587,10 @@ def _run_ensemble(
                     rows, w = rows[keep], {key: a[keep] for key, a in w.items()}
                 bounds = np.searchsorted(rows, leader_rows).tolist()  # each leader's working rows
                 leader_slices = [(plan, slice(lo, hi)) for plan, lo, hi in zip(plans, bounds, bounds[1:]) if lo < hi]
-                dW = block(k, rows)
+                # in the tail a long block spreads the fixed cost of a block over more steps
+                length = min(_BLOCK if rows.size >= _TAIL_ROWS else 8 * _BLOCK, n_steps - k)
+                block_start, block_end = k, k + length
+                dW = block(k, rows, length)
                 # a row's scale: 1 while alive, its crossing fraction at its exit step, then 0;
                 # exit_at is 0 while alive, then NaN, so that dist_new <= exit_at is the exit test
                 scale, exit_at = np.ones(rows.size), np.zeros(rows.size)
@@ -572,15 +601,15 @@ def _run_ensemble(
                 if cell > last_cell[m]:
                     w["snap", m][:] = x
                     last_cell[m] = cell
-            node = [grid.nearest_node(w["snap", m] if m else x) for _, grid, m in lookups]
+            node = [grid._nearest(w["snap", m] if m else x) for _, grid, m in lookups]
             for plan, sl in leader_slices:
                 if new_block or plan[0] != "action":  # a constant is filled per block
                     ia[sl] = answer(plan, sl)
             if new_block or not fixed:
-                pair = ia * nb + answer(beta, slice(None), ia)
+                pair = pairs()
                 code = w["code"] + pair if multi else pair
-            weight = np.exp(-phi - psi)
-            x_new, dphi, dpsi, dpay = kernel(code, pair, x, dW[k % _BLOCK], weight)
+            weight = np.exp(-phi) if kernel.psi_zero else np.exp(-phi - psi)
+            x_new, dphi, dpsi, dpay = kernel(code, pair, x, dW[k - block_start], weight)
             dist_new = distance(x_new)
             exiting = (dist_new <= exit_at).nonzero()[0]
             if exiting.size:
@@ -596,10 +625,12 @@ def _run_ensemble(
             if track_exp_psi_integral:
                 w["exp_psi"] += np.exp(-psi) * scale * dt
 
-            w["pay"] += dpay * scale
-            phi += dphi * scale
-            psi += dpsi * scale
-            x += (x_new - x) * scale[:, None]
+            # until a row exits in this block every scale is 1, and v * 1.0 == v
+            exited = n_live < rows.size
+            for acc, inc in ((w["pay"], dpay), (phi, dphi), (psi, dpsi)):
+                if inc is not None:
+                    acc += inc * scale if exited else inc
+            x += (x_new - x) * scale[:, None] if exited else x_new - x
             w["dist"] = dist_new  # read again only while the row is alive
             if exiting.size:
                 scale[exiting] = 0.0
@@ -831,7 +862,7 @@ def pathwise_comparison(
             break
         t = k * dt
         if k % _BLOCK == 0:
-            dW, pos = block(k, act), np.arange(act.size)  # pos: act's rows of the block
+            dW, pos = block(k, act, _BLOCK), np.arange(act.size)  # pos: act's rows of the block
         dWk = dW[k % _BLOCK, pos]
         ia = np.broadcast_to(mixed_alpha_policy.select(k, t, X[act]), act.shape)
         for arr, actions in ((X, ia), (Y, projection[ia])):

@@ -158,13 +158,26 @@ def test_lanes_match_separate_runs(game_problem, solved_game, monkeypatch, max_r
     import sdglab.simulate
 
     monkeypatch.setattr(sdglab.simulate, "_MAX_ROWS", max_rows)
+    kernels, init = [], sdglab.simulate._StepKernel.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        kernels.append(self)
+
+    monkeypatch.setattr(sdglab.simulate._StepKernel, "__init__", spy)
     p = game_problem
     lanes, beta = _mixed_lanes(p, solved_game.value_)
     cfg = SimConfig(dt=1e-3, t_max=2.0, n_paths=300, seed=5)
     together = simulate_lanes(p, lanes, beta, cfg)
     assert len(together) == len(lanes)
+    # every ensemble mixes the tilted and the baseline spec: neither fold applies
+    assert not any(k.r is None or k.psi_zero for k in kernels)
     for (spec, x0, alpha), batch in zip(lanes, together):
+        kernels.clear()
         alone = simulate_to_exit(p, spec, x0, alpha, beta, cfg)
+        # a baseline lane alone takes the folded kernel (every r 1, every pi 0), a tilted one neither fold
+        (kernel,) = kernels
+        assert (kernel.r is None, kernel.psi_zero) == ((spec.pi_table == 0).all(),) * 2
         for name in ("tau", "censored", "exit_state", "phi", "psi", "running_payoff", "terminal_payoff"):
             assert np.array_equal(getattr(batch, name), getattr(alone, name)), name
 
@@ -198,15 +211,39 @@ def _assert_same_outputs(got, want, label):
 
 
 def test_block_size_does_not_change_outputs(game_problem, solved_game, monkeypatch):
-    # at _BLOCK = 1 the working state is compacted at every step
+    # at _BLOCK = 1 with no tail blocks the working state is compacted at every step; with fewer than
+    # _TAIL_ROWS rows alive a block covers 8 * _BLOCK steps: at 299 long blocks start mid-run in each
+    # of the four ensembles of _ops_outputs (300 or 1,200 rows at the start), at 2**30 every block is long
     import sdglab.simulate
 
+    runs, stream, draw = [], sdglab.simulate._stream, sdglab.simulate._gaussian_increments
+
+    def spy_stream(*args):
+        runs.append([])
+        return stream(*args)
+
+    def spy_draw(seed, paths, k0, n_steps, *args):
+        runs[-1].append((k0, n_steps))
+        return draw(seed, paths, k0, n_steps, *args)
+
+    monkeypatch.setattr(sdglab.simulate, "_stream", spy_stream)
+    monkeypatch.setattr(sdglab.simulate, "_gaussian_increments", spy_draw)
     outputs = {}
-    for size in (1, 3, 8):
+    for size, tail in ((1, 0), (3, 0), (8, 0), (8, 299), (8, 1 << 30)):
         monkeypatch.setattr(sdglab.simulate, "_BLOCK", size)
-        outputs[size] = _ops_outputs(game_problem, solved_game.value_, 300)
-    for size in (1, 3):
-        _assert_same_outputs(outputs[size], outputs[8], size)
+        monkeypatch.setattr(sdglab.simulate, "_TAIL_ROWS", tail)
+        runs.clear()
+        outputs[size, tail] = _ops_outputs(game_problem, solved_game.value_, 300)
+        assert len(runs) == 4
+        long_starts = [[k0 for k0, steps in blocks if steps > size] for blocks in runs]
+        if tail == 0:
+            assert not any(long_starts), (size, tail)
+        elif tail == 299:
+            assert all(long_starts) and min(map(min, long_starts)) > 0, long_starts
+        else:  # all long, but for the last block of a run, cut at its horizon or last checkpoint
+            assert all(steps == 64 for blocks in runs for _, steps in blocks[:-1])
+    for key in outputs:
+        _assert_same_outputs(outputs[key], outputs[1, 0], key)
 
 
 def _split_into(monkeypatch, parts):
@@ -875,7 +912,7 @@ def test_players_that_do_not_fit_the_problem_rejected(analytic_problem, game_pro
     assert leader.selector.table.max() == 1
     ext = extend_problem(analytic_problem, PucciParams.build(1), 1.0)  # leader actions a0, pen0, pen1
     grid, wide = value.grid, DomainSpec("box", 1, (-2.0,), (2.0,))
-    off_domain = MarkovSelector(DomainGrid.build(wide, 1 / 64), np.zeros(257, dtype=int))
+    off_domain = MarkovSelector(DomainGrid.build(wide, 1 / 64), np.zeros(257, dtype=int), (2, 2))
     cases = [
         (analytic_problem, ConstantPolicy(5), ConstantResponder(0), "leader action 5 .* 0 .. 0"),
         (analytic_problem, ConstantPolicy(0), ConstantResponder(3), "responder action 3 .* 0 .. 0"),
@@ -885,9 +922,11 @@ def test_players_that_do_not_fit_the_problem_rejected(analytic_problem, game_pro
         (analytic_problem, leader, ConstantResponder(0), "leader action 1 .* 0 .. 0"),
         (analytic_problem, ConstantPolicy(0), responder, "responder's table has 2 rows, not one per .* 0 .. 0"),
         (ext, leader, responder, "responder's table has 2 rows, not one per .* 0 .. 2"),
-        (ext, FeedbackAlphaPolicy(MarkovSelector(grid, np.full(65, 3))), ConstantResponder(0),
+        # every entry of the game's leader table is an action of ext, but it was built for the game
+        (ext, leader, ConstantResponder(0), r"leader's table was built for .* \(2, 2\), not the problem's \(3, 1\)"),
+        (ext, FeedbackAlphaPolicy(MarkovSelector(grid, np.full(65, 3), (3, 1))), ConstantResponder(0),
          "leader action 3 .* 0 .. 2"),
-        (game_problem, ConstantPolicy(0), FeedbackBetaPolicy(MarkovSelector(grid, np.full((2, 65), -1))),
+        (game_problem, ConstantPolicy(0), FeedbackBetaPolicy(MarkovSelector(grid, np.full((2, 65), -1), (2, 2))),
          "responder action -1 .* 0 .. 1"),
         (game_problem, FeedbackAlphaPolicy(off_domain), ConstantResponder(0), "leader's table lies on .*-2.0"),
     ]
